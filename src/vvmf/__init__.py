@@ -9,12 +9,12 @@ duality identities relating a representation to its contragredient.
 
 from .catalog import CatalogError, catalog_names, resolve
 from .dimensions import (
+    Analysis,
     DimResult,
     certify_irreducible,
     dim_cusp,
     dim_holomorphic,
     dim_table,
-    dim_via_exponent_shift,
 )
 from .invariants import (
     EvenInvariants,
@@ -22,7 +22,6 @@ from .invariants import (
     OddInvariants,
     Signature,
     even_invariants,
-    exponent_data,
     floor_trace,
     floor_trace_complement,
     gamma_sequence_check,
@@ -32,14 +31,12 @@ from .invariants import (
     t_eigenphases,
 )
 from .linalg import (
+    DEFAULT_SETTINGS,
+    Settings,
     SnapFailure,
-    Tolerance,
-    default_tolerance,
     is_identity,
-    mat_mul,
     mat_pow,
     rank,
-    set_default_tolerance,
     snap_integer,
 )
 from .modrep import (

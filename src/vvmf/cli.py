@@ -18,9 +18,8 @@ import os
 import sys
 
 from . import catalog, repfile
-from .dimensions import EXACT, dim_table
-from .invariants import even_invariants, odd_invariants
-from .linalg import SnapFailure, set_default_tolerance
+from .dimensions import EXACT, Analysis, dim_table
+from .linalg import Settings, SnapFailure
 from .modrep import (
     ClosureCapExceeded,
     ModularRepresentation,
@@ -28,9 +27,6 @@ from .modrep import (
     ProjectorDefect,
     RelationViolation,
     TOrderNotFound,
-    parity_split,
-    set_default_closure_cap,
-    set_default_order_cap,
     validate,
 )
 from .series import CUSP, HOLOMORPHIC, Weight1Indeterminate, duality_report, generator_profile, hilbert_series
@@ -48,10 +44,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_source(source: str) -> ModularRepresentation:
+def _load_source(source: str, settings: Settings) -> ModularRepresentation:
     if source.startswith("catalog:"):
         return catalog.resolve(source[len("catalog:"):])
-    return repfile.parse_rep(source)
+    return repfile.parse_rep(source, settings)
 
 
 def _mark(result) -> str:
@@ -62,8 +58,7 @@ def _fractions(values) -> list[str]:
     return [str(x) for x in values]
 
 
-def _even_info(part):
-    inv = even_invariants(part)
+def _even_info(part, inv):
     return {
         "degree": part.degree,
         "signature": {"d": inv.sig.d, "alpha": inv.sig.alpha,
@@ -77,8 +72,7 @@ def _even_info(part):
     }
 
 
-def _odd_info(part):
-    inv = odd_invariants(part)
+def _odd_info(part, inv):
     return {
         "degree": part.degree,
         "partner_signature": {"d": inv.dot_sig.d, "alpha": inv.dot_sig.alpha,
@@ -106,9 +100,9 @@ def _print_invariant_block(label, data):
     print(f"  gamma(-6..11): {gammas}")
 
 
-def _cmd_validate(args) -> int:
-    rep = _load_source(args.source)
-    report = validate(rep, closure_cap=args.closure_cap)
+def _cmd_validate(args, settings) -> int:
+    rep = _load_source(args.source, settings)
+    report = validate(rep, settings, closure_cap=args.closure_cap)
     if args.json:
         doc = {"rep": rep.name, "degree": rep.degree, "relations_ok": report.relations_ok,
                "t_order": report.t_order, "max_residual": report.max_residual,
@@ -122,17 +116,18 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_info(args) -> int:
-    rep = _load_source(args.source)
-    validate(rep)
-    split = parity_split(rep)
-    doc = {"rep": rep.name, "degree": rep.degree, "t_order": rep.t_order,
-           "even": _even_info(split.even_part) if split.even_part.degree else None,
-           "odd": _odd_info(split.odd_part) if split.odd_part.degree else None}
+def _cmd_info(args, settings) -> int:
+    rep = _load_source(args.source, settings)
+    t_order = validate(rep, settings).t_order
+    a = Analysis.of(rep, settings)
+    even, odd = a.split.even_part, a.split.odd_part
+    doc = {"rep": rep.name, "degree": rep.degree, "t_order": t_order,
+           "even": _even_info(even, a.even) if even.degree else None,
+           "odd": _odd_info(odd, a.odd) if odd.degree else None}
     if args.json:
         print(json.dumps(doc, indent=2))
         return 0
-    print(f"rep {rep.name}: degree {rep.degree}, t order {rep.t_order}")
+    print(f"rep {rep.name}: degree {rep.degree}, t order {t_order}")
     for label, block in (("even part", doc["even"]), ("odd part", doc["odd"])):
         if block is None:
             print(f"{label}: none")
@@ -141,14 +136,14 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args, settings) -> int:
     if args.from_weight > args.to_weight:
         print(f"vvmf dims: empty weight range {args.from_weight}..{args.to_weight}",
               file=sys.stderr)
         return 1
-    rep = _load_source(args.source)
-    validate(rep)
-    rows = dim_table(rep, args.from_weight, args.to_weight)
+    rep = _load_source(args.source, settings)
+    validate(rep, settings)
+    rows = dim_table(rep, args.from_weight, args.to_weight, settings)
     if args.json:
         doc = {"rep": rep.name, "degree": rep.degree,
                "weights": [{"w": w, "dimM": m.value, "dimS": s.value,
@@ -162,12 +157,12 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _cmd_generators(args) -> int:
-    rep = _load_source(args.source)
-    validate(rep)
+def _cmd_generators(args, settings) -> int:
+    rep = _load_source(args.source, settings)
+    validate(rep, settings)
     kind = CUSP if args.cusp else HOLOMORPHIC
-    profile = generator_profile(rep, kind)
-    series = hilbert_series(rep, kind)
+    profile = generator_profile(rep, kind, settings)
+    series = hilbert_series(rep, kind, settings)
     if args.json:
         doc = {"rep": rep.name, "degree": rep.degree, "kind": kind,
                "counts": {str(w): c for w, c in sorted(profile.counts.items())},
@@ -183,10 +178,10 @@ def _cmd_generators(args) -> int:
     return 0
 
 
-def _cmd_duality(args) -> int:
-    rep = _load_source(args.source)
-    validate(rep)
-    report = duality_report(rep, args.nmax)
+def _cmd_duality(args, settings) -> int:
+    rep = _load_source(args.source, settings)
+    validate(rep, settings)
+    report = duality_report(rep, args.nmax, settings)
     if args.json:
         doc = {"rep": report.rep_name, "dual": report.dual_name, "n_max": report.n_max,
                "checks": [{"name": c.name, "status": c.status,
@@ -204,7 +199,7 @@ def _cmd_duality(args) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args, settings) -> int:
     if args.action == "list":
         for name in catalog.catalog_names():
             print(name)
@@ -267,18 +262,15 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    given = {"eps": args.tolerance, "order_cap": args.order_cap,
+             "closure_cap": args.global_closure_cap}
     try:
-        if args.tolerance is not None:
-            set_default_tolerance(args.tolerance)
-        if args.order_cap is not None:
-            set_default_order_cap(args.order_cap)
-        if args.global_closure_cap is not None:
-            set_default_closure_cap(args.global_closure_cap)
+        settings = Settings(**{k: v for k, v in given.items() if v is not None})
     except ValueError as err:
         print(f"vvmf: error: {err}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        return args.func(args, settings)
     except _USAGE_ERRORS as err:
         print(f"vvmf: error: {err}", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """Dimension formulas for holomorphic and cusp forms of every integer weight.
 
-All values come from the cached invariants of the parity parts.  The
+All values come from one Analysis per representation and settings.  The
 single case the theory does not pin down exactly is weight one for an
 odd part that cannot be certified irreducible; there the returned
 value is a lower bound and is marked as such instead of silently
@@ -9,36 +9,34 @@ pretending to be exact.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .invariants import (
-    EvenInvariants,
-    OddInvariants,
-    even_invariants,
-    exponent_data,
-    floor_trace,
-    floor_trace_complement,
-    odd_invariants,
-)
-from .linalg import SnapFailure, Tolerance, snap_integer
+from .invariants import EvenInvariants, OddInvariants, even_invariants, odd_invariants
+from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, snap_integer
 from .modrep import (
     ASSERTED_IRREDUCIBLE,
     ASSERTED_REDUCIBLE,
     ClosureCapExceeded,
     ModularRepresentation,
-    ParityError,
+    contragredient,
     enumerate_closure,
-    parity,
     parity_split,
 )
 
 EXACT = "exact"
 LOWER_BOUND = "lower-bound"
+
+# Generator weights lie in 0..12; the product with (1-z^4)(1-z^6) is read
+# up to weight 22 so that the ten coefficients above 12 can be checked.
+TOP_GENERATOR_WEIGHT = 12
+_PRODUCT_WEIGHTS = 23
+
+
+class Weight1Indeterminate(ValueError):
+    """Generator counts need weight-one dimensions the theory cannot pin down."""
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,7 @@ class DimResult:
         assert self.value >= 0
 
 
-def certify_irreducible(rep: ModularRepresentation, closure_cap: int | None = None,
-                        tol: Tolerance | None = None) -> bool:
+def certify_irreducible(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> bool:
     """True when the representation is known to be irreducible.
 
     Degree at most one and explicit assertions settle it immediately;
@@ -69,120 +66,134 @@ def certify_irreducible(rep: ModularRepresentation, closure_cap: int | None = No
     if rep.irreducible_assertion == ASSERTED_REDUCIBLE:
         return False
     try:
-        group = enumerate_closure(rep, closure_cap)
+        group = enumerate_closure(rep, settings.closure_cap)
     except ClosureCapExceeded:
         return False
     norm = sum(abs(complex(np.trace(g))) ** 2 for g in group) / len(group)
     try:
-        return snap_integer(norm, tol) == 1
+        return snap_integer(norm, settings) == 1
     except SnapFailure:
         return False
 
 
-class _Analysis:
-    """Parity split plus lazily extracted invariants for one representation."""
+class Analysis:
+    """Everything derived from one representation under one Settings.
 
-    def __init__(self, rep: ModularRepresentation, tol: Tolerance | None):
+    Analysis.of memoises it on the representation, keyed by the settings:
+    calls with equal settings share it, calls with other settings get
+    their own, and it is freed together with the representation.
+    """
+
+    def __init__(self, rep: ModularRepresentation, settings: Settings):
         self.rep = rep
-        self.tol = tol
-        self.split = parity_split(rep, tol)
+        self.settings = settings
+        self.split = parity_split(rep, settings)
+        self._numerators: dict[bool, tuple[int, ...]] = {}
+
+    @classmethod
+    def of(cls, rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> Analysis:
+        analysis = rep.analyses.get(settings)
+        if analysis is None:
+            analysis = rep.analyses[settings] = cls(rep, settings)
+        return analysis
 
     @cached_property
     def even(self) -> EvenInvariants:
-        return even_invariants(self.split.even_part, self.tol)
+        return even_invariants(self.split.even_part, self.settings)
 
     @cached_property
     def odd(self) -> OddInvariants:
-        return odd_invariants(self.split.odd_part, self.tol)
+        return odd_invariants(self.split.odd_part, self.settings)
 
     @cached_property
     def weight1_exact(self) -> bool:
-        return certify_irreducible(self.split.odd_part, tol=self.tol)
+        return certify_irreducible(self.split.odd_part, self.settings)
 
+    @cached_property
+    def dual(self) -> Analysis:
+        """Analysis of the contragredient under the same settings."""
+        return Analysis.of(contragredient(self.rep), self.settings)
 
-_cache: "weakref.WeakKeyDictionary[ModularRepresentation, _Analysis]" = weakref.WeakKeyDictionary()
+    def dim(self, w: int, cusp: bool = False) -> DimResult:
+        """Dimension of the holomorphic (or cusp) forms of integer weight w."""
+        if w % 2 == 0:
+            return self._even_dim(w // 2, cusp)
+        return self._odd_dim((w - 1) // 2, cusp)
 
-
-def _analysis_for(rep: ModularRepresentation, tol: Tolerance | None = None) -> _Analysis:
-    if tol is not None:
-        return _Analysis(rep, tol)
-    analysis = _cache.get(rep)
-    if analysis is None:
-        analysis = _Analysis(rep, None)
-        _cache[rep] = analysis
-    return analysis
-
-
-def _even_dim(a: _Analysis, k: int, cusp: bool) -> DimResult:
-    if a.split.even_part.degree == 0:
-        return DimResult(0, EXACT, "parity-zero")
-    if k < 0:
-        return DimResult(0, EXACT, "negative-weight")
-    inv = a.even
-    if cusp:
+    def _even_dim(self, k: int, cusp: bool) -> DimResult:
+        if self.split.even_part.degree == 0:
+            return DimResult(0, EXACT, "parity-zero")
+        if k < 0:
+            return DimResult(0, EXACT, "negative-weight")
+        inv = self.even
+        if cusp:
+            if k == 0:
+                return DimResult(0, EXACT, "weight-0-cusp")
+            if k == 1:
+                return DimResult(inv.lambda_minus + inv.gamma(1) + inv.h0, EXACT, "cusp-weight-2")
+            return DimResult(inv.lambda_minus + inv.gamma(k), EXACT, "even-cusp-k>1")
         if k == 0:
-            return DimResult(0, EXACT, "weight-0-cusp")
-        if k == 1:
-            return DimResult(inv.lambda_minus + inv.gamma(1) + inv.h0, EXACT, "cusp-weight-2")
-        return DimResult(inv.lambda_minus + inv.gamma(k), EXACT, "even-cusp-k>1")
-    if k == 0:
-        return DimResult(inv.h0, EXACT, "weight-0-h0")
-    return DimResult(inv.lambda_plus + inv.gamma(k), EXACT, "even-k>0")
+            return DimResult(inv.h0, EXACT, "weight-0-h0")
+        return DimResult(inv.lambda_plus + inv.gamma(k), EXACT, "even-k>0")
 
-
-def _odd_dim(a: _Analysis, k: int, cusp: bool) -> DimResult:
-    if a.split.odd_part.degree == 0:
-        return DimResult(0, EXACT, "parity-zero")
-    if k < 0:
-        return DimResult(0, EXACT, "negative-weight")
-    inv = a.odd
-    if k > 0:
+    def _odd_dim(self, k: int, cusp: bool) -> DimResult:
+        if self.split.odd_part.degree == 0:
+            return DimResult(0, EXACT, "parity-zero")
+        if k < 0:
+            return DimResult(0, EXACT, "negative-weight")
+        inv = self.odd
         lam = inv.dot_lambda_minus if cusp else inv.dot_lambda_plus
-        rule = "odd-cusp-k>0" if cusp else "odd-k>0"
-        return DimResult(lam + inv.dot_gamma(k), EXACT, rule)
-    lam = inv.dot_lambda_minus if cusp else inv.dot_lambda_plus
-    if a.weight1_exact:
-        return DimResult(max(0, lam), EXACT, "odd-weight-1-irreducible")
-    return DimResult(max(0, lam), LOWER_BOUND, "odd-weight-1-lower-bound")
+        if k > 0:
+            rule = "odd-cusp-k>0" if cusp else "odd-k>0"
+            return DimResult(lam + inv.dot_gamma(k), EXACT, rule)
+        if self.weight1_exact:
+            return DimResult(max(0, lam), EXACT, "odd-weight-1-irreducible")
+        return DimResult(max(0, lam), LOWER_BOUND, "odd-weight-1-lower-bound")
+
+    def generator_numerator(self, cusp: bool) -> tuple[int, ...]:
+        """Coefficients 0..12 of (1-z^4)(1-z^6) times the dimension series.
+
+        The holomorphic and cusp modules are free over the ring of the
+        weight 4 and weight 6 Eisenstein series, with generators in
+        weights 0..12, so these are the generator counts by weight and
+        every higher coefficient vanishes; one that does not raises
+        SnapFailure.  Weight-one lower bounds raise Weight1Indeterminate.
+        """
+        numerator = self._numerators.get(cusp)
+        if numerator is None:
+            rows = [self.dim(w, cusp) for w in range(_PRODUCT_WEIGHTS)]
+            if rows[1].status != EXACT:
+                raise Weight1Indeterminate(
+                    f"{self.rep.name}: odd part is not certified irreducible, weight-one "
+                    "dimensions are only lower bounds")
+            dims = [0] * 10 + [r.value for r in rows]
+            coeffs = [dims[w + 10] - dims[w + 6] - dims[w + 4] + dims[w]
+                      for w in range(_PRODUCT_WEIGHTS)]
+            tail = coeffs[TOP_GENERATOR_WEIGHT + 1:]
+            if any(tail):
+                raise SnapFailure(
+                    f"{self.rep.name}: dimensions are not those of a free module, "
+                    f"(1-z^4)(1-z^6) leaves {tail} at weights 13..22")
+            numerator = self._numerators[cusp] = tuple(coeffs[:TOP_GENERATOR_WEIGHT + 1])
+        return numerator
 
 
-def dim_holomorphic(rep: ModularRepresentation, w: int, tol: Tolerance | None = None) -> DimResult:
+def dim_holomorphic(rep: ModularRepresentation, w: int,
+                    settings: Settings = DEFAULT_SETTINGS) -> DimResult:
     """Dimension of the holomorphic forms of integer weight w."""
-    a = _analysis_for(rep, tol)
-    if w % 2 == 0:
-        return _even_dim(a, w // 2, cusp=False)
-    return _odd_dim(a, (w - 1) // 2, cusp=False)
+    return Analysis.of(rep, settings).dim(w, cusp=False)
 
 
-def dim_cusp(rep: ModularRepresentation, w: int, tol: Tolerance | None = None) -> DimResult:
+def dim_cusp(rep: ModularRepresentation, w: int,
+             settings: Settings = DEFAULT_SETTINGS) -> DimResult:
     """Dimension of the cusp forms of integer weight w."""
-    a = _analysis_for(rep, tol)
-    if w % 2 == 0:
-        return _even_dim(a, w // 2, cusp=True)
-    return _odd_dim(a, (w - 1) // 2, cusp=True)
+    return Analysis.of(rep, settings).dim(w, cusp=True)
 
 
 def dim_table(rep: ModularRepresentation, w_min: int, w_max: int,
-              tol: Tolerance | None = None) -> list[tuple[int, DimResult, DimResult]]:
+              settings: Settings = DEFAULT_SETTINGS) -> list[tuple[int, DimResult, DimResult]]:
     """Rows (w, holomorphic, cusp) for every integer weight in the range."""
     if w_min > w_max:
         raise ValueError(f"empty weight range {w_min}..{w_max}")
-    _analysis_for(rep, tol)
-    return [(w, dim_holomorphic(rep, w, tol), dim_cusp(rep, w, tol))
+    return [(w, dim_holomorphic(rep, w, settings), dim_cusp(rep, w, settings))
             for w in range(w_min, w_max + 1)]
-
-
-def dim_via_exponent_shift(rep: ModularRepresentation, k: int,
-                           tol: Tolerance | None = None) -> tuple[int, int]:
-    """Second dimension route for an even irreducible representation.
-
-    Returns (holomorphic, cusp) dimensions of weight-k forms for the
-    k-th character twist, read directly off the floor traces at shift
-    k/12.  Exactness needs irreducibility, which the caller vouches for.
-    """
-    if parity(rep, tol) != 1:
-        raise ParityError("the exponent shift route needs a purely even representation")
-    exp = exponent_data(rep, tol)
-    holo = max(0, floor_trace(exp, Fraction(k, 12)))
-    cusp = max(0, -floor_trace_complement(exp, 1 - Fraction(k, 12)))
-    return holo, cusp

@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import SnapFailure, Tolerance, clean, rank, resolve_tolerance, snap_integer
+from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, clean, rank, snap_integer
 from .modrep import (
     ModularRepresentation,
     ParityError,
+    find_t_order,
     parity,
     st_inverse_image,
     tensor_kappa,
@@ -92,16 +93,6 @@ class ExponentData:
             raise SnapFailure(f"log trace differs from phase sum by the non-integer {gap}")
         return int(gap)
 
-    def negated(self) -> "ExponentData":
-        """Data of the negated logarithm, phases flipped mod 1.
-
-        Useful for cross-checking the complement floor trace; note the
-        dual representation canonicalizes its logarithm differently, so
-        this is not the dual's exponent data in general.
-        """
-        flipped = tuple(sorted(Fraction(0) if x == 0 else 1 - x for x in self.phases))
-        return ExponentData(flipped, -self.trace_lambda)
-
 
 def floor_trace(exp: ExponentData, shift=0) -> int:
     """Sum of floor(log eigenvalue + shift) over all eigenvalues.
@@ -119,15 +110,15 @@ def floor_trace_complement(exp: ExponentData, shift=1) -> int:
     return -exp.integer_offset() + sum(math.floor(s - x) for x in exp.phases)
 
 
-def t_eigenphases(rep: ModularRepresentation, tol: Tolerance | None = None) -> tuple[Fraction, ...]:
+def t_eigenphases(rep: ModularRepresentation,
+                  settings: Settings = DEFAULT_SETTINGS) -> tuple[Fraction, ...]:
     """Eigenvalue phases of the t image as exact fractions in [0, 1).
 
     The image has finite order n, so the multiplicity of the phase m/n
     is a discrete Fourier coefficient of the trace sequence of its
     powers.  Each coefficient is snapped to a non-negative integer.
     """
-    eps = resolve_tolerance(tol).eps
-    n = rep.t_order
+    n = find_t_order(rep, settings.order_cap, settings)
     d = rep.degree
     traces = []
     power = np.eye(d, dtype=np.complex128)
@@ -138,9 +129,9 @@ def t_eigenphases(rep: ModularRepresentation, tol: Tolerance | None = None) -> t
     phases: list[Fraction] = []
     for m in range(n):
         val = sum(traces[k] * roots[(m * k) % n] for k in range(n)) / n
-        if abs(val.imag) > eps:
+        if abs(val.imag) > settings.eps:
             raise SnapFailure(f"multiplicity of phase {m}/{n} is not real: {val!r}")
-        mult = snap_integer(val.real, tol)
+        mult = snap_integer(val.real, settings)
         if mult < 0:
             raise SnapFailure(f"multiplicity of phase {m}/{n} snapped to {mult}")
         phases.extend([Fraction(m, n)] * mult)
@@ -149,16 +140,16 @@ def t_eigenphases(rep: ModularRepresentation, tol: Tolerance | None = None) -> t
     return tuple(phases)
 
 
-def signature(rep: ModularRepresentation, tol: Tolerance | None = None) -> Signature:
+def signature(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> Signature:
     """Signature of a purely even representation, recovered from traces."""
-    if parity(rep, tol) != 1:
+    if parity(rep, settings) != 1:
         raise ParityError("signature needs a purely even representation")
     d = rep.degree
     tr_s = complex(np.trace(rep.s_image))
-    alpha = snap_integer((d - tr_s.real) / 2, tol)
+    alpha = snap_integer((d - tr_s.real) / 2, settings)
     tr_u = complex(np.trace(st_inverse_image(rep)))
-    beta_sum = snap_integer(2 * (d - tr_u.real) / 3, tol)
-    beta_diff = snap_integer(2 * tr_u.imag / _SQRT3, tol)
+    beta_sum = snap_integer(2 * (d - tr_u.real) / 3, settings)
+    beta_diff = snap_integer(2 * tr_u.imag / _SQRT3, settings)
     if (beta_sum + beta_diff) % 2:
         raise SnapFailure(f"cube root multiplicities {beta_sum}, {beta_diff} have mixed parity")
     return Signature(d, alpha, (beta_sum + beta_diff) // 2, (beta_sum - beta_diff) // 2)
@@ -224,36 +215,32 @@ def _gamma_base(sig: Signature) -> tuple[int, int, int, int, int, int]:
     return (0, a + b1 + b2 - d, b2, a, b1 + b2, a + b2)
 
 
-def exponent_data(rep: ModularRepresentation, tol: Tolerance | None = None) -> ExponentData:
-    """Phases and exact log trace of a purely even representation."""
-    sig = signature(rep, tol)
-    exp = ExponentData(t_eigenphases(rep, tol), sig.trace_lambda)
-    exp.integer_offset()
-    return exp
-
-
-def even_invariants(rep: ModularRepresentation, tol: Tolerance | None = None) -> EvenInvariants:
+def even_invariants(rep: ModularRepresentation,
+                    settings: Settings = DEFAULT_SETTINGS) -> EvenInvariants:
     """Extract all even-weight invariants at once."""
-    if parity(rep, tol) != 1:
+    if parity(rep, settings) != 1:
         raise ParityError("even invariants need a purely even representation")
-    sig = signature(rep, tol)
-    exp = ExponentData(t_eigenphases(rep, tol), sig.trace_lambda)
+    phases = t_eigenphases(rep, settings)
+    sig = signature(rep, settings)
+    exp = ExponentData(phases, sig.trace_lambda)
     lam_plus = floor_trace(exp, 0)
     lam_minus = -floor_trace_complement(exp, 1)
     d = rep.degree
     eye = np.eye(d, dtype=np.complex128)
-    stacked = clean(np.vstack([rep.s_image - eye, rep.t_image - eye]), tol)
-    h0 = d - rank(stacked, tol)
+    stacked = clean(np.vstack([rep.s_image - eye, rep.t_image - eye]), settings)
+    h0 = d - rank(stacked, settings)
     return EvenInvariants(sig, exp, lam_plus, lam_minus, h0, _gamma_base(sig))
 
 
-def odd_invariants(rep: ModularRepresentation, tol: Tolerance | None = None) -> OddInvariants:
+def odd_invariants(rep: ModularRepresentation,
+                   settings: Settings = DEFAULT_SETTINGS) -> OddInvariants:
     """Extract all odd-weight invariants via the even partner."""
-    if parity(rep, tol) != -1:
+    if parity(rep, settings) != -1:
         raise ParityError("odd invariants need a purely odd representation")
     partner = tensor_kappa(rep, -1)
-    sig = signature(partner, tol)
-    exp = ExponentData(t_eigenphases(partner, tol), sig.trace_lambda)
+    phases = t_eigenphases(partner, settings)
+    sig = signature(partner, settings)
+    exp = ExponentData(phases, sig.trace_lambda)
     lam_plus = floor_trace(exp, Fraction(1, 12))
     lam_minus = -floor_trace_complement(exp, Fraction(11, 12))
     return OddInvariants(sig, exp, lam_plus, lam_minus, _gamma_base(sig))

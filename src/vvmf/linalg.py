@@ -16,6 +16,8 @@ import numpy as np
 ComplexMatrix = np.ndarray
 
 DEFAULT_EPS = 1e-9
+DEFAULT_ORDER_CAP = 4096
+DEFAULT_CLOSURE_CAP = 20000
 
 
 class SnapFailure(ValueError):
@@ -23,31 +25,28 @@ class SnapFailure(ValueError):
 
 
 @dataclass(frozen=True)
-class Tolerance:
-    """Absolute entrywise tolerance for all approximate comparisons."""
+class Settings:
+    """Numeric tolerance and search caps, passed explicitly to every computation.
+
+    eps is the absolute entrywise tolerance for all approximate
+    comparisons, order_cap the largest t order searched for and
+    closure_cap the largest matrix group enumerated.
+    """
 
     eps: float = DEFAULT_EPS
+    order_cap: int = DEFAULT_ORDER_CAP
+    closure_cap: int = DEFAULT_CLOSURE_CAP
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1e-3:
             raise ValueError(f"tolerance eps must lie in (0, 1e-3), got {self.eps!r}")
+        if self.order_cap < 1:
+            raise ValueError("order cap must be positive")
+        if self.closure_cap < 1:
+            raise ValueError("closure cap must be positive")
 
 
-_default_tolerance = Tolerance()
-
-
-def default_tolerance() -> Tolerance:
-    return _default_tolerance
-
-
-def set_default_tolerance(eps: float) -> None:
-    """Override the process-wide default tolerance."""
-    global _default_tolerance
-    _default_tolerance = Tolerance(eps)
-
-
-def resolve_tolerance(tol: Tolerance | None) -> Tolerance:
-    return _default_tolerance if tol is None else tol
+DEFAULT_SETTINGS = Settings()
 
 
 def as_matrix(entries) -> ComplexMatrix:
@@ -65,7 +64,7 @@ def max_abs(a: ComplexMatrix) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def clean(a: ComplexMatrix, tol: Tolerance | None = None) -> ComplexMatrix:
+def clean(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> ComplexMatrix:
     """Copy with sub-tolerance entries zeroed.
 
     Rank computations here always see matrices whose honest entries are
@@ -74,14 +73,8 @@ def clean(a: ComplexMatrix, tol: Tolerance | None = None) -> ComplexMatrix:
     """
     out = np.array(a, dtype=np.complex128)
     if out.size:
-        out[np.abs(out) <= resolve_tolerance(tol).eps] = 0
+        out[np.abs(out) <= settings.eps] = 0
     return out
-
-
-def mat_mul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} by {b.shape}")
-    return a @ b
 
 
 def mat_pow(a: ComplexMatrix, n: int) -> ComplexMatrix:
@@ -100,14 +93,13 @@ def mat_pow(a: ComplexMatrix, n: int) -> ComplexMatrix:
     return result
 
 
-def is_identity(a: ComplexMatrix, tol: Tolerance | None = None) -> bool:
+def is_identity(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> bool:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    eps = resolve_tolerance(tol).eps
-    return max_abs(a - np.eye(a.shape[0], dtype=np.complex128)) <= eps
+    return max_abs(a - np.eye(a.shape[0], dtype=np.complex128)) <= settings.eps
 
 
-def row_reduce(a: ComplexMatrix, tol: Tolerance | None = None):
+def row_reduce(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS):
     """Row echelon form with partial pivoting.
 
     Returns (reduced, pivot_columns).  The pivot threshold is the
@@ -118,7 +110,7 @@ def row_reduce(a: ComplexMatrix, tol: Tolerance | None = None):
     pivots: list[int] = []
     if m.size == 0:
         return m, pivots
-    threshold = resolve_tolerance(tol).eps * max_abs(m)
+    threshold = settings.eps * max_abs(m)
     rows, cols = m.shape
     r = 0
     for c in range(cols):
@@ -138,14 +130,14 @@ def row_reduce(a: ComplexMatrix, tol: Tolerance | None = None):
     return m, pivots
 
 
-def rank(a: ComplexMatrix, tol: Tolerance | None = None) -> int:
-    _, pivots = row_reduce(a, tol)
+def rank(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> int:
+    _, pivots = row_reduce(a, settings)
     return len(pivots)
 
 
-def snap_integer(x: float, tol: Tolerance | None = None) -> int:
+def snap_integer(x: float, settings: Settings = DEFAULT_SETTINGS) -> int:
     """Round to the nearest integer, failing hard when x is not close to one."""
-    eps = resolve_tolerance(tol).eps
+    eps = settings.eps
     n = round(float(x))
     if abs(float(x) - n) > eps:
         raise SnapFailure(f"{x!r} is not within {eps} of an integer")

@@ -13,49 +13,21 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
+    DEFAULT_CLOSURE_CAP,
+    DEFAULT_SETTINGS,
     ComplexMatrix,
-    Tolerance,
+    Settings,
     as_matrix,
     clean,
     is_identity,
     mat_pow,
     max_abs,
-    resolve_tolerance,
     row_reduce,
 )
-
-DEFAULT_ORDER_CAP = 4096
-DEFAULT_CLOSURE_CAP = 20000
-
-_order_cap = DEFAULT_ORDER_CAP
-_closure_cap = DEFAULT_CLOSURE_CAP
-
-
-def default_order_cap() -> int:
-    return _order_cap
-
-
-def set_default_order_cap(n: int) -> None:
-    if n < 1:
-        raise ValueError("order cap must be positive")
-    global _order_cap
-    _order_cap = n
-
-
-def default_closure_cap() -> int:
-    return _closure_cap
-
-
-def set_default_closure_cap(n: int) -> None:
-    if n < 1:
-        raise ValueError("closure cap must be positive")
-    global _closure_cap
-    _closure_cap = n
 
 ASSERTED_IRREDUCIBLE = "asserted-irreducible"
 ASSERTED_REDUCIBLE = "asserted-reducible"
@@ -100,6 +72,9 @@ class ModularRepresentation:
     t_image: ComplexMatrix
     name: str = "rep"
     irreducible_assertion: str = UNKNOWN
+    # Derived data by Settings, filled by dimensions.Analysis.of; it lives
+    # and dies with the representation and is not part of its value.
+    analyses: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         s = as_matrix(self.s_image)
@@ -116,10 +91,6 @@ class ModularRepresentation:
     @property
     def degree(self) -> int:
         return self.s_image.shape[0]
-
-    @cached_property
-    def t_order(self) -> int:
-        return find_t_order(self)
 
     def __repr__(self):
         return f"<ModularRepresentation {self.name!r} degree={self.degree}>"
@@ -143,29 +114,26 @@ class ParityDecomposition:
     odd_basis: ComplexMatrix
 
 
-def find_t_order(rep: ModularRepresentation, order_cap: int | None = None,
-                 tol: Tolerance | None = None) -> int:
+def find_t_order(rep: ModularRepresentation, order_cap: int,
+                 settings: Settings = DEFAULT_SETTINGS) -> int:
     """Least n >= 1 with t_image^n equal to the identity."""
-    cap = _order_cap if order_cap is None else order_cap
     t = rep.t_image
     d = rep.degree
     power = np.eye(d, dtype=np.complex128)
-    for n in range(1, cap + 1):
+    for n in range(1, order_cap + 1):
         power = power @ t
-        if is_identity(power, tol):
-            rep.__dict__.setdefault("t_order", n)
+        if is_identity(power, settings):
             return n
-    raise TOrderNotFound(f"t image has no order up to {cap}")
+    raise TOrderNotFound(f"t image has no order up to {order_cap}")
 
 
-def validate(rep: ModularRepresentation, order_cap: int | None = None,
-             closure_cap: int | None = None, tol: Tolerance | None = None) -> ValidationReport:
+def validate(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS,
+             closure_cap: int | None = None) -> ValidationReport:
     """Check the defining relations and the finite order of the t image.
 
     Passing closure_cap additionally enumerates the full matrix group
     generated by the two images and reports its size.
     """
-    eps = resolve_tolerance(tol).eps
     s, t = rep.s_image, rep.t_image
     d = rep.degree
     eye = np.eye(d, dtype=np.complex128)
@@ -177,16 +145,17 @@ def validate(rep: ModularRepresentation, order_cap: int | None = None,
         "s^2 central": max_abs(s2 @ t - t @ s2),
     }
     for relation, residual in residuals.items():
-        if residual > eps:
+        if residual > settings.eps:
             raise RelationViolation(relation, residual)
-    n = find_t_order(rep, order_cap, tol)
+    n = find_t_order(rep, settings.order_cap, settings)
     group_size = None
     if closure_cap is not None:
         group_size = len(enumerate_closure(rep, closure_cap))
     return ValidationReport(True, n, max(residuals.values()), group_size)
 
 
-def enumerate_closure(rep: ModularRepresentation, cap: int | None = None) -> list[ComplexMatrix]:
+def enumerate_closure(rep: ModularRepresentation,
+                      cap: int = DEFAULT_CLOSURE_CAP) -> list[ComplexMatrix]:
     """Breadth-first enumeration of the matrix group the images generate.
 
     Matrices are deduplicated by hashing entries rounded to six decimal
@@ -194,8 +163,6 @@ def enumerate_closure(rep: ModularRepresentation, cap: int | None = None) -> lis
     than the separation of distinct elements in a finite unitarizable
     group of the sizes handled here.
     """
-    cap = _closure_cap if cap is None else cap
-
     def key(m):
         return tuple(np.round(m, 6).ravel().tolist())
 
@@ -217,19 +184,24 @@ def enumerate_closure(rep: ModularRepresentation, cap: int | None = None) -> lis
     return list(seen.values())
 
 
-def parity(rep: ModularRepresentation, tol: Tolerance | None = None) -> int:
+def parity(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> int:
     """+1 if s^2 acts as +1, -1 if as -1, 0 when both parities occur."""
     s2 = rep.s_image @ rep.s_image
-    if is_identity(s2, tol):
+    if is_identity(s2, settings):
         return 1
-    if is_identity(-s2, tol):
+    if is_identity(-s2, settings):
         return -1
     return 0
 
 
 def st_inverse_image(rep: ModularRepresentation) -> ComplexMatrix:
-    """Image of the order-three element s t^-1."""
-    return rep.s_image @ mat_pow(rep.t_image, rep.t_order - 1)
+    """Image of the order-three element s t^-1.
+
+    The relations give t s t s t = s, hence s t^-1 = (t s)^2, so no power
+    of t (and no t order) is needed.
+    """
+    ts = rep.t_image @ rep.s_image
+    return ts @ ts
 
 
 def _restrict(g: ComplexMatrix, basis: ComplexMatrix, eps: float) -> ComplexMatrix:
@@ -244,26 +216,26 @@ def _restrict(g: ComplexMatrix, basis: ComplexMatrix, eps: float) -> ComplexMatr
     return m
 
 
-def parity_split(rep: ModularRepresentation, tol: Tolerance | None = None) -> ParityDecomposition:
+def parity_split(rep: ModularRepresentation,
+                 settings: Settings = DEFAULT_SETTINGS) -> ParityDecomposition:
     """Split into purely even and purely odd subrepresentations.
 
     The projectors (1 +/- s^2)/2 commute with the whole image because
     s^2 is central, so their column spans carry subrepresentations.
     Bases come from the pivot columns of the row-reduced projectors.
     """
-    eps = resolve_tolerance(tol).eps
     d = rep.degree
     eye = np.eye(d, dtype=np.complex128)
     s2 = rep.s_image @ rep.s_image
     parts = []
     bases = []
     for sign, tag in ((1, "even"), (-1, "odd")):
-        proj = clean((eye + sign * s2) / 2, tol)
-        _, pivots = row_reduce(proj, tol)
+        proj = clean((eye + sign * s2) / 2, settings)
+        _, pivots = row_reduce(proj, settings)
         basis = proj[:, pivots]
-        s_part = _restrict(rep.s_image, basis, eps)
-        t_part = _restrict(rep.t_image, basis, eps)
-        if basis.shape[1] and not is_identity(sign * (s_part @ s_part), tol):
+        s_part = _restrict(rep.s_image, basis, settings.eps)
+        t_part = _restrict(rep.t_image, basis, settings.eps)
+        if basis.shape[1] and not is_identity(sign * (s_part @ s_part), settings):
             raise ProjectorDefect(f"{tag} part does not have parity {sign:+d}")
         assertion = rep.irreducible_assertion if basis.shape[1] == d else UNKNOWN
         parts.append(ModularRepresentation(s_part, t_part, f"{rep.name}[{tag}]", assertion))
@@ -311,11 +283,14 @@ def tensor_kappa(rep: ModularRepresentation, j: int) -> ModularRepresentation:
 
 
 def contragredient(rep: ModularRepresentation) -> ModularRepresentation:
-    """Dual representation, acting by inverse transposes."""
-    n = rep.t_order
-    s = mat_pow(rep.s_image, 3).T
-    t = mat_pow(rep.t_image, n - 1).T
-    return ModularRepresentation(s, t, f"~{rep.name}", rep.irreducible_assertion)
+    """Dual representation, acting by inverse transposes.
+
+    The relations give s^-1 = s^3 and t^-1 = s t s t s^-1, so the
+    inverses need no t order.
+    """
+    s_inv = mat_pow(rep.s_image, 3)
+    t_inv = rep.s_image @ rep.t_image @ rep.s_image @ rep.t_image @ s_inv
+    return ModularRepresentation(s_inv.T, t_inv.T, f"~{rep.name}", rep.irreducible_assertion)
 
 
 def build_rho0() -> ModularRepresentation:

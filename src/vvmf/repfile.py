@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .linalg import DEFAULT_SETTINGS, Settings
 from .modrep import (
     ASSERTED_IRREDUCIBLE,
     ASSERTED_REDUCIBLE,
@@ -125,7 +126,8 @@ def _entry_value(value, encoding: str) -> complex:
     return total
 
 
-def to_representation(rf: RepFile, run_validate: bool = True) -> ModularRepresentation:
+def to_representation(rf: RepFile, run_validate: bool = True,
+                      settings: Settings = DEFAULT_SETTINGS) -> ModularRepresentation:
     """Build the representation a file describes, validating by default."""
     s = np.array([[_entry_value(v, rf.entry_encoding) for v in row] for row in rf.s_entries],
                  dtype=np.complex128)
@@ -137,13 +139,13 @@ def to_representation(rf: RepFile, run_validate: bool = True) -> ModularRepresen
         assertion = ASSERTED_IRREDUCIBLE if rf.irreducible else ASSERTED_REDUCIBLE
     rep = ModularRepresentation(s, t, rf.name, assertion)
     if run_validate:
-        validate(rep)
+        validate(rep, settings)
     return rep
 
 
-def parse_rep(path: str) -> ModularRepresentation:
+def parse_rep(path: str, settings: Settings = DEFAULT_SETTINGS) -> ModularRepresentation:
     """Load, schema-check and validate a representation file."""
-    return to_representation(load_repfile(path))
+    return to_representation(load_repfile(path), settings=settings)
 
 
 def repfile_to_dict(rf: RepFile) -> dict:

@@ -12,18 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dimensions import EXACT, _analysis_for, dim_cusp, dim_holomorphic
-from .linalg import Tolerance
-from .modrep import ModularRepresentation, contragredient
+from .dimensions import Analysis, Weight1Indeterminate
+from .linalg import DEFAULT_SETTINGS, Settings
+from .modrep import ModularRepresentation
 
 HOLOMORPHIC = "holomorphic"
 CUSP = "cusp"
 
 DENOMINATOR = "(1-z^4)(1-z^6)"
-
-
-class Weight1Indeterminate(ValueError):
-    """Generator counts need weight-one dimensions the theory cannot pin down."""
 
 
 @dataclass(frozen=True)
@@ -68,54 +64,24 @@ class HilbertSeries:
 
 
 def generator_profile(rep: ModularRepresentation, kind: str = HOLOMORPHIC,
-                      tol: Tolerance | None = None) -> GeneratorProfile:
+                      settings: Settings = DEFAULT_SETTINGS) -> GeneratorProfile:
     """Count free generators by weight.
 
-    The counts are integer combinations of the cached invariants; the
-    odd table additionally needs exact weight-one dimensions and raises
-    when those are only lower bounds.
+    The counts are the numerator the Analysis reads off its own
+    dimensions; odd parts additionally need exact weight-one dimensions
+    and raise Weight1Indeterminate when those are only lower bounds.
     """
     if kind not in (HOLOMORPHIC, CUSP):
         raise ValueError(f"kind must be {HOLOMORPHIC!r} or {CUSP!r}")
-    a = _analysis_for(rep, tol)
-    counts: dict[int, int] = {}
-
-    def put(table):
-        for w, c in table.items():
-            if c:
-                counts[w] = counts.get(w, 0) + c
-
-    if a.split.even_part.degree:
-        inv = a.even
-        g, lp, lm, h0 = inv.gamma, inv.lambda_plus, inv.lambda_minus, inv.h0
-        if kind == HOLOMORPHIC:
-            put({0: h0, 2: g(1) + lp, 4: g(2) + lp - h0, 6: g(3) - g(1) - h0,
-                 8: g(6) - g(5) - lp, 10: h0 - lp})
-        else:
-            put({2: g(1) + lm + h0, 4: g(2) + lm, 6: g(3) - g(1) - h0,
-                 8: g(6) - g(5) - lm - h0, 10: -lm, 12: h0})
-    if a.split.odd_part.degree:
-        m1 = dim_holomorphic(rep, 1, tol)
-        s1 = dim_cusp(rep, 1, tol)
-        if m1.status != EXACT or s1.status != EXACT:
-            raise Weight1Indeterminate(
-                f"{rep.name}: odd part is not certified irreducible, weight-one "
-                "dimensions are only lower bounds")
-        inv = a.odd
-        g, lp, lm = inv.dot_gamma, inv.dot_lambda_plus, inv.dot_lambda_minus
-        if kind == HOLOMORPHIC:
-            put({1: m1.value, 3: g(1) + lp, 5: g(2) + lp - m1.value,
-                 7: g(3) - g(1) - m1.value, 9: g(6) - g(5) - lp, 11: m1.value - lp})
-        else:
-            put({1: s1.value, 3: g(1) + lm, 5: g(2) + lm - s1.value,
-                 7: g(3) - g(1) - s1.value, 9: g(6) - g(5) - lm, 11: s1.value - lm})
+    numerator = Analysis.of(rep, settings).generator_numerator(kind == CUSP)
+    counts = {w: c for w, c in enumerate(numerator) if c}
     return GeneratorProfile(kind, counts, rep.degree)
 
 
 def hilbert_series(rep: ModularRepresentation, kind: str = HOLOMORPHIC,
-                   tol: Tolerance | None = None) -> HilbertSeries:
+                   settings: Settings = DEFAULT_SETTINGS) -> HilbertSeries:
     """Numerator polynomial of the dimension generating function."""
-    profile = generator_profile(rep, kind, tol)
+    profile = generator_profile(rep, kind, settings)
     top = max(profile.counts, default=0)
     return HilbertSeries(tuple(profile.counts.get(w, 0) for w in range(top + 1)))
 
@@ -140,15 +106,14 @@ class DualityReport:
         return all(c.status != "fail" for c in self.checks)
 
 
-def _sum_check(name, rep, dual, n_max, part_degree, weight_pair, tol) -> IdentityCheck:
+def _sum_check(name, a: Analysis, n_max, part_degree, weight_pair) -> IdentityCheck:
     if part_degree == 0:
         return IdentityCheck(name, "skipped", note="no part of this parity")
     bad = []
     for n in range(1, n_max + 1):
         for k in range(1, 6 * n):
             w_holo, w_cusp = weight_pair(n, k)
-            total = (dim_holomorphic(rep, w_holo, tol).value
-                     + dim_cusp(dual, w_cusp, tol).value)
+            total = a.dim(w_holo).value + a.dual.dim(w_cusp, cusp=True).value
             if total != n * part_degree:
                 bad.append((n, k, total))
     if bad:
@@ -157,7 +122,7 @@ def _sum_check(name, rep, dual, n_max, part_degree, weight_pair, tol) -> Identit
 
 
 def duality_report(rep: ModularRepresentation, n_max: int = 3,
-                   tol: Tolerance | None = None) -> DualityReport:
+                   settings: Settings = DEFAULT_SETTINGS) -> DualityReport:
     """Verify the dimension and generator identities tying rep to its dual.
 
     The pointwise checks sum a holomorphic dimension of rep and a cusp
@@ -165,22 +130,20 @@ def duality_report(rep: ModularRepresentation, n_max: int = 3,
     weights where every status is exact.  The generator mirror needs
     exact weight-one data and is skipped, not failed, without it.
     """
-    dual = contragredient(rep)
-    a = _analysis_for(rep, tol)
-    d_even = a.split.even_part.degree
-    d_odd = a.split.odd_part.degree
+    a = Analysis.of(rep, settings)
+    dual = a.dual.rep
     checks = [
-        _sum_check("even-weight-sum", rep, dual, n_max, d_even,
-                   lambda n, k: (2 * k, 12 * n + 2 - 2 * k), tol),
-        _sum_check("odd-weight-sum", rep, dual, n_max, d_odd,
-                   lambda n, k: (2 * k + 1, 12 * n + 1 - 2 * k), tol),
+        _sum_check("even-weight-sum", a, n_max, a.split.even_part.degree,
+                   lambda n, k: (2 * k, 12 * n + 2 - 2 * k)),
+        _sum_check("odd-weight-sum", a, n_max, a.split.odd_part.degree,
+                   lambda n, k: (2 * k + 1, 12 * n + 1 - 2 * k)),
     ]
     try:
         mirrors = (
-            ("generator-mirror-holo", hilbert_series(rep, HOLOMORPHIC, tol),
-             hilbert_series(dual, CUSP, tol)),
-            ("generator-mirror-cusp", hilbert_series(rep, CUSP, tol),
-             hilbert_series(dual, HOLOMORPHIC, tol)),
+            ("generator-mirror-holo", hilbert_series(rep, HOLOMORPHIC, settings),
+             hilbert_series(dual, CUSP, settings)),
+            ("generator-mirror-cusp", hilbert_series(rep, CUSP, settings),
+             hilbert_series(dual, HOLOMORPHIC, settings)),
         )
     except Weight1Indeterminate as err:
         checks.append(IdentityCheck("generator-mirror-holo", "skipped", note=str(err)))

@@ -7,13 +7,13 @@ asserting, so a failing run still reports every criterion it reached.
 
 import json
 
+from helpers import dim_via_exponent_shift
 from vvmf.catalog import resolve
 from vvmf.cli import main
 from vvmf.dimensions import (
     EXACT,
     dim_cusp,
     dim_holomorphic,
-    dim_via_exponent_shift,
 )
 from vvmf.invariants import even_invariants, gamma_sequence_check, odd_invariants
 from vvmf.linalg import SnapFailure

@@ -1,8 +1,8 @@
+import cmath
 import json
 
 import pytest
 
-from vvmf import linalg, modrep
 from vvmf.cli import main
 
 KAPPA_FILE = {
@@ -21,13 +21,15 @@ BAD_FILE = {
 }
 
 
-@pytest.fixture(autouse=True)
-def restore_defaults():
-    # main() mutates module-wide defaults; undo after every test
-    yield
-    linalg.set_default_tolerance(linalg.DEFAULT_EPS)
-    modrep.set_default_order_cap(modrep.DEFAULT_ORDER_CAP)
-    modrep.set_default_closure_cap(modrep.DEFAULT_CLOSURE_CAP)
+# The order-twelve character with its t entry off by 1e-7: the relations
+# fail at the default tolerance 1e-9 and hold at 1e-5.
+_ZETA12 = cmath.exp(2j * cmath.pi / 12) + 1e-7
+NOISY_FILE = {
+    "degree": 1,
+    "entry_encoding": "complex",
+    "S": [[[0, -1]]],
+    "T": [[[_ZETA12.real, _ZETA12.imag]]],
+}
 
 
 def write(tmp_path, doc):
@@ -184,10 +186,13 @@ def test_duality_json(capsys):
     assert all(c["counterexamples"] == [] for c in doc["checks"] if c["status"] == "pass")
 
 
-def test_env_tolerance_applied(monkeypatch):
+def test_env_tolerance_applied(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, NOISY_FILE)
+    assert main(["validate", path]) == 2
+    assert "RelationViolation" in capsys.readouterr().err
     monkeypatch.setenv("VVMF_TOLERANCE", "1e-5")
-    assert main(["catalog", "list"]) == 0
-    assert linalg.default_tolerance().eps == 1e-5
+    assert main(["validate", path]) == 0
+    assert "relations ok, t order 12" in capsys.readouterr().out
 
 
 def test_env_tolerance_rejected(monkeypatch, capsys):

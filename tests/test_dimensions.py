@@ -1,5 +1,11 @@
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
+import vvmf.dimensions
+from helpers import dim_via_exponent_shift
 from vvmf.catalog import resolve
 from vvmf.dimensions import (
     EXACT,
@@ -8,11 +14,13 @@ from vvmf.dimensions import (
     dim_cusp,
     dim_holomorphic,
     dim_table,
-    dim_via_exponent_shift,
 )
 from vvmf.invariants import even_invariants, odd_invariants
+from vvmf.linalg import Settings
 from vvmf.modrep import (
+    ModularRepresentation,
     ParityError,
+    TOrderNotFound,
     build_kappa_power,
     build_p1_permutation,
     build_rho0,
@@ -21,6 +29,7 @@ from vvmf.modrep import (
     parity_split,
     tensor_kappa,
 )
+from vvmf.series import duality_report
 
 RHO0_M = [1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1]
 RHO0_S = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
@@ -113,7 +122,7 @@ def test_certify_irreducible(std2):
     assert certify_irreducible(std2)
     assert not certify_irreducible(build_p1_permutation(2))
     assert not certify_irreducible(direct_sum(build_kappa_power(1), build_kappa_power(3)))
-    assert not certify_irreducible(std2, closure_cap=3)
+    assert not certify_irreducible(std2, Settings(closure_cap=3))
 
 
 def test_rule_tags():
@@ -220,3 +229,41 @@ def test_kappa_table_periodic_structure():
     assert by_w[1] == 1
     assert by_w[13] == by_w[1] + 1
     assert all(by_w[w] == 0 for w in range(2, 13, 2))
+
+
+def noisy_p1_two():
+    rep = build_p1_permutation(2)
+    t = rep.t_image.copy()
+    nonzero = t != 0
+    t[nonzero] += 1e-7 * np.random.default_rng(0).standard_normal(nonzero.sum())
+    return ModularRepresentation(rep.s_image, t, "noisy p1(2)")
+
+
+def test_results_follow_the_settings_passed():
+    rep = noisy_p1_two()
+    loose = Settings(eps=1e-5)
+    assert [dim_holomorphic(rep, w, loose).value for w in range(4)] == [1, 0, 1, 0]
+    with pytest.raises(TOrderNotFound):
+        dim_holomorphic(rep, 0, Settings(eps=1e-9))
+
+
+def test_analysed_representation_is_freed():
+    rep = build_p1_permutation(3)
+    dim_table(rep, -2, 12)
+    duality_report(rep, 2)
+    ref = weakref.ref(rep)
+    del rep
+    gc.collect()
+    assert ref() is None
+
+
+def test_explicit_settings_split_once(monkeypatch):
+    calls = []
+
+    def counting_split(rep, settings):
+        calls.append(rep)
+        return parity_split(rep, settings)
+
+    monkeypatch.setattr(vvmf.dimensions, "parity_split", counting_split)
+    dim_table(build_p1_permutation(3), -2, 60, Settings())
+    assert len(calls) == 1

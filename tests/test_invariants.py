@@ -8,7 +8,6 @@ from vvmf.invariants import (
     ExponentData,
     Signature,
     even_invariants,
-    exponent_data,
     floor_trace,
     floor_trace_complement,
     gamma_sequence_check,
@@ -17,7 +16,7 @@ from vvmf.invariants import (
     signature_of_twist,
     t_eigenphases,
 )
-from vvmf.linalg import SnapFailure
+from vvmf.linalg import DEFAULT_ORDER_CAP, SnapFailure
 from vvmf.modrep import (
     ParityError,
     build_kappa_power,
@@ -25,6 +24,7 @@ from vvmf.modrep import (
     build_rho0,
     contragredient,
     direct_sum,
+    find_t_order,
     parity_split,
     tensor_kappa,
 )
@@ -59,7 +59,7 @@ def test_t_eigenphases_examples():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_t_eigenphases_match_numpy_eigenvalues(n):
     rep = build_p1_permutation(n)
-    order = rep.t_order
+    order = find_t_order(rep, DEFAULT_ORDER_CAP)
     eigs = np.linalg.eigvals(rep.t_image)
     angles = np.angle(eigs) / (2 * np.pi)
     got = sorted(F(round(float(a) * order) % order, order) for a in angles)
@@ -127,33 +127,41 @@ def test_signature_of_twist_matches_tensor(std2):
 
 
 def test_integer_offset():
-    assert exponent_data(build_rho0()).integer_offset() == 1
-    assert exponent_data(build_kappa_power(10)).integer_offset() == -1
-    assert exponent_data(build_p1_permutation(3)).integer_offset() == 1
+    assert even_invariants(build_rho0()).exp.integer_offset() == 1
+    assert even_invariants(build_kappa_power(10)).exp.integer_offset() == -1
+    assert even_invariants(build_p1_permutation(3)).exp.integer_offset() == 1
     with pytest.raises(SnapFailure):
         ExponentData((F(1, 2),), F(1, 3)).integer_offset()
 
 
 def test_floor_trace_examples():
-    assert floor_trace(exponent_data(build_rho0()), 0) == 1
-    assert floor_trace(exponent_data(build_kappa_power(2)), 0) == 0
+    assert floor_trace(even_invariants(build_rho0()).exp, 0) == 1
+    assert floor_trace(even_invariants(build_kappa_power(2)).exp, 0) == 0
 
 
 def test_floor_trace_integer_shift():
     for rep in (build_rho0(), build_kappa_power(4), build_p1_permutation(2)):
-        exp = exponent_data(rep)
+        exp = even_invariants(rep).exp
         d = exp.degree
         for s in (F(0), F(1, 12), F(5, 6)):
             assert floor_trace(exp, s + 1) == floor_trace(exp, s) + d
             assert floor_trace_complement(exp, s + 1) == floor_trace_complement(exp, s) + d
 
 
+def negated(exp):
+    # Data of the negated logarithm, phases flipped mod 1.  Not the dual's
+    # exponent data in general: the dual canonicalizes its logarithm
+    # differently.
+    flipped = tuple(sorted(F(0) if x == 0 else 1 - x for x in exp.phases))
+    return ExponentData(flipped, -exp.trace_lambda)
+
+
 def test_negated_data_gives_complement():
     for rep in (build_rho0(), build_kappa_power(2), build_p1_permutation(2),
                 build_p1_permutation(3)):
-        exp = exponent_data(rep)
-        assert floor_trace_complement(exp, 1) == floor_trace(exp.negated(), 1)
-        neg = exp.negated()
+        exp = even_invariants(rep).exp
+        assert floor_trace_complement(exp, 1) == floor_trace(negated(exp), 1)
+        neg = negated(exp)
         assert neg.trace_lambda == -exp.trace_lambda
         assert neg.degree == exp.degree
 

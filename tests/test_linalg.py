@@ -3,18 +3,16 @@ import pytest
 
 from vvmf.linalg import (
     DEFAULT_EPS,
+    DEFAULT_SETTINGS,
+    Settings,
     SnapFailure,
-    Tolerance,
     as_matrix,
     clean,
-    default_tolerance,
     is_identity,
-    mat_mul,
     mat_pow,
     max_abs,
     rank,
     row_reduce,
-    set_default_tolerance,
     snap_integer,
 )
 
@@ -22,13 +20,20 @@ S = np.array([[0, -1], [1, 0]], dtype=complex)
 
 
 def test_tolerance_range():
-    assert Tolerance().eps == DEFAULT_EPS
+    assert Settings().eps == DEFAULT_EPS
     with pytest.raises(ValueError):
-        Tolerance(0.0)
+        Settings(0.0)
     with pytest.raises(ValueError):
-        Tolerance(-1e-9)
+        Settings(-1e-9)
     with pytest.raises(ValueError):
-        Tolerance(1e-3)
+        Settings(1e-3)
+
+
+def test_caps_must_be_positive():
+    with pytest.raises(ValueError, match="order cap"):
+        Settings(order_cap=0)
+    with pytest.raises(ValueError, match="closure cap"):
+        Settings(closure_cap=0)
 
 
 def test_as_matrix_shapes():
@@ -40,32 +45,6 @@ def test_as_matrix_shapes():
         as_matrix([1, 2, 3])
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0], [0, 1]])
-
-
-def test_mat_mul_identity():
-    m = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.array_equal(mat_mul(np.eye(2, dtype=complex), m), m)
-
-
-def test_mat_mul_s_squared_is_minus_identity():
-    assert np.allclose(mat_mul(S, S), [[-1, 0], [0, -1]])
-
-
-def test_mat_mul_shape_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_mat_mul_matches_triple_loop():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    expected = np.zeros((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert max_abs(mat_mul(a, b) - expected) < 1e-12
 
 
 def test_mat_pow_basics():
@@ -89,7 +68,7 @@ def test_mat_pow_additive_exponents(m, n):
     rng = np.random.default_rng(11)
     a = np.diag(np.exp(2j * np.pi * rng.integers(0, 8, size=4) / 8))
     lhs = mat_pow(a, m + n)
-    rhs = mat_mul(mat_pow(a, m), mat_pow(a, n))
+    rhs = mat_pow(a, m) @ mat_pow(a, n)
     assert max_abs(lhs - rhs) <= 10 * DEFAULT_EPS
 
 
@@ -140,18 +119,14 @@ def test_snap_integer_idempotent():
 
 
 def test_default_tolerance_override():
-    assert default_tolerance().eps == DEFAULT_EPS
-    set_default_tolerance(1e-6)
-    try:
-        assert snap_integer(1 + 1e-7) == 1
-    finally:
-        set_default_tolerance(DEFAULT_EPS)
+    assert DEFAULT_SETTINGS.eps == DEFAULT_EPS
+    assert snap_integer(1 + 1e-7, Settings(1e-6)) == 1
     with pytest.raises(SnapFailure):
         snap_integer(1 + 1e-7)
 
 
 def test_explicit_tolerance_beats_default():
-    assert snap_integer(1 + 1e-7, Tolerance(1e-5)) == 1
+    assert snap_integer(1 + 1e-7, Settings(1e-5)) == 1
 
 
 def test_clean_zeroes_sub_tolerance_entries():

@@ -73,7 +73,7 @@ def test_t_order_cap():
     with pytest.raises(TOrderNotFound):
         find_t_order(rep, order_cap=5)
     assert find_t_order(rep, order_cap=12) == 12
-    assert rep.t_order == 12
+    assert validate(rep).t_order == 12
 
 
 def test_closure_cap_exceeded():

@@ -1,8 +1,15 @@
 import pytest
 
-from vvmf.catalog import resolve
-from vvmf.dimensions import dim_cusp, dim_holomorphic
-from vvmf.modrep import build_kappa_power, build_rho0
+from vvmf.catalog import catalog_names, resolve
+from vvmf.dimensions import EXACT, dim_cusp, dim_holomorphic
+from vvmf.invariants import even_invariants, odd_invariants
+from vvmf.modrep import (
+    build_kappa_power,
+    build_p1_permutation,
+    build_rho0,
+    parity_split,
+    tensor_kappa,
+)
 from vvmf.series import (
     CUSP,
     HOLOMORPHIC,
@@ -27,6 +34,68 @@ def expand_by_long_division(numerator, max_weight):
     return c
 
 
+def formula_profile(rep, kind):
+    """Generator counts from closed formulas in the invariants, or None.
+
+    The oracle for generator_profile: per parity part and module kind,
+    each count is an integer combination of gamma, the lambdas and h0
+    (even) or of the weight-one dimensions (odd).  None where the odd
+    weight-one dimensions are only lower bounds.
+    """
+    split = parity_split(rep)
+    counts = {}
+
+    def put(table):
+        for w, c in table.items():
+            if c:
+                counts[w] = counts.get(w, 0) + c
+
+    if split.even_part.degree:
+        inv = even_invariants(split.even_part)
+        g, lp, lm, h0 = inv.gamma, inv.lambda_plus, inv.lambda_minus, inv.h0
+        if kind == HOLOMORPHIC:
+            put({0: h0, 2: g(1) + lp, 4: g(2) + lp - h0, 6: g(3) - g(1) - h0,
+                 8: g(6) - g(5) - lp, 10: h0 - lp})
+        else:
+            put({2: g(1) + lm + h0, 4: g(2) + lm, 6: g(3) - g(1) - h0,
+                 8: g(6) - g(5) - lm - h0, 10: -lm, 12: h0})
+    if split.odd_part.degree:
+        m1, s1 = dim_holomorphic(rep, 1), dim_cusp(rep, 1)
+        if m1.status != EXACT or s1.status != EXACT:
+            return None
+        inv = odd_invariants(split.odd_part)
+        g, lp, lm = inv.dot_gamma, inv.dot_lambda_plus, inv.dot_lambda_minus
+        if kind == HOLOMORPHIC:
+            put({1: m1.value, 3: g(1) + lp, 5: g(2) + lp - m1.value,
+                 7: g(3) - g(1) - m1.value, 9: g(6) - g(5) - lp, 11: m1.value - lp})
+        else:
+            put({1: s1.value, 3: g(1) + lm, 5: g(2) + lm - s1.value,
+                 7: g(3) - g(1) - s1.value, 9: g(6) - g(5) - lm, 11: s1.value - lm})
+    return counts
+
+
+def oracle_reps():
+    reps = [resolve(name) for name in catalog_names()]
+    reps += [resolve(f"p1({n})*k^{j}") for n in range(2, 8) for j in range(1, 12)]
+    reps += [build_p1_permutation(n) for n in (8, 12, 16, 30)]
+    reps += [tensor_kappa(build_p1_permutation(n), 2) for n in (12, 30)]
+    return reps
+
+
+def test_profile_matches_formula_oracle():
+    determinate = 0
+    for rep in oracle_reps():
+        for kind in (HOLOMORPHIC, CUSP):
+            expected = formula_profile(rep, kind)
+            if expected is None:
+                with pytest.raises(Weight1Indeterminate):
+                    generator_profile(rep, kind)
+                continue
+            determinate += 1
+            assert generator_profile(rep, kind).counts == expected, (rep.name, kind)
+    assert determinate >= 108
+
+
 def test_rho0_profiles():
     assert generator_profile(build_rho0(), HOLOMORPHIC).counts == {0: 1}
     assert generator_profile(build_rho0(), CUSP).counts == {12: 1}
@@ -49,8 +118,6 @@ def test_p1_two_profiles(catalog_reps):
 
 
 def test_profile_totals_and_nonnegativity(catalog_reps):
-    from vvmf.modrep import parity_split
-
     determinate = 0
     for rep in catalog_reps.values():
         split = parity_split(rep)
