@@ -27,6 +27,7 @@ from .modrep import (
     ProjectorDefect,
     RelationViolation,
     TOrderNotFound,
+    ValidationReport,
     validate,
 )
 from .series import CUSP, HOLOMORPHIC, Weight1Indeterminate, duality_report, generator_profile, hilbert_series
@@ -44,10 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_source(source: str, settings: Settings) -> ModularRepresentation:
+def _load_source(source: str, settings: Settings,
+                 closure_cap: int | None = None) -> tuple[ModularRepresentation, ValidationReport]:
+    """The representation a source names, validated once."""
     if source.startswith("catalog:"):
-        return catalog.resolve(source[len("catalog:"):])
-    return repfile.parse_rep(source, settings)
+        rep = catalog.resolve(source[len("catalog:"):])
+    else:
+        rep = repfile.parse_rep(source, settings, run_validate=False)
+    return rep, validate(rep, settings, closure_cap=closure_cap)
 
 
 def _mark(result) -> str:
@@ -101,8 +106,7 @@ def _print_invariant_block(label, data):
 
 
 def _cmd_validate(args, settings) -> int:
-    rep = _load_source(args.source, settings)
-    report = validate(rep, settings, closure_cap=args.closure_cap)
+    rep, report = _load_source(args.source, settings, args.closure_cap)
     if args.json:
         doc = {"rep": rep.name, "degree": rep.degree, "relations_ok": report.relations_ok,
                "t_order": report.t_order, "max_residual": report.max_residual,
@@ -117,17 +121,16 @@ def _cmd_validate(args, settings) -> int:
 
 
 def _cmd_info(args, settings) -> int:
-    rep = _load_source(args.source, settings)
-    t_order = validate(rep, settings).t_order
+    rep, report = _load_source(args.source, settings)
     a = Analysis.of(rep, settings)
     even, odd = a.split.even_part, a.split.odd_part
-    doc = {"rep": rep.name, "degree": rep.degree, "t_order": t_order,
+    doc = {"rep": rep.name, "degree": rep.degree, "t_order": report.t_order,
            "even": _even_info(even, a.even) if even.degree else None,
            "odd": _odd_info(odd, a.odd) if odd.degree else None}
     if args.json:
         print(json.dumps(doc, indent=2))
         return 0
-    print(f"rep {rep.name}: degree {rep.degree}, t order {t_order}")
+    print(f"rep {rep.name}: degree {rep.degree}, t order {report.t_order}")
     for label, block in (("even part", doc["even"]), ("odd part", doc["odd"])):
         if block is None:
             print(f"{label}: none")
@@ -141,8 +144,7 @@ def _cmd_dims(args, settings) -> int:
         print(f"vvmf dims: empty weight range {args.from_weight}..{args.to_weight}",
               file=sys.stderr)
         return 1
-    rep = _load_source(args.source, settings)
-    validate(rep, settings)
+    rep, _ = _load_source(args.source, settings)
     rows = dim_table(rep, args.from_weight, args.to_weight, settings)
     if args.json:
         doc = {"rep": rep.name, "degree": rep.degree,
@@ -158,8 +160,7 @@ def _cmd_dims(args, settings) -> int:
 
 
 def _cmd_generators(args, settings) -> int:
-    rep = _load_source(args.source, settings)
-    validate(rep, settings)
+    rep, _ = _load_source(args.source, settings)
     kind = CUSP if args.cusp else HOLOMORPHIC
     profile = generator_profile(rep, kind, settings)
     series = hilbert_series(rep, kind, settings)
@@ -179,8 +180,7 @@ def _cmd_generators(args, settings) -> int:
 
 
 def _cmd_duality(args, settings) -> int:
-    rep = _load_source(args.source, settings)
-    validate(rep, settings)
+    rep, _ = _load_source(args.source, settings)
     report = duality_report(rep, args.nmax, settings)
     if args.json:
         doc = {"rep": report.rep_name, "dual": report.dual_name, "n_max": report.n_max,
@@ -216,7 +216,7 @@ def _build_parser() -> _Parser:
                         help="absolute comparison tolerance (default 1e-9)")
     parser.add_argument("--order-cap", type=int,
                         default=int(os.environ.get("VVMF_ORDER_CAP", "0") or 0) or None,
-                        help="largest t order searched for (default 4096)")
+                        help="largest t eigenphase denominator (default 4096)")
     parser.add_argument("--closure-cap", type=int, dest="global_closure_cap",
                         default=int(os.environ.get("VVMF_CLOSURE_CAP", "0") or 0) or None,
                         help="largest matrix group enumerated (default 20000)")

@@ -9,7 +9,6 @@ the package is arithmetic on these integers and rationals.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, clean, rank, snap_i
 from .modrep import (
     ModularRepresentation,
     ParityError,
-    find_t_order,
+    _t_spectrum,
     parity,
     st_inverse_image,
     tensor_kappa,
@@ -112,32 +111,13 @@ def floor_trace_complement(exp: ExponentData, shift=1) -> int:
 
 def t_eigenphases(rep: ModularRepresentation,
                   settings: Settings = DEFAULT_SETTINGS) -> tuple[Fraction, ...]:
-    """Eigenvalue phases of the t image as exact fractions in [0, 1).
+    """Eigenvalue phases of the t image as exact fractions in [0, 1), sorted.
 
-    The image has finite order n, so the multiplicity of the phase m/n
-    is a discrete Fourier coefficient of the trace sequence of its
-    powers.  Each coefficient is snapped to a non-negative integer.
+    They come from one eigenvalue solve, rationalised with denominators
+    up to settings.order_cap and certified against the order of the
+    image; see modrep for the checks.
     """
-    n = find_t_order(rep, settings.order_cap, settings)
-    d = rep.degree
-    traces = []
-    power = np.eye(d, dtype=np.complex128)
-    for _ in range(n):
-        traces.append(complex(np.trace(power)))
-        power = power @ rep.t_image
-    roots = [cmath.exp(-2j * math.pi * j / n) for j in range(n)]
-    phases: list[Fraction] = []
-    for m in range(n):
-        val = sum(traces[k] * roots[(m * k) % n] for k in range(n)) / n
-        if abs(val.imag) > settings.eps:
-            raise SnapFailure(f"multiplicity of phase {m}/{n} is not real: {val!r}")
-        mult = snap_integer(val.real, settings)
-        if mult < 0:
-            raise SnapFailure(f"multiplicity of phase {m}/{n} snapped to {mult}")
-        phases.extend([Fraction(m, n)] * mult)
-    if len(phases) != d:
-        raise SnapFailure(f"eigenphase multiplicities sum to {len(phases)}, expected {d}")
-    return tuple(phases)
+    return _t_spectrum(rep, settings.order_cap, settings)[1]
 
 
 def signature(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> Signature:

@@ -29,8 +29,9 @@ class Settings:
     """Numeric tolerance and search caps, passed explicitly to every computation.
 
     eps is the absolute entrywise tolerance for all approximate
-    comparisons, order_cap the largest t order searched for and
-    closure_cap the largest matrix group enumerated.
+    comparisons, order_cap the largest denominator allowed for an
+    eigenphase of the t image (the t order, their lcm, may exceed it)
+    and closure_cap the largest matrix group enumerated.
     """
 
     eps: float = DEFAULT_EPS

@@ -13,6 +13,7 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .linalg import (
     DEFAULT_SETTINGS,
     ComplexMatrix,
     Settings,
+    SnapFailure,
     as_matrix,
     clean,
     is_identity,
@@ -49,7 +51,17 @@ class RelationViolation(ValueError):
 
 
 class TOrderNotFound(ValueError):
-    """No power of the t image reached the identity below the cap."""
+    """The t image has no certified finite order.
+
+    check names the test that failed: "modulus" (an eigenvalue off the
+    unit circle), "denominator" (an eigenphase with no denominator up to
+    the order cap), "power" (t^n is not the identity) or "divisor"
+    (t^(n/p) already is).  The message gives the numbers.
+    """
+
+    def __init__(self, check: str, message: str):
+        super().__init__(message)
+        self.check = check
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -114,17 +126,96 @@ class ParityDecomposition:
     odd_basis: ComplexMatrix
 
 
+def _rational_phase(x: float, order_cap: int, eps: float) -> tuple[int, int]:
+    """First continued-fraction convergent p/q within eps of x, as (p mod q, q).
+
+    The expansion of the float x is finite and its denominators grow at
+    least like the Fibonacci numbers, so this takes a few dozen steps
+    at most, whatever the cap.
+    """
+    num, den = x.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while den:
+        a, rem = divmod(num, den)
+        num, den = den, rem
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > order_cap:
+            break
+        if abs(x - p1 / q1) <= eps:
+            return p1 % q1, q1
+    raise TOrderNotFound(
+        "denominator",
+        f"t eigenphase {x % 1:.12g} has no denominator up to the order cap "
+        f"{order_cap} within {eps:.1e}")
+
+
+def _prime_factors(n: int) -> set[int]:
+    primes = set()
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            primes.add(p)
+            n //= p
+        p += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
+def _t_spectrum(rep: ModularRepresentation, order_cap: int,
+                settings: Settings) -> tuple[int, tuple[Fraction, ...]]:
+    """Order of the t image and its eigenphases, sorted fractions in [0, 1).
+
+    One eigenvalue solve gives the phases: each eigenvalue must lie
+    within eps of the unit circle, and its phase is rationalised as the
+    first continued-fraction convergent within eps, with denominator at
+    most order_cap.  The order n is the lcm of the denominators and is
+    certified by matrix powers: t^n is the identity, t^(n/p) is not for
+    any prime p dividing n, and the phases reproduce the trace of t.
+    """
+    t = rep.t_image
+    eps = settings.eps
+    pairs = []
+    for lam in np.linalg.eigvals(t):
+        defect = abs(lam) - 1.0
+        if abs(defect) > eps:
+            raise TOrderNotFound(
+                "modulus", f"t eigenvalue {complex(lam):.6g} has |lambda| - 1 = {defect:.3e}, "
+                f"beyond the tolerance {eps:.1e}")
+        pairs.append(_rational_phase(cmath.phase(lam) / (2 * math.pi), order_cap, eps))
+    # Distinct phases with denominators up to the cap differ by far more
+    # than float resolution, so the float keys order them exactly.
+    pairs.sort(key=lambda pq: pq[0] / pq[1])
+    denominators = {q for _, q in pairs}
+    n = math.lcm(*denominators)
+    primes = sorted(set().union(*map(_prime_factors, denominators)))
+    radical = math.prod(primes)
+    # t^(n/p) = base^(radical/p) and t^n = base^radical share one power.
+    base = mat_pow(t, n // radical)
+    residual = max_abs(mat_pow(base, radical) - np.eye(rep.degree, dtype=np.complex128))
+    if residual > eps:
+        raise TOrderNotFound(
+            "power", f"t^{n} differs from the identity by {residual:.3e}, "
+            f"beyond the tolerance {eps:.1e}")
+    for p in primes:
+        if is_identity(mat_pow(base, radical // p), settings):
+            raise TOrderNotFound(
+                "divisor", f"t^{n // p} is already the identity, a proper divisor of the "
+                f"eigenphase order {n}")
+    roots = np.exp(2j * np.pi * np.array([p / q for p, q in pairs]))
+    gap = abs(complex(np.sum(roots)) - complex(np.trace(t)))
+    if gap > eps * rep.degree:
+        raise SnapFailure(f"t eigenphases miss the trace of t by {gap:.3e}")
+    return n, tuple(Fraction(p, q) for p, q in pairs)
+
+
 def find_t_order(rep: ModularRepresentation, order_cap: int,
                  settings: Settings = DEFAULT_SETTINGS) -> int:
-    """Least n >= 1 with t_image^n equal to the identity."""
-    t = rep.t_image
-    d = rep.degree
-    power = np.eye(d, dtype=np.complex128)
-    for n in range(1, order_cap + 1):
-        power = power @ t
-        if is_identity(power, settings):
-            return n
-    raise TOrderNotFound(f"t image has no order up to {order_cap}")
+    """Least n >= 1 with t_image^n equal to the identity.
+
+    order_cap bounds the denominator of each eigenphase, not n itself.
+    """
+    return _t_spectrum(rep, order_cap, settings)[0]
 
 
 def validate(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS,

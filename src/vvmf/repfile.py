@@ -143,9 +143,10 @@ def to_representation(rf: RepFile, run_validate: bool = True,
     return rep
 
 
-def parse_rep(path: str, settings: Settings = DEFAULT_SETTINGS) -> ModularRepresentation:
-    """Load, schema-check and validate a representation file."""
-    return to_representation(load_repfile(path), settings=settings)
+def parse_rep(path: str, settings: Settings = DEFAULT_SETTINGS,
+              run_validate: bool = True) -> ModularRepresentation:
+    """Load, schema-check and (by default) validate a representation file."""
+    return to_representation(load_repfile(path), run_validate, settings)
 
 
 def repfile_to_dict(rf: RepFile) -> dict:

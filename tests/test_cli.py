@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from vvmf import modrep
 from vvmf.cli import main
+from vvmf.modrep import build_p1_permutation, find_t_order
+from vvmf.repfile import repfile_to_dict, representation_to_repfile
 
 KAPPA_FILE = {
     "name": "kappa",
@@ -124,6 +127,20 @@ def test_validate_closure_cap_exceeded(capsys):
 def test_global_order_cap(capsys):
     assert main(["--order-cap", "5", "validate", "catalog:kappa^1"]) == 2
     assert "TOrderNotFound" in capsys.readouterr().err
+
+
+def test_dims_file_validates_once(tmp_path, monkeypatch, capsys):
+    rf = representation_to_repfile(build_p1_permutation(9))
+    path = write(tmp_path, repfile_to_dict(rf))
+    names = []
+
+    def counting(rep, *args, **kwargs):
+        names.append(rep.name)
+        return find_t_order(rep, *args, **kwargs)
+
+    monkeypatch.setattr(modrep, "find_t_order", counting)
+    assert main(["dims", path, "--from", "0", "--to", "4"]) == 0
+    assert names.count("p1(9)") == 1
 
 
 def test_info_plain_kappa(capsys):

@@ -1,9 +1,10 @@
-import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from helpers import p1_sum
 from vvmf.invariants import (
     ExponentData,
     Signature,
@@ -18,6 +19,7 @@ from vvmf.invariants import (
 )
 from vvmf.linalg import DEFAULT_ORDER_CAP, SnapFailure
 from vvmf.modrep import (
+    ModularRepresentation,
     ParityError,
     build_kappa_power,
     build_p1_permutation,
@@ -56,14 +58,57 @@ def test_t_eigenphases_examples():
     assert t_eigenphases(build_p1_permutation(2)) == (F(0), F(0), F(1, 2))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_t_eigenphases_match_numpy_eigenvalues(n):
-    rep = build_p1_permutation(n)
-    order = find_t_order(rep, DEFAULT_ORDER_CAP)
-    eigs = np.linalg.eigvals(rep.t_image)
-    angles = np.angle(eigs) / (2 * np.pi)
-    got = sorted(F(round(float(a) * order) % order, order) for a in angles)
-    assert tuple(got) == t_eigenphases(rep)
+def cycle_lengths(perm):
+    """Cycle lengths of a permutation matrix, read off its nonzero entries."""
+    image = np.argmax(np.abs(perm), axis=0)
+    seen, lengths = set(), []
+    for start in range(len(image)):
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = image[j], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def conjugate(rep, seed, condition=10.0):
+    """rep conjugated by a seeded matrix with the given condition number."""
+    rng = np.random.default_rng(seed)
+    d = rep.degree
+    u, _, vh = np.linalg.svd(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    m = u @ np.diag(np.geomspace(1.0, condition, d)) @ vh
+    m_inv = np.linalg.inv(m)
+    return ModularRepresentation(m @ rep.s_image @ m_inv, m @ rep.t_image @ m_inv, "conj")
+
+
+def phase_case(moduli, seed=None, j=0):
+    """A sum of p1(N), conjugated by a condition-10 matrix when seed is
+    given, twisted by kappa^j."""
+    label = "+".join(f"p1({n})" for n in moduli)
+    label += "" if seed is None else f" conj {seed}"
+    label += f"*k^{j}" if j else ""
+    return pytest.param(moduli, seed, j, id=label)
+
+
+PHASE_CASES = [phase_case((n,)) for n in range(3, 8)] + [
+    phase_case((16, 27, 5)),
+    phase_case((25, 27, 28)),
+    phase_case((12,), seed=3),
+    phase_case((7,), j=5),
+]
+
+
+@pytest.mark.parametrize("moduli, seed, j", PHASE_CASES)
+def test_t_eigenphases_match_cycle_type(moduli, seed, j):
+    # A cycle of length L contributes the phases 0, 1/L, ..., (L-1)/L,
+    # and the twist by kappa^j moves every phase by j/12.
+    perm = p1_sum(*moduli)
+    rep = tensor_kappa(perm if seed is None else conjugate(perm, seed), j)
+    lengths = cycle_lengths(perm.t_image)
+    expected = sorted((F(k, length) + F(j, 12)) % 1 for length in lengths for k in range(length))
+    assert t_eigenphases(rep) == tuple(expected)
+    assert find_t_order(rep, DEFAULT_ORDER_CAP) == math.lcm(*lengths, 12 // math.gcd(j, 12))
 
 
 def test_signature_examples(std2):
