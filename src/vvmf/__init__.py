@@ -36,7 +36,7 @@ from .linalg import (
     SnapFailure,
     is_identity,
     mat_pow,
-    rank,
+    nullspace,
     snap_integer,
 )
 from .modrep import (
@@ -51,6 +51,7 @@ from .modrep import (
     build_kappa_power,
     build_p1_permutation,
     build_rho0,
+    commutant_dimension,
     contragredient,
     direct_sum,
     enumerate_closure,

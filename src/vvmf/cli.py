@@ -217,9 +217,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--order-cap", type=int,
                         default=int(os.environ.get("VVMF_ORDER_CAP", "0") or 0) or None,
                         help="largest t eigenphase denominator (default 4096)")
-    parser.add_argument("--closure-cap", type=int, dest="global_closure_cap",
-                        default=int(os.environ.get("VVMF_CLOSURE_CAP", "0") or 0) or None,
-                        help="largest matrix group enumerated (default 20000)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the group relations and t order")
@@ -262,8 +259,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    given = {"eps": args.tolerance, "order_cap": args.order_cap,
-             "closure_cap": args.global_closure_cap}
+    given = {"eps": args.tolerance, "order_cap": args.order_cap}
     try:
         settings = Settings(**{k: v for k, v in given.items() if v is not None})
     except ValueError as err:

@@ -1,8 +1,8 @@
 """Dimension formulas for holomorphic and cusp forms of every integer weight.
 
 All values come from one Analysis per representation and settings.  The
-single case the theory does not pin down exactly is weight one for an
-odd part that cannot be certified irreducible; there the returned
+single case the formulas do not pin down exactly is weight one for a
+reducible odd part (commutant dimension above one); there the returned
 value is a lower bound and is marked as such instead of silently
 pretending to be exact.
 """
@@ -12,17 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .invariants import EvenInvariants, OddInvariants, even_invariants, odd_invariants
-from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, snap_integer
+from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure
 from .modrep import (
     ASSERTED_IRREDUCIBLE,
     ASSERTED_REDUCIBLE,
-    ClosureCapExceeded,
     ModularRepresentation,
+    commutant_dimension,
     contragredient,
-    enumerate_closure,
     parity_split,
 )
 
@@ -52,12 +49,11 @@ class DimResult:
 
 
 def certify_irreducible(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> bool:
-    """True when the representation is known to be irreducible.
+    """True when the representation is irreducible.
 
     Degree at most one and explicit assertions settle it immediately;
-    otherwise the image group is enumerated and the character norm
-    decides.  An enumeration hitting the cap leaves the representation
-    uncertified, which callers must treat as possibly reducible.
+    otherwise the commutant of the image decides: by Schur's lemma it is
+    one-dimensional exactly for an irreducible representation.
     """
     if rep.degree <= 1:
         return True
@@ -65,15 +61,7 @@ def certify_irreducible(rep: ModularRepresentation, settings: Settings = DEFAULT
         return True
     if rep.irreducible_assertion == ASSERTED_REDUCIBLE:
         return False
-    try:
-        group = enumerate_closure(rep, settings.closure_cap)
-    except ClosureCapExceeded:
-        return False
-    norm = sum(abs(complex(np.trace(g))) ** 2 for g in group) / len(group)
-    try:
-        return snap_integer(norm, settings) == 1
-    except SnapFailure:
-        return False
+    return commutant_dimension(rep, settings) == 1
 
 
 class Analysis:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, clean, rank, snap_integer
+from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, nullspace, snap_integer
 from .modrep import (
     ModularRepresentation,
     ParityError,
@@ -205,10 +205,8 @@ def even_invariants(rep: ModularRepresentation,
     exp = ExponentData(phases, sig.trace_lambda)
     lam_plus = floor_trace(exp, 0)
     lam_minus = -floor_trace_complement(exp, 1)
-    d = rep.degree
-    eye = np.eye(d, dtype=np.complex128)
-    stacked = clean(np.vstack([rep.s_image - eye, rep.t_image - eye]), settings)
-    h0 = d - rank(stacked, settings)
+    eye = np.eye(rep.degree, dtype=np.complex128)
+    h0 = nullspace(np.vstack([rep.s_image - eye, rep.t_image - eye]), settings).shape[1]
     return EvenInvariants(sig, exp, lam_plus, lam_minus, h0, _gamma_base(sig))
 
 

@@ -17,7 +17,6 @@ ComplexMatrix = np.ndarray
 
 DEFAULT_EPS = 1e-9
 DEFAULT_ORDER_CAP = 4096
-DEFAULT_CLOSURE_CAP = 20000
 
 
 class SnapFailure(ValueError):
@@ -26,25 +25,21 @@ class SnapFailure(ValueError):
 
 @dataclass(frozen=True)
 class Settings:
-    """Numeric tolerance and search caps, passed explicitly to every computation.
+    """Numeric tolerance and order cap, passed explicitly to every computation.
 
     eps is the absolute entrywise tolerance for all approximate
-    comparisons, order_cap the largest denominator allowed for an
-    eigenphase of the t image (the t order, their lcm, may exceed it)
-    and closure_cap the largest matrix group enumerated.
+    comparisons and order_cap the largest denominator allowed for an
+    eigenphase of the t image (the t order, their lcm, may exceed it).
     """
 
     eps: float = DEFAULT_EPS
     order_cap: int = DEFAULT_ORDER_CAP
-    closure_cap: int = DEFAULT_CLOSURE_CAP
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1e-3:
             raise ValueError(f"tolerance eps must lie in (0, 1e-3), got {self.eps!r}")
         if self.order_cap < 1:
             raise ValueError("order cap must be positive")
-        if self.closure_cap < 1:
-            raise ValueError("closure cap must be positive")
 
 
 DEFAULT_SETTINGS = Settings()
@@ -63,19 +58,6 @@ def as_matrix(entries) -> ComplexMatrix:
 def max_abs(a: ComplexMatrix) -> float:
     """Largest entry magnitude; 0.0 for empty matrices."""
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def clean(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> ComplexMatrix:
-    """Copy with sub-tolerance entries zeroed.
-
-    Rank computations here always see matrices whose honest entries are
-    of order one, so anything below tolerance is floating point noise
-    and must not produce pivots.
-    """
-    out = np.array(a, dtype=np.complex128)
-    if out.size:
-        out[np.abs(out) <= settings.eps] = 0
-    return out
 
 
 def mat_pow(a: ComplexMatrix, n: int) -> ComplexMatrix:
@@ -100,40 +82,21 @@ def is_identity(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> bool
     return max_abs(a - np.eye(a.shape[0], dtype=np.complex128)) <= settings.eps
 
 
-def row_reduce(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS):
-    """Row echelon form with partial pivoting.
+def nullspace(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> ComplexMatrix:
+    """Orthonormal basis of the null space of a, as the columns of a matrix.
 
-    Returns (reduced, pivot_columns).  The pivot threshold is the
-    tolerance scaled by the largest entry magnitude of the input, so an
-    exactly-zero matrix has no pivots.
+    A singular value counts as zero when it is at most
+    eps * max(1, largest singular value).  The floor of one keeps a
+    matrix made only of floating point noise (such as s^2 - 1 of a
+    purely even representation in a rotated basis) from getting full
+    rank; the scaling keeps large honest entries from hiding a rank drop.
     """
-    m = np.array(a, dtype=np.complex128)
-    pivots: list[int] = []
-    if m.size == 0:
-        return m, pivots
-    threshold = settings.eps * max_abs(m)
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        p = r + int(np.argmax(np.abs(m[r:, c])))
-        if abs(m[p, c]) <= threshold:
-            continue
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        m[r] = m[r] / m[r, c]
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[r]
-        r += 1
-        pivots.append(c)
-    return m, pivots
-
-
-def rank(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> int:
-    _, pivots = row_reduce(a, settings)
-    return len(pivots)
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return np.eye(cols, dtype=np.complex128)
+    _, sigma, vh = np.linalg.svd(a, full_matrices=rows < cols)
+    rank = int(np.count_nonzero(sigma > settings.eps * max(1.0, sigma[0])))
+    return vh[rank:].conj().T
 
 
 def snap_integer(x: float, settings: Settings = DEFAULT_SETTINGS) -> int:

@@ -11,24 +11,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .linalg import (
-    DEFAULT_CLOSURE_CAP,
     DEFAULT_SETTINGS,
     ComplexMatrix,
     Settings,
     SnapFailure,
     as_matrix,
-    clean,
     is_identity,
     mat_pow,
     max_abs,
-    row_reduce,
+    nullspace,
 )
 
 ASSERTED_IRREDUCIBLE = "asserted-irreducible"
@@ -245,10 +243,10 @@ def validate(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS,
     return ValidationReport(True, n, max(residuals.values()), group_size)
 
 
-def enumerate_closure(rep: ModularRepresentation,
-                      cap: int = DEFAULT_CLOSURE_CAP) -> list[ComplexMatrix]:
+def enumerate_closure(rep: ModularRepresentation, cap: int) -> list[ComplexMatrix]:
     """Breadth-first enumeration of the matrix group the images generate.
 
+    A group of more than cap elements raises ClosureCapExceeded.
     Matrices are deduplicated by hashing entries rounded to six decimal
     places, which is far coarser than the working tolerance and far finer
     than the separation of distinct elements in a finite unitarizable
@@ -296,13 +294,10 @@ def st_inverse_image(rep: ModularRepresentation) -> ComplexMatrix:
 
 
 def _restrict(g: ComplexMatrix, basis: ComplexMatrix, eps: float) -> ComplexMatrix:
-    """Matrix of g on the column span of basis, written in that basis."""
-    k = basis.shape[1]
-    if k == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    gram = basis.conj().T @ basis
-    m = np.linalg.solve(gram, basis.conj().T @ (g @ basis))
-    if max_abs(basis @ m - g @ basis) > eps:
+    """Matrix of g on the span of the orthonormal columns of basis."""
+    image = g @ basis
+    m = basis.conj().T @ image
+    if max_abs(basis @ m - image) > eps:
         raise ProjectorDefect("generator image does not preserve the parity eigenspace")
     return m
 
@@ -311,9 +306,9 @@ def parity_split(rep: ModularRepresentation,
                  settings: Settings = DEFAULT_SETTINGS) -> ParityDecomposition:
     """Split into purely even and purely odd subrepresentations.
 
-    The projectors (1 +/- s^2)/2 commute with the whole image because
-    s^2 is central, so their column spans carry subrepresentations.
-    Bases come from the pivot columns of the row-reduced projectors.
+    s^2 is central, so its eigenspaces for +1 and -1 carry
+    subrepresentations; their orthonormal bases are the null spaces of
+    s^2 - 1 and s^2 + 1.
     """
     d = rep.degree
     eye = np.eye(d, dtype=np.complex128)
@@ -321,9 +316,7 @@ def parity_split(rep: ModularRepresentation,
     parts = []
     bases = []
     for sign, tag in ((1, "even"), (-1, "odd")):
-        proj = clean((eye + sign * s2) / 2, settings)
-        _, pivots = row_reduce(proj, settings)
-        basis = proj[:, pivots]
+        basis = nullspace(s2 - sign * eye, settings)
         s_part = _restrict(rep.s_image, basis, settings.eps)
         t_part = _restrict(rep.t_image, basis, settings.eps)
         if basis.shape[1] and not is_identity(sign * (s_part @ s_part), settings):
@@ -334,6 +327,40 @@ def parity_split(rep: ModularRepresentation,
     if parts[0].degree + parts[1].degree != d:
         raise ProjectorDefect("parity eigenspace dimensions do not add up to the degree")
     return ParityDecomposition(parts[0], parts[1], bases[0], bases[1])
+
+
+def commutant_dimension(rep: ModularRepresentation,
+                        settings: Settings = DEFAULT_SETTINGS) -> int:
+    """Dimension of the space of matrices x with s x = x s and t x = x t.
+
+    For a finite image this is the character norm, the sum of the
+    squared multiplicities of the irreducible constituents, so it is 1
+    exactly when the representation is irreducible (Schur's lemma).
+    Written in a basis of t eigenvectors grouped by eigenvalue, x
+    commutes with t exactly when it is block diagonal, so only s x = x s
+    is solved, and only for the diagonal blocks.
+    """
+    d = rep.degree
+    eye = np.eye(d, dtype=np.complex128)
+    # The phases come sorted, so the counter lists them in that order.
+    multiplicity = Counter(_t_spectrum(rep, settings.order_cap, settings)[1])
+    spaces = [nullspace(rep.t_image - cmath.exp(2j * math.pi * float(x)) * eye, settings)
+              for x in multiplicity]
+    sizes = [v.shape[1] for v in spaces]
+    if sizes != list(multiplicity.values()):
+        raise SnapFailure(f"t eigenspaces have dimensions {sizes}, the eigenphase "
+                          f"multiplicities are {list(multiplicity.values())}")
+    basis = np.hstack(spaces)
+    s = np.linalg.solve(basis, rep.s_image @ basis)
+    # Unknown n is the entry (i[n], j[n]) of x; its column in the system
+    # holds s e_ij - e_ij s, read as a d*d vector.
+    blocks = np.repeat(np.arange(len(sizes)), sizes)
+    i, j = np.nonzero(blocks[:, None] == blocks[None, :])
+    n = np.arange(len(i))
+    system = np.zeros((d, d, len(i)), dtype=np.complex128)
+    system[:, j, n] = s[:, i]
+    system[i, :, n] -= s[j, :]
+    return nullspace(system.reshape(d * d, len(i)), settings).shape[1]
 
 
 def direct_sum(a: ModularRepresentation, b: ModularRepresentation) -> ModularRepresentation:

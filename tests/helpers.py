@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
+
 from vvmf.invariants import even_invariants, floor_trace, floor_trace_complement
-from vvmf.modrep import build_p1_permutation, direct_sum
+from vvmf.modrep import ModularRepresentation, build_p1_permutation, direct_sum
 
 
 def dim_via_exponent_shift(rep, k):
@@ -26,3 +28,27 @@ def p1_sum(*moduli):
     for n in moduli[1:]:
         rep = direct_sum(rep, build_p1_permutation(n))
     return rep
+
+
+def conjugate(rep, seed, condition=10.0):
+    """rep conjugated by a seeded matrix with the given condition number."""
+    rng = np.random.default_rng(seed)
+    d = rep.degree
+    u, _, vh = np.linalg.svd(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    m = u @ np.diag(np.geomspace(1.0, condition, d)) @ vh
+    m_inv = np.linalg.inv(m)
+    return ModularRepresentation(m @ rep.s_image @ m_inv, m @ rep.t_image @ m_inv, "conj")
+
+
+def steinberg(p):
+    """p1(p) on the vectors with coordinate sum zero, irreducible of degree p.
+
+    The orthonormal basis comes from a QR factorisation, so the images
+    carry rounding noise of order 1e-16 on every entry.
+    """
+    rep = build_p1_permutation(p)
+    d = rep.degree
+    q, _ = np.linalg.qr(np.eye(d) - np.full((d, d), 1.0 / d))
+    basis = q[:, :d - 1]
+    return ModularRepresentation(basis.T @ rep.s_image @ basis, basis.T @ rep.t_image @ basis,
+                                 f"St({p})")

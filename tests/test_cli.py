@@ -129,6 +129,13 @@ def test_global_order_cap(capsys):
     assert "TOrderNotFound" in capsys.readouterr().err
 
 
+def test_no_global_closure_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--closure-cap", "5", "dims", "catalog:p1(3)", "--from", "0", "--to", "4"])
+    assert exc.value.code == 1
+    assert "vvmf: error:" in capsys.readouterr().err
+
+
 def test_dims_file_validates_once(tmp_path, monkeypatch, capsys):
     rf = representation_to_repfile(build_p1_permutation(9))
     path = write(tmp_path, repfile_to_dict(rf))

@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 import vvmf.dimensions
-from helpers import dim_via_exponent_shift
-from vvmf.catalog import resolve
+from helpers import conjugate, dim_via_exponent_shift, steinberg
+from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import (
     EXACT,
     LOWER_BOUND,
+    DimResult,
     certify_irreducible,
     dim_cusp,
     dim_holomorphic,
     dim_table,
 )
 from vvmf.invariants import even_invariants, odd_invariants
-from vvmf.linalg import Settings
+from vvmf.linalg import Settings, snap_integer
 from vvmf.modrep import (
     ModularRepresentation,
     ParityError,
@@ -24,12 +25,14 @@ from vvmf.modrep import (
     build_kappa_power,
     build_p1_permutation,
     build_rho0,
+    commutant_dimension,
     contragredient,
     direct_sum,
+    enumerate_closure,
     parity_split,
     tensor_kappa,
 )
-from vvmf.series import duality_report
+from vvmf.series import CUSP, HOLOMORPHIC, duality_report, generator_profile
 
 RHO0_M = [1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1]
 RHO0_S = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
@@ -122,7 +125,40 @@ def test_certify_irreducible(std2):
     assert certify_irreducible(std2)
     assert not certify_irreducible(build_p1_permutation(2))
     assert not certify_irreducible(direct_sum(build_kappa_power(1), build_kappa_power(3)))
-    assert not certify_irreducible(std2, Settings(closure_cap=3))
+    p16k3 = tensor_kappa(build_p1_permutation(16), 3)
+    assert commutant_dimension(p16k3) == 6
+    assert not certify_irreducible(p16k3)
+
+
+COMMUTANT_CASES = (
+    [pytest.param(resolve(name), id=name) for name in catalog_names()]
+    + [pytest.param(resolve(f"p1({n})*k^{j}"), id=f"p1({n})*k^{j}")
+       for n in range(2, 8) for j in range(1, 12)]
+    + [pytest.param(resolve(expr), id=expr) for expr in ("kappa^1+kappa^1", "p1(5)+p1(3)*k^2")]
+    + [pytest.param(conjugate(resolve(expr), seed), id=f"{expr} conj {seed}")
+       for expr, seed in (("p1(7)*k^1", 1), ("p1(5)*k^3", 2))]
+)
+
+
+@pytest.mark.parametrize("rep", COMMUTANT_CASES)
+def test_commutant_dimension_is_the_character_norm(rep):
+    group = enumerate_closure(rep, 5000)
+    norm = sum(abs(complex(np.trace(g))) ** 2 for g in group) / len(group)
+    assert commutant_dimension(rep) == snap_integer(norm)
+
+
+def test_weight_one_exact_beyond_group_enumeration():
+    # St(29)*k^1 is odd and irreducible; its image has 12 * |PSL2(F_29)|
+    # = 146160 elements, far too many to enumerate.
+    rep = tensor_kappa(steinberg(29), 1)
+    assert rep.degree == 29
+    assert commutant_dimension(rep) == 1
+    assert dim_holomorphic(rep, 1) == DimResult(0, EXACT, "odd-weight-1-irreducible")
+    assert dim_cusp(rep, 1) == DimResult(0, EXACT, "odd-weight-1-irreducible")
+    for kind in (HOLOMORPHIC, CUSP):
+        assert generator_profile(rep, kind).counts == {3: 5, 5: 10, 7: 9, 9: 5}
+    statuses = {c.name: c.status for c in duality_report(rep).checks}
+    assert statuses["generator-mirror-holo"] == statuses["generator-mirror-cusp"] == "pass"
 
 
 def test_rule_tags():

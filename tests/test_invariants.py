@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import p1_sum
+from helpers import conjugate, p1_sum
 from vvmf.invariants import (
     ExponentData,
     Signature,
@@ -70,16 +70,6 @@ def cycle_lengths(perm):
         if length:
             lengths.append(length)
     return lengths
-
-
-def conjugate(rep, seed, condition=10.0):
-    """rep conjugated by a seeded matrix with the given condition number."""
-    rng = np.random.default_rng(seed)
-    d = rep.degree
-    u, _, vh = np.linalg.svd(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    m = u @ np.diag(np.geomspace(1.0, condition, d)) @ vh
-    m_inv = np.linalg.inv(m)
-    return ModularRepresentation(m @ rep.s_image @ m_inv, m @ rep.t_image @ m_inv, "conj")
 
 
 def phase_case(moduli, seed=None, j=0):

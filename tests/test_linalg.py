@@ -7,12 +7,10 @@ from vvmf.linalg import (
     Settings,
     SnapFailure,
     as_matrix,
-    clean,
     is_identity,
     mat_pow,
     max_abs,
-    rank,
-    row_reduce,
+    nullspace,
     snap_integer,
 )
 
@@ -32,8 +30,8 @@ def test_tolerance_range():
 def test_caps_must_be_positive():
     with pytest.raises(ValueError, match="order cap"):
         Settings(order_cap=0)
-    with pytest.raises(ValueError, match="closure cap"):
-        Settings(closure_cap=0)
+    with pytest.raises(TypeError):
+        Settings(closure_cap=20000)
 
 
 def test_as_matrix_shapes():
@@ -80,29 +78,60 @@ def test_is_identity():
     assert not is_identity(S)
 
 
-def test_rank_examples():
-    assert rank(np.zeros((3, 3), dtype=complex)) == 0
+def null_basis(a, settings=DEFAULT_SETTINGS):
+    """nullspace(a), checked to be orthonormal and annihilated by a."""
+    basis = nullspace(np.asarray(a, dtype=complex), settings)
+    assert basis.shape[0] == np.shape(a)[1]
+    assert max_abs(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-12
+    assert max_abs(np.asarray(a, dtype=complex) @ basis) <= 1e-12
+    return basis
+
+
+def test_nullspace_examples():
+    assert null_basis(np.zeros((3, 3))).shape == (3, 3)
     for d in (1, 2, 5):
-        assert rank(np.eye(d, dtype=complex)) == d
-    assert rank(np.array([[1, 1], [1, 1]], dtype=complex)) == 1
+        assert null_basis(np.eye(d)).shape == (d, 0)
+    basis = null_basis([[1, 1], [1, 1]])
+    assert basis.shape == (2, 1)
+    assert abs(basis[0, 0] + basis[1, 0]) <= 1e-12
 
 
-def test_rank_row_permutation_invariance():
+def test_nullspace_row_permutation_invariance():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(4, 4)) @ np.diag([1, 1, 0, 0]) @ rng.normal(size=(4, 4))
     m = m.astype(complex)
-    assert rank(m) == 2
+    basis = null_basis(m)
+    assert basis.shape == (4, 2)
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(4)
-        assert rank(m[perm]) == 2
+        other = null_basis(m[perm])
+        # Same space: the orthogonal projectors agree.
+        assert max_abs(basis @ basis.conj().T - other @ other.conj().T) <= 1e-9
 
 
-def test_row_reduce_pivots():
-    reduced, pivots = row_reduce(np.array([[0, 1], [0, 2]], dtype=complex))
-    assert pivots == [1]
-    assert reduced[0, 1] == 1
-    _, none = row_reduce(np.zeros((2, 2), dtype=complex))
-    assert none == []
+def test_nullspace_of_a_zero_column():
+    basis = null_basis([[0, 1], [0, 2]])
+    assert basis.shape == (2, 1)
+    assert abs(abs(basis[0, 0]) - 1) <= 1e-12
+
+
+def test_nullspace_ignores_sub_tolerance_entries():
+    assert null_basis([[1, 1e-12], [1e-15, 1]]).shape == (2, 0)
+    noise = 1e-12 * np.random.default_rng(5).standard_normal((6, 6))
+    assert nullspace(noise).shape == (6, 6)
+    # Above one, the threshold scales with the largest singular value.
+    wide_range = np.diag([1e6, 1e-4]).astype(complex)
+    assert nullspace(wide_range).shape == (2, 1)
+    assert nullspace(wide_range, Settings(1e-12)).shape == (2, 0)
+
+
+def test_nullspace_empty_shapes():
+    assert nullspace(np.zeros((0, 3), dtype=complex)).shape == (3, 3)
+    assert nullspace(np.zeros((3, 0), dtype=complex)).shape == (0, 0)
+    assert nullspace(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
+    wide = null_basis([[1, 0, 0], [0, 1, 0]])
+    assert wide.shape == (3, 1)
+    assert abs(abs(wide[2, 0]) - 1) <= 1e-12
 
 
 def test_snap_integer_examples():
@@ -127,12 +156,3 @@ def test_default_tolerance_override():
 
 def test_explicit_tolerance_beats_default():
     assert snap_integer(1 + 1e-7, Settings(1e-5)) == 1
-
-
-def test_clean_zeroes_sub_tolerance_entries():
-    m = np.array([[1, 1e-12], [1e-15, 1]], dtype=complex)
-    out = clean(m)
-    assert out[0, 1] == 0
-    assert out[1, 0] == 0
-    assert out[0, 0] == 1
-    assert m[0, 1] == 1e-12

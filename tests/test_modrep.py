@@ -153,9 +153,9 @@ def test_closure_cap_exceeded():
 
 
 def test_closure_sizes():
-    assert len(enumerate_closure(build_kappa_power(1))) == 12
-    assert len(enumerate_closure(build_p1_permutation(2))) == 6
-    assert len(enumerate_closure(build_p1_permutation(3))) == 12
+    assert len(enumerate_closure(build_kappa_power(1), 100)) == 12
+    assert len(enumerate_closure(build_p1_permutation(2), 100)) == 6
+    assert len(enumerate_closure(build_p1_permutation(3), 100)) == 12
 
 
 def test_parity_values():
