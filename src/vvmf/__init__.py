@@ -24,7 +24,6 @@ from .invariants import (
     even_invariants,
     floor_trace,
     floor_trace_complement,
-    gamma_sequence_check,
     odd_invariants,
     signature,
     signature_of_twist,
@@ -40,7 +39,6 @@ from .linalg import (
     snap_integer,
 )
 from .modrep import (
-    ClosureCapExceeded,
     ModularRepresentation,
     ParityDecomposition,
     ParityError,
@@ -54,7 +52,6 @@ from .modrep import (
     commutant_dimension,
     contragredient,
     direct_sum,
-    enumerate_closure,
     parity,
     parity_split,
     tensor_kappa,

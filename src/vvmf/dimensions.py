@@ -15,7 +15,6 @@ from functools import cached_property
 from .invariants import EvenInvariants, OddInvariants, even_invariants, odd_invariants
 from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure
 from .modrep import (
-    ASSERTED_IRREDUCIBLE,
     ASSERTED_REDUCIBLE,
     ModularRepresentation,
     commutant_dimension,
@@ -51,13 +50,12 @@ class DimResult:
 def certify_irreducible(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> bool:
     """True when the representation is irreducible.
 
-    Degree at most one and explicit assertions settle it immediately;
-    otherwise the commutant of the image decides: by Schur's lemma it is
-    one-dimensional exactly for an irreducible representation.
+    Degree at most one settles it, and so does a direct sum, which is
+    reducible by construction; otherwise the commutant of the image
+    decides: by Schur's lemma it is one-dimensional exactly for an
+    irreducible representation.
     """
     if rep.degree <= 1:
-        return True
-    if rep.irreducible_assertion == ASSERTED_IRREDUCIBLE:
         return True
     if rep.irreducible_assertion == ASSERTED_REDUCIBLE:
         return False

@@ -222,14 +222,3 @@ def odd_invariants(rep: ModularRepresentation,
     lam_plus = floor_trace(exp, Fraction(1, 12))
     lam_minus = -floor_trace_complement(exp, Fraction(11, 12))
     return OddInvariants(sig, exp, lam_plus, lam_minus, _gamma_base(sig))
-
-
-def gamma_sequence_check(inv: EvenInvariants, kmax: int) -> bool:
-    """Verify the two three-term recurrences of the gamma sequence."""
-    g = inv.gamma
-    for k in range(-kmax, kmax + 1):
-        if g(k + 5) + g(k) != g(k + 3) + g(k + 2):
-            return False
-        if g(k + 7) + g(k) != g(k + 3) + g(k + 4):
-            return False
-    return True

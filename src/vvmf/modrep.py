@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,11 +29,10 @@ from .linalg import (
     nullspace,
 )
 
-ASSERTED_IRREDUCIBLE = "asserted-irreducible"
 ASSERTED_REDUCIBLE = "asserted-reducible"
 UNKNOWN = "unknown"
 
-_ASSERTIONS = (ASSERTED_IRREDUCIBLE, ASSERTED_REDUCIBLE, UNKNOWN)
+_ASSERTIONS = (ASSERTED_REDUCIBLE, UNKNOWN)
 
 # Twelfth roots of unity, index j holds exp(2*pi*i*j/12).
 _ROOT12 = tuple(cmath.exp(2j * math.pi * j / 12) for j in range(12))
@@ -60,10 +59,6 @@ class TOrderNotFound(ValueError):
     def __init__(self, check: str, message: str):
         super().__init__(message)
         self.check = check
-
-
-class ClosureCapExceeded(RuntimeError):
-    """The generated matrix group is larger than the enumeration cap."""
 
 
 class ProjectorDefect(ValueError):
@@ -111,7 +106,6 @@ class ValidationReport:
     relations_ok: bool
     t_order: int
     max_residual: float
-    group_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -216,13 +210,9 @@ def find_t_order(rep: ModularRepresentation, order_cap: int,
     return _t_spectrum(rep, order_cap, settings)[0]
 
 
-def validate(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS,
-             closure_cap: int | None = None) -> ValidationReport:
-    """Check the defining relations and the finite order of the t image.
-
-    Passing closure_cap additionally enumerates the full matrix group
-    generated by the two images and reports its size.
-    """
+def validate(rep: ModularRepresentation,
+             settings: Settings = DEFAULT_SETTINGS) -> ValidationReport:
+    """Check the defining relations and the finite order of the t image."""
     s, t = rep.s_image, rep.t_image
     d = rep.degree
     eye = np.eye(d, dtype=np.complex128)
@@ -237,40 +227,7 @@ def validate(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS,
         if residual > settings.eps:
             raise RelationViolation(relation, residual)
     n = find_t_order(rep, settings.order_cap, settings)
-    group_size = None
-    if closure_cap is not None:
-        group_size = len(enumerate_closure(rep, closure_cap))
-    return ValidationReport(True, n, max(residuals.values()), group_size)
-
-
-def enumerate_closure(rep: ModularRepresentation, cap: int) -> list[ComplexMatrix]:
-    """Breadth-first enumeration of the matrix group the images generate.
-
-    A group of more than cap elements raises ClosureCapExceeded.
-    Matrices are deduplicated by hashing entries rounded to six decimal
-    places, which is far coarser than the working tolerance and far finer
-    than the separation of distinct elements in a finite unitarizable
-    group of the sizes handled here.
-    """
-    def key(m):
-        return tuple(np.round(m, 6).ravel().tolist())
-
-    d = rep.degree
-    eye = np.eye(d, dtype=np.complex128)
-    gens = (rep.s_image, rep.t_image)
-    seen = {key(eye): eye}
-    queue = deque([eye])
-    while queue:
-        g = queue.popleft()
-        for h in gens:
-            p = g @ h
-            k = key(p)
-            if k not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapExceeded(f"matrix group exceeds cap {cap}")
-                seen[k] = p
-                queue.append(p)
-    return list(seen.values())
+    return ValidationReport(True, n, max(residuals.values()))
 
 
 def parity(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> int:
@@ -414,7 +371,7 @@ def contragredient(rep: ModularRepresentation) -> ModularRepresentation:
 def build_rho0() -> ModularRepresentation:
     """The one-dimensional trivial representation."""
     one = np.eye(1, dtype=np.complex128)
-    return ModularRepresentation(one, one, "rho0", ASSERTED_IRREDUCIBLE)
+    return ModularRepresentation(one, one, "rho0")
 
 
 def build_kappa_power(j: int) -> ModularRepresentation:
@@ -424,7 +381,7 @@ def build_kappa_power(j: int) -> ModularRepresentation:
         return build_rho0()
     s = np.array([[kappa_s_value(j)]], dtype=np.complex128)
     t = np.array([[kappa_t_value(j)]], dtype=np.complex128)
-    return ModularRepresentation(s, t, f"kappa^{j}", ASSERTED_IRREDUCIBLE)
+    return ModularRepresentation(s, t, f"kappa^{j}")
 
 
 def _p1_points(n: int) -> list[tuple[int, int]]:

@@ -3,7 +3,8 @@
 A file stores the two generator images entry by entry, either as
 [re, im] pairs or as exact cyclotomic combinations that are evaluated
 to complex doubles on load.  Loading is strict: any malformed field
-raises ParseError naming the offending location.
+raises ParseError naming the offending location.  Keys outside the
+schema are ignored.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import DEFAULT_SETTINGS, Settings
-from .modrep import (
-    ASSERTED_IRREDUCIBLE,
-    ASSERTED_REDUCIBLE,
-    UNKNOWN,
-    ModularRepresentation,
-    validate,
-)
+from .modrep import ModularRepresentation, validate
 
 ENCODINGS = ("complex", "cyclotomic")
 
@@ -41,7 +36,6 @@ class RepFile:
     entry_encoding: str
     s_entries: list
     t_entries: list
-    irreducible: bool | None = None
 
 
 def _fail(path: str, expected: str):
@@ -96,14 +90,11 @@ def parse_repfile(doc: dict, name: str = "rep") -> RepFile:
         _fail("entry_encoding", "'complex' or 'cyclotomic'")
     _check_matrix(doc["S"], degree, encoding, "S")
     _check_matrix(doc["T"], degree, encoding, "T")
-    irreducible = doc.get("irreducible")
-    if irreducible is not None and not isinstance(irreducible, bool):
-        _fail("irreducible", "a boolean")
     if "name" in doc:
         if not isinstance(doc["name"], str):
             _fail("name", "a string")
         name = doc["name"]
-    return RepFile(name, degree, encoding, doc["S"], doc["T"], irreducible)
+    return RepFile(name, degree, encoding, doc["S"], doc["T"])
 
 
 def load_repfile(path: str) -> RepFile:
@@ -133,11 +124,7 @@ def to_representation(rf: RepFile, run_validate: bool = True,
                  dtype=np.complex128)
     t = np.array([[_entry_value(v, rf.entry_encoding) for v in row] for row in rf.t_entries],
                  dtype=np.complex128)
-    if rf.irreducible is None:
-        assertion = UNKNOWN
-    else:
-        assertion = ASSERTED_IRREDUCIBLE if rf.irreducible else ASSERTED_REDUCIBLE
-    rep = ModularRepresentation(s, t, rf.name, assertion)
+    rep = ModularRepresentation(s, t, rf.name)
     if run_validate:
         validate(rep, settings)
     return rep
@@ -147,27 +134,3 @@ def parse_rep(path: str, settings: Settings = DEFAULT_SETTINGS,
               run_validate: bool = True) -> ModularRepresentation:
     """Load, schema-check and (by default) validate a representation file."""
     return to_representation(load_repfile(path), run_validate, settings)
-
-
-def repfile_to_dict(rf: RepFile) -> dict:
-    doc = {
-        "name": rf.name,
-        "degree": rf.degree,
-        "entry_encoding": rf.entry_encoding,
-        "S": rf.s_entries,
-        "T": rf.t_entries,
-    }
-    if rf.irreducible is not None:
-        doc["irreducible"] = rf.irreducible
-    return doc
-
-
-def representation_to_repfile(rep: ModularRepresentation) -> RepFile:
-    """Serialize with the complex entry encoding."""
-    def encode(m):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in m.tolist()]
-
-    irreducible = {ASSERTED_IRREDUCIBLE: True, ASSERTED_REDUCIBLE: False}.get(
-        rep.irreducible_assertion)
-    return RepFile(rep.name, rep.degree, "complex",
-                   encode(rep.s_image), encode(rep.t_image), irreducible)

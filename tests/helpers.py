@@ -1,5 +1,6 @@
 """Independent dimension routes the tests compare the library against."""
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -52,3 +53,52 @@ def steinberg(p):
     basis = q[:, :d - 1]
     return ModularRepresentation(basis.T @ rep.s_image @ basis, basis.T @ rep.t_image @ basis,
                                  f"St({p})")
+
+
+def enumerate_closure(rep, cap):
+    """Breadth-first enumeration of the matrix group the images generate.
+
+    A group of more than cap elements raises RuntimeError.  Matrices are
+    deduplicated by hashing entries rounded to six decimal places, which
+    is far coarser than the working tolerance and far finer than the
+    separation of distinct elements in a finite unitarizable group of the
+    sizes handled here.
+    """
+    def key(m):
+        return tuple(np.round(m, 6).ravel().tolist())
+
+    eye = np.eye(rep.degree, dtype=np.complex128)
+    gens = (rep.s_image, rep.t_image)
+    seen = {key(eye): eye}
+    queue = deque([eye])
+    while queue:
+        g = queue.popleft()
+        for h in gens:
+            p = g @ h
+            k = key(p)
+            if k not in seen:
+                if len(seen) >= cap:
+                    raise RuntimeError(f"matrix group exceeds cap {cap}")
+                seen[k] = p
+                queue.append(p)
+    return list(seen.values())
+
+
+def gamma_sequence_check(inv, kmax):
+    """Verify the two three-term recurrences of the gamma sequence."""
+    g = inv.gamma
+    for k in range(-kmax, kmax + 1):
+        if g(k + 5) + g(k) != g(k + 3) + g(k + 2):
+            return False
+        if g(k + 7) + g(k) != g(k + 3) + g(k + 4):
+            return False
+    return True
+
+
+def complex_repfile(rep):
+    """A representation file document for rep in the complex entry encoding."""
+    def encode(m):
+        return [[[v.real, v.imag] for v in row] for row in m.tolist()]
+
+    return {"name": rep.name, "degree": rep.degree, "entry_encoding": "complex",
+            "S": encode(rep.s_image), "T": encode(rep.t_image)}

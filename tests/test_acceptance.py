@@ -7,7 +7,7 @@ asserting, so a failing run still reports every criterion it reached.
 
 import json
 
-from helpers import dim_via_exponent_shift
+from helpers import dim_via_exponent_shift, gamma_sequence_check
 from vvmf.catalog import resolve
 from vvmf.cli import main
 from vvmf.dimensions import (
@@ -15,7 +15,7 @@ from vvmf.dimensions import (
     dim_cusp,
     dim_holomorphic,
 )
-from vvmf.invariants import even_invariants, gamma_sequence_check, odd_invariants
+from vvmf.invariants import even_invariants, odd_invariants
 from vvmf.linalg import SnapFailure
 from vvmf.modrep import (
     contragredient,

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
+from helpers import complex_repfile
 from vvmf import modrep
 from vvmf.cli import main
 from vvmf.modrep import build_p1_permutation, find_t_order
-from vvmf.repfile import repfile_to_dict, representation_to_repfile
 
 KAPPA_FILE = {
     "name": "kappa",
@@ -114,14 +114,11 @@ def test_validate_relation_violation(tmp_path, capsys):
     assert "RelationViolation" in capsys.readouterr().err
 
 
-def test_validate_group_size(capsys):
-    assert main(["validate", "catalog:kappa^1", "--closure-cap", "100"]) == 0
-    assert "group size: 12" in capsys.readouterr().out
-
-
-def test_validate_closure_cap_exceeded(capsys):
-    assert main(["validate", "catalog:p1(3)", "--closure-cap", "5"]) == 2
-    assert "ClosureCapExceeded" in capsys.readouterr().err
+def test_validate_json_keys(capsys):
+    assert main(["validate", "catalog:kappa^1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["degree", "max_residual", "relations_ok", "rep", "t_order"]
+    assert doc["relations_ok"] and doc["t_order"] == 12
 
 
 def test_global_order_cap(capsys):
@@ -130,15 +127,16 @@ def test_global_order_cap(capsys):
 
 
 def test_no_global_closure_cap(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--closure-cap", "5", "dims", "catalog:p1(3)", "--from", "0", "--to", "4"])
-    assert exc.value.code == 1
-    assert "vvmf: error:" in capsys.readouterr().err
+    for argv in (["--closure-cap", "5", "dims", "catalog:p1(3)", "--from", "0", "--to", "4"],
+                 ["validate", "catalog:p1(3)", "--closure-cap", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "vvmf: error:" in capsys.readouterr().err
 
 
 def test_dims_file_validates_once(tmp_path, monkeypatch, capsys):
-    rf = representation_to_repfile(build_p1_permutation(9))
-    path = write(tmp_path, repfile_to_dict(rf))
+    path = write(tmp_path, complex_repfile(build_p1_permutation(9)))
     names = []
 
     def counting(rep, *args, **kwargs):
@@ -193,6 +191,28 @@ def test_generators_weight_one_indeterminate(capsys):
     assert "Weight1Indeterminate" in capsys.readouterr().err
 
 
+def test_irreducible_key_certifies_nothing(tmp_path, capsys):
+    # kappa^1+kappa^11 is reducible: a file asserting the opposite still
+    # gets a weight-one lower bound, not the formula's exact-looking 0.
+    zero = {"order": 1, "coeffs": []}
+    doc = {
+        "degree": 2,
+        "entry_encoding": "cyclotomic",
+        "S": [[{"order": 4, "coeffs": ["0", "0", "0", "1"]}, zero],
+              [zero, {"order": 4, "coeffs": ["0", "1"]}]],
+        "T": [[{"order": 12, "coeffs": ["0", "1"]}, zero],
+              [zero, {"order": 12, "coeffs": ["0"] * 11 + ["1"]}]],
+        "irreducible": True,
+    }
+    path = write(tmp_path, doc)
+    assert main(["dims", path, "--from", "1", "--to", "1", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["weights"][0]
+    assert (row["dimM"], row["statusM"], row["dimS"], row["statusS"]) == (
+        0, "lower-bound", 0, "lower-bound")
+    assert main(["generators", path, "--cusp"]) == 2
+    assert "Weight1Indeterminate" in capsys.readouterr().err
+
+
 def test_duality_passes(capsys):
     assert main(["duality", "catalog:kappa^2", "--nmax", "2"]) == 0
     out = capsys.readouterr().out
@@ -223,6 +243,25 @@ def test_env_tolerance_rejected(monkeypatch, capsys):
     monkeypatch.setenv("VVMF_TOLERANCE", "0.5")
     assert main(["catalog", "list"]) == 1
     assert "vvmf: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable,value", [("VVMF_TOLERANCE", "abc"), ("VVMF_ORDER_CAP", "1.5")])
+def test_env_values_are_usage_errors(monkeypatch, capsys, variable, value):
+    monkeypatch.setenv(variable, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["dims", "catalog:p1(2)", "--from", "0", "--to", "2"])
+    assert exc.value.code == 1
+    assert "vvmf: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable", ["VVMF_TOLERANCE", "VVMF_ORDER_CAP"])
+def test_env_zero_is_range_checked_and_empty_is_unset(monkeypatch, capsys, variable):
+    argv = ["dims", "catalog:p1(2)", "--from", "0", "--to", "2"]
+    monkeypatch.setenv(variable, "0")
+    assert main(argv) == 1
+    assert "vvmf: error:" in capsys.readouterr().err
+    monkeypatch.setenv(variable, "")
+    assert main(argv) == 0
 
 
 def test_tolerance_flag_rejected(capsys):

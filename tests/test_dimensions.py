@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vvmf.dimensions
-from helpers import conjugate, dim_via_exponent_shift, steinberg
+from helpers import conjugate, dim_via_exponent_shift, enumerate_closure, steinberg
 from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import (
     EXACT,
@@ -28,7 +28,6 @@ from vvmf.modrep import (
     commutant_dimension,
     contragredient,
     direct_sum,
-    enumerate_closure,
     parity_split,
     tensor_kappa,
 )

@@ -4,14 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import conjugate, p1_sum
+from helpers import conjugate, gamma_sequence_check, p1_sum
 from vvmf.invariants import (
     ExponentData,
     Signature,
     even_invariants,
     floor_trace,
     floor_trace_complement,
-    gamma_sequence_check,
     odd_invariants,
     signature,
     signature_of_twist,

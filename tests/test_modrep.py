@@ -3,13 +3,11 @@ import cmath
 import numpy as np
 import pytest
 
-from helpers import p1_sum
+from helpers import enumerate_closure, p1_sum
 from vvmf.linalg import Settings, is_identity, mat_pow, max_abs
 from vvmf.modrep import (
-    ASSERTED_IRREDUCIBLE,
     ASSERTED_REDUCIBLE,
     UNKNOWN,
-    ClosureCapExceeded,
     ModularRepresentation,
     RelationViolation,
     TOrderNotFound,
@@ -18,7 +16,6 @@ from vvmf.modrep import (
     build_rho0,
     contragredient,
     direct_sum,
-    enumerate_closure,
     find_t_order,
     parity,
     parity_split,
@@ -37,6 +34,8 @@ def test_construction_checks():
         ModularRepresentation([[1]], [[1], [2]])
     with pytest.raises(ValueError):
         ModularRepresentation([[1]], [[1]], irreducible_assertion="maybe")
+    with pytest.raises(ValueError):
+        ModularRepresentation([[1]], [[1]], irreducible_assertion="asserted-irreducible")
 
 
 def test_images_are_read_only():
@@ -48,17 +47,16 @@ def test_images_are_read_only():
 
 
 def test_validate_rho0():
-    report = validate(build_rho0(), closure_cap=10)
+    report = validate(build_rho0())
     assert report.relations_ok
     assert report.t_order == 1
-    assert report.group_size == 1
     assert report.max_residual <= 1e-9
 
 
 def test_validate_kappa():
-    report = validate(build_kappa_power(1), closure_cap=100)
+    report = validate(build_kappa_power(1))
+    assert report.relations_ok
     assert report.t_order == 12
-    assert report.group_size == 12
 
 
 def test_validate_relation_violation():
@@ -147,11 +145,6 @@ def test_t_order_proper_divisor_refused():
     assert find_t_order(rep, 4096) == 693
 
 
-def test_closure_cap_exceeded():
-    with pytest.raises(ClosureCapExceeded):
-        enumerate_closure(build_kappa_power(1), 5)
-
-
 def test_closure_sizes():
     assert len(enumerate_closure(build_kappa_power(1), 100)) == 12
     assert len(enumerate_closure(build_p1_permutation(2), 100)) == 6
@@ -169,7 +162,9 @@ def test_parity_split_pure_even():
     assert split.even_part.degree == 1
     assert split.odd_part.degree == 0
     assert np.allclose(split.even_part.t_image, [[1]])
-    assert split.even_part.irreducible_assertion == ASSERTED_IRREDUCIBLE
+    # A part that fills the whole space keeps the assertion of its source.
+    pair = direct_sum(build_rho0(), build_rho0())
+    assert parity_split(pair).even_part.irreducible_assertion == ASSERTED_REDUCIBLE
 
 
 def test_parity_split_pure_odd():
@@ -280,7 +275,6 @@ def test_kappa_builders():
     k2 = build_kappa_power(2)
     assert abs(k2.s_image[0, 0] + 1) <= 1e-12
     assert abs(k2.t_image[0, 0] - cmath.exp(2j * cmath.pi / 6)) <= 1e-12
-    assert build_kappa_power(1).irreducible_assertion == ASSERTED_IRREDUCIBLE
 
 
 @pytest.mark.parametrize("n,degree", [(2, 3), (3, 4), (4, 6), (5, 6), (6, 12), (7, 8)])

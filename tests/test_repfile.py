@@ -4,24 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import complex_repfile
 from vvmf.linalg import max_abs
-from vvmf.modrep import (
-    ASSERTED_IRREDUCIBLE,
-    ASSERTED_REDUCIBLE,
-    UNKNOWN,
-    RelationViolation,
-    build_kappa_power,
-    build_p1_permutation,
-)
-from vvmf.repfile import (
-    ParseError,
-    load_repfile,
-    parse_rep,
-    parse_repfile,
-    repfile_to_dict,
-    representation_to_repfile,
-    to_representation,
-)
+from vvmf.modrep import UNKNOWN, RelationViolation, build_kappa_power, build_p1_permutation
+from vvmf.repfile import ParseError, load_repfile, parse_rep, parse_repfile, to_representation
 
 KAPPA_CYCLOTOMIC = {
     "name": "kappa",
@@ -29,7 +15,6 @@ KAPPA_CYCLOTOMIC = {
     "entry_encoding": "cyclotomic",
     "S": [[{"order": 4, "coeffs": ["0", "0", "0", "1"]}]],
     "T": [[{"order": 12, "coeffs": ["0", "1"]}]],
-    "irreducible": True,
 }
 
 KAPPA_COMPLEX = {
@@ -53,7 +38,6 @@ def test_cyclotomic_kappa_file(tmp_path):
     assert rep.name == "kappa"
     assert max_abs(rep.s_image - built.s_image) <= 1e-9
     assert max_abs(rep.t_image - built.t_image) <= 1e-9
-    assert rep.irreducible_assertion == ASSERTED_IRREDUCIBLE
 
 
 def test_complex_kappa_file(tmp_path):
@@ -65,26 +49,24 @@ def test_complex_kappa_file(tmp_path):
 
 def test_round_trip_both_encodings(tmp_path):
     for doc in (KAPPA_CYCLOTOMIC, KAPPA_COMPLEX):
-        loaded = load_repfile(write(tmp_path, doc))
-        assert repfile_to_dict(loaded) == doc
+        rf = load_repfile(write(tmp_path, doc))
+        assert (rf.name, rf.degree, rf.entry_encoding, rf.s_entries, rf.t_entries) == (
+            doc["name"], doc["degree"], doc["entry_encoding"], doc["S"], doc["T"])
 
 
 def test_serialize_representation_round_trip(tmp_path):
     rep = build_p1_permutation(2)
-    doc = repfile_to_dict(representation_to_repfile(rep))
-    back = to_representation(parse_repfile(json.loads(json.dumps(doc))))
+    back = parse_rep(write(tmp_path, complex_repfile(rep)))
     assert back.name == "p1(2)"
     assert max_abs(back.s_image - rep.s_image) <= 1e-12
     assert max_abs(back.t_image - rep.t_image) <= 1e-12
 
 
-def test_irreducible_flag_mapping():
-    flagged = dict(KAPPA_CYCLOTOMIC)
-    flagged["irreducible"] = False
-    assert to_representation(parse_repfile(flagged)).irreducible_assertion == ASSERTED_REDUCIBLE
-    unflagged = dict(KAPPA_CYCLOTOMIC)
-    del unflagged["irreducible"]
-    assert to_representation(parse_repfile(unflagged)).irreducible_assertion == UNKNOWN
+def test_irreducible_key_is_ignored():
+    # Older files may carry an "irreducible" assertion; it is not trusted.
+    for value in (True, False, "yes"):
+        rep = to_representation(parse_repfile(dict(KAPPA_CYCLOTOMIC, irreducible=value)))
+        assert rep.irreducible_assertion == UNKNOWN
 
 
 def test_name_defaults_to_file_stem(tmp_path):
@@ -132,7 +114,7 @@ def broken(doc, **changes):
     (broken(KAPPA_CYCLOTOMIC, S=[[{"order": 4, "coeffs": [1]}]]), "S[0][0].coeffs[0]"),
     (broken(KAPPA_CYCLOTOMIC, S=[[{"order": 4}]]), "S[0][0]"),
     (broken(KAPPA_CYCLOTOMIC, S=[[{"order": 4, "coeffs": ["1"], "extra": 1}]]), "S[0][0]"),
-    (broken(KAPPA_CYCLOTOMIC, irreducible="yes"), "irreducible"),
+    (broken(KAPPA_CYCLOTOMIC, T=[[{"order": True, "coeffs": ["1"]}]]), "T[0][0].order"),
     (broken(KAPPA_CYCLOTOMIC, name=7), "name"),
     (broken(KAPPA_COMPLEX, S=[[[0]]]), "S[0][0]"),
     (broken(KAPPA_COMPLEX, S=[[[0, True]]]), "S[0][0]"),
