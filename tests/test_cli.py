@@ -121,18 +121,24 @@ def test_validate_json_keys(capsys):
     assert doc["relations_ok"] and doc["t_order"] == 12
 
 
+def test_validate_closure_cap_exceeded(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "catalog:p1(3)", "--closure-cap", "5"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "vvmf: error:" in err and "ClosureCapExceeded" not in err
+
+
 def test_global_order_cap(capsys):
     assert main(["--order-cap", "5", "validate", "catalog:kappa^1"]) == 2
     assert "TOrderNotFound" in capsys.readouterr().err
 
 
 def test_no_global_closure_cap(capsys):
-    for argv in (["--closure-cap", "5", "dims", "catalog:p1(3)", "--from", "0", "--to", "4"],
-                 ["validate", "catalog:p1(3)", "--closure-cap", "5"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1
-        assert "vvmf: error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--closure-cap", "5", "dims", "catalog:p1(3)", "--from", "0", "--to", "4"])
+    assert exc.value.code == 1
+    assert "vvmf: error:" in capsys.readouterr().err
 
 
 def test_dims_file_validates_once(tmp_path, monkeypatch, capsys):
