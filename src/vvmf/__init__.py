@@ -3,8 +3,8 @@
 Given the matrix images of the two standard generators of the modular
 group, the package computes dimension tables of holomorphic and cusp
 forms for every integer weight, the weight distribution of the free
-module generators with the associated Hilbert series, and verifies the
-duality identities relating a representation to its contragredient.
+module generators, and verifies the duality identities relating a
+representation to its contragredient.
 """
 
 from .catalog import CatalogError, catalog_names, resolve
@@ -17,14 +17,12 @@ from .dimensions import (
     dim_table,
 )
 from .invariants import (
-    EvenInvariants,
     ExponentData,
-    OddInvariants,
+    PartInvariants,
     Signature,
-    even_invariants,
     floor_trace,
     floor_trace_complement,
-    odd_invariants,
+    part_invariants,
     signature,
     signature_of_twist,
     t_eigenphases,
@@ -61,11 +59,9 @@ from .repfile import ParseError, RepFile, load_repfile, parse_rep
 from .series import (
     DualityReport,
     GeneratorProfile,
-    HilbertSeries,
     Weight1Indeterminate,
     duality_report,
     generator_profile,
-    hilbert_series,
 )
 
 __version__ = "0.1.0"

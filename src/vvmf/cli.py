@@ -16,12 +16,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import catalog, repfile
 from .dimensions import EXACT, Analysis, dim_table
 from .linalg import Settings
 from .modrep import ModularRepresentation, ValidationReport, validate
-from .series import CUSP, HOLOMORPHIC, duality_report, generator_profile, hilbert_series
+from .series import CUSP, HOLOMORPHIC, duality_report, generator_profile
 
 _USAGE_ERRORS = (repfile.ParseError, catalog.CatalogError, OSError)
 
@@ -46,35 +47,19 @@ def _mark(result) -> str:
     return str(result.value) + ("" if result.status == EXACT else "+")
 
 
-def _fractions(values) -> list[str]:
-    return [str(x) for x in values]
-
-
-def _even_info(part, inv):
-    return {
+def _part_info(part, inv):
+    """The info block of a parity part; an odd one shows its partner's signature, no h0."""
+    info = {
         "degree": part.degree,
-        "signature": {"d": inv.sig.d, "alpha": inv.sig.alpha,
-                      "beta1": inv.sig.beta1, "beta2": inv.sig.beta2},
-        "t_phases": _fractions(inv.exp.phases),
+        "signature" if inv.parity == 1 else "partner_signature": asdict(inv.sig),
+        "t_phases": [str(x) for x in inv.exp.phases],
         "trace_lambda": str(inv.exp.trace_lambda),
         "lambda_plus": inv.lambda_plus,
         "lambda_minus": inv.lambda_minus,
         "h0": inv.h0,
         "gamma": {str(k): inv.gamma(k) for k in range(-6, 12)},
     }
-
-
-def _odd_info(part, inv):
-    return {
-        "degree": part.degree,
-        "partner_signature": {"d": inv.dot_sig.d, "alpha": inv.dot_sig.alpha,
-                              "beta1": inv.dot_sig.beta1, "beta2": inv.dot_sig.beta2},
-        "t_phases": _fractions(inv.dot_exp.phases),
-        "trace_lambda": str(inv.dot_exp.trace_lambda),
-        "lambda_plus": inv.dot_lambda_plus,
-        "lambda_minus": inv.dot_lambda_minus,
-        "gamma": {str(k): inv.dot_gamma(k) for k in range(-6, 12)},
-    }
+    return {key: value for key, value in info.items() if value is not None}
 
 
 def _print_invariant_block(label, data):
@@ -83,11 +68,8 @@ def _print_invariant_block(label, data):
     print(f"  signature: alpha={sig['alpha']} beta1={sig['beta1']} beta2={sig['beta2']}")
     print(f"  t phases: {' '.join(data['t_phases'])}")
     print(f"  trace of log t: {data['trace_lambda']}")
-    print(f"  lambda+ {data['lambda_plus']}   lambda- {data['lambda_minus']}", end="")
-    if "h0" in data:
-        print(f"   h0 {data['h0']}")
-    else:
-        print()
+    h0 = f"   h0 {data['h0']}" if "h0" in data else ""
+    print(f"  lambda+ {data['lambda_plus']}   lambda- {data['lambda_minus']}{h0}")
     gammas = " ".join(str(data["gamma"][str(k)]) for k in range(-6, 12))
     print(f"  gamma(-6..11): {gammas}")
 
@@ -107,10 +89,9 @@ def _cmd_validate(args, settings) -> int:
 def _cmd_info(args, settings) -> int:
     rep, report = _load_source(args.source, settings)
     a = Analysis.of(rep, settings)
-    even, odd = a.split.even_part, a.split.odd_part
-    doc = {"rep": rep.name, "degree": rep.degree, "t_order": report.t_order,
-           "even": _even_info(even, a.even) if even.degree else None,
-           "odd": _odd_info(odd, a.odd) if odd.degree else None}
+    doc = {"rep": rep.name, "degree": rep.degree, "t_order": report.t_order}
+    for key, part in (("even", a.split.even_part), ("odd", a.split.odd_part)):
+        doc[key] = _part_info(part, a.invariants(key == "odd")) if part.degree else None
     if args.json:
         print(json.dumps(doc, indent=2))
         return 0
@@ -147,19 +128,19 @@ def _cmd_generators(args, settings) -> int:
     rep, _ = _load_source(args.source, settings)
     kind = CUSP if args.cusp else HOLOMORPHIC
     profile = generator_profile(rep, kind, settings)
-    series = hilbert_series(rep, kind, settings)
+    numerator = [profile.counts.get(w, 0) for w in range(max(profile.counts, default=0) + 1)]
     if args.json:
         doc = {"rep": rep.name, "degree": rep.degree, "kind": kind,
                "counts": {str(w): c for w, c in sorted(profile.counts.items())},
-               "numerator": list(series.numerator)}
+               "numerator": numerator}
         print(json.dumps(doc, indent=2))
         return 0
     print(f"rep {rep.name}: degree {rep.degree}, {kind} module")
     print(f"{'weight':>6}  {'generators':>10}")
     for w in sorted(profile.counts):
         print(f"{w:>6}  {profile.counts[w]:>10}")
-    print(f"numerator coefficients (z^0..): {' '.join(str(c) for c in series.numerator)}")
-    print(f"denominator: {series.denominator}")
+    print(f"numerator coefficients (z^0..): {' '.join(str(c) for c in numerator)}")
+    print("denominator: (1-z^4)(1-z^6)")
     return 0
 
 

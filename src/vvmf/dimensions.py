@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .invariants import EvenInvariants, OddInvariants, even_invariants, odd_invariants
+from .invariants import PartInvariants, part_invariants
 from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure
 from .modrep import (
     ASSERTED_REDUCIBLE,
@@ -74,7 +74,9 @@ class Analysis:
         self.rep = rep
         self.settings = settings
         self.split = parity_split(rep, settings)
+        self._invariants: dict[bool, PartInvariants] = {}
         self._numerators: dict[bool, tuple[int, ...]] = {}
+        self._mirror: Analysis | None = None
 
     @classmethod
     def of(cls, rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> Analysis:
@@ -83,58 +85,54 @@ class Analysis:
             analysis = rep.analyses[settings] = cls(rep, settings)
         return analysis
 
-    @cached_property
-    def even(self) -> EvenInvariants:
-        return even_invariants(self.split.even_part, self.settings)
-
-    @cached_property
-    def odd(self) -> OddInvariants:
-        return odd_invariants(self.split.odd_part, self.settings)
+    def invariants(self, odd: bool) -> PartInvariants:
+        """Invariants of the odd or the even part, computed on first use."""
+        inv = self._invariants.get(odd)
+        if inv is None:
+            part = self.split.odd_part if odd else self.split.even_part
+            inv = self._invariants[odd] = part_invariants(part, self.settings)
+        return inv
 
     @cached_property
     def weight1_exact(self) -> bool:
+        if self._mirror is not None:
+            return self._mirror.weight1_exact
         return certify_irreducible(self.split.odd_part, self.settings)
 
     @cached_property
     def dual(self) -> Analysis:
-        """Analysis of the contragredient under the same settings."""
-        return Analysis.of(contragredient(self.rep), self.settings)
+        """Analysis of the contragredient, which takes its weight-one certificate
+        from here: x -> x^T maps one commutant onto the other."""
+        dual = Analysis.of(contragredient(self.rep), self.settings)
+        dual._mirror = self
+        return dual
 
     def dim(self, w: int, cusp: bool = False) -> DimResult:
         """Dimension of the holomorphic (or cusp) forms of integer weight w."""
-        if w % 2 == 0:
-            return self._even_dim(w // 2, cusp)
-        return self._odd_dim((w - 1) // 2, cusp)
-
-    def _even_dim(self, k: int, cusp: bool) -> DimResult:
-        if self.split.even_part.degree == 0:
+        odd = w % 2 == 1
+        if (self.split.odd_part if odd else self.split.even_part).degree == 0:
             return DimResult(0, EXACT, "parity-zero")
+        k = w // 2
         if k < 0:
             return DimResult(0, EXACT, "negative-weight")
-        inv = self.even
-        if cusp:
-            if k == 0:
-                return DimResult(0, EXACT, "weight-0-cusp")
-            if k == 1:
-                return DimResult(inv.lambda_minus + inv.gamma(1) + inv.h0, EXACT, "cusp-weight-2")
-            return DimResult(inv.lambda_minus + inv.gamma(k), EXACT, "even-cusp-k>1")
+        inv = self.invariants(odd)
+        lam = inv.lambda_minus if cusp else inv.lambda_plus
+        if k == 0 and odd:
+            if self.weight1_exact:
+                return DimResult(max(0, lam), EXACT, "odd-weight-1-irreducible")
+            return DimResult(max(0, lam), LOWER_BOUND, "odd-weight-1-lower-bound")
+        if k == 0 and cusp:
+            return DimResult(0, EXACT, "weight-0-cusp")
         if k == 0:
             return DimResult(inv.h0, EXACT, "weight-0-h0")
-        return DimResult(inv.lambda_plus + inv.gamma(k), EXACT, "even-k>0")
-
-    def _odd_dim(self, k: int, cusp: bool) -> DimResult:
-        if self.split.odd_part.degree == 0:
-            return DimResult(0, EXACT, "parity-zero")
-        if k < 0:
-            return DimResult(0, EXACT, "negative-weight")
-        inv = self.odd
-        lam = inv.dot_lambda_minus if cusp else inv.dot_lambda_plus
-        if k > 0:
-            rule = "odd-cusp-k>0" if cusp else "odd-k>0"
-            return DimResult(lam + inv.dot_gamma(k), EXACT, rule)
-        if self.weight1_exact:
-            return DimResult(max(0, lam), EXACT, "odd-weight-1-irreducible")
-        return DimResult(max(0, lam), LOWER_BOUND, "odd-weight-1-lower-bound")
+        if odd:
+            return DimResult(lam + inv.gamma(k), EXACT, "odd-cusp-k>0" if cusp else "odd-k>0")
+        if not cusp:
+            return DimResult(lam + inv.gamma(k), EXACT, "even-k>0")
+        if k == 1:
+            # The invariant vectors add to the weight-two cusp forms.
+            return DimResult(lam + inv.gamma(1) + inv.h0, EXACT, "cusp-weight-2")
+        return DimResult(lam + inv.gamma(k), EXACT, "even-cusp-k>1")
 
     def generator_numerator(self, cusp: bool) -> tuple[int, ...]:
         """Coefficients 0..12 of (1-z^4)(1-z^6) times the dimension series.

@@ -3,7 +3,8 @@
 Two kinds of data are extracted from a purely even representation: the
 eigenvalue multiplicities of the torsion generator images (the
 signature) and the multiset of eigenvalue phases of the t image
-together with an exact trace (the exponent data).  Everything else in
+together with an exact trace (the exponent data).  A purely odd
+representation is read through its even partner.  Everything else in
 the package is arithmetic on these integers and rationals.
 """
 
@@ -156,14 +157,22 @@ def signature_of_twist(sig: Signature, k: int) -> Signature:
 
 
 @dataclass(frozen=True)
-class EvenInvariants:
-    """Everything the even-weight dimension formulas consume."""
+class PartInvariants:
+    """Everything the dimension formulas consume for one parity part.
 
+    An odd part is read off its even partner, the tensor with the
+    inverse character: sig and exp belong to the partner, and its floor
+    traces are taken at the shifts 1/12 and 11/12 because the character
+    moves every eigenphase by one twelfth.  h0, the dimension of the
+    invariant vectors, is None for an odd part.
+    """
+
+    parity: int
     sig: Signature
     exp: ExponentData
     lambda_plus: int
     lambda_minus: int
-    h0: int
+    h0: int | None
     gamma_base: tuple[int, int, int, int, int, int]
 
     def gamma(self, k: int) -> int:
@@ -171,54 +180,22 @@ class EvenInvariants:
         return self.gamma_base[k % 6] + self.sig.d * (k // 6)
 
 
-@dataclass(frozen=True)
-class OddInvariants:
-    """Invariants of an odd representation, read off its even partner.
-
-    The partner is the tensor with the inverse character; its floor
-    traces are taken at the shifts 1/12 and 11/12 because the character
-    moves every eigenphase by one twelfth.
-    """
-
-    dot_sig: Signature
-    dot_exp: ExponentData
-    dot_lambda_plus: int
-    dot_lambda_minus: int
-    gamma_base: tuple[int, int, int, int, int, int]
-
-    def dot_gamma(self, k: int) -> int:
-        return self.gamma_base[k % 6] + self.dot_sig.d * (k // 6)
-
-
-def _gamma_base(sig: Signature) -> tuple[int, int, int, int, int, int]:
+def part_invariants(part: ModularRepresentation,
+                    settings: Settings = DEFAULT_SETTINGS) -> PartInvariants:
+    """Extract all invariants of a purely even or purely odd representation."""
+    sign = parity(part, settings)
+    if sign == 0:
+        raise ParityError("invariants need a purely even or purely odd representation")
+    even = part if sign == 1 else tensor_kappa(part, -1)
+    shift = Fraction(0) if sign == 1 else Fraction(1, 12)
+    phases = t_eigenphases(even, settings)
+    sig = signature(even, settings)
+    exp = ExponentData(phases, sig.trace_lambda)
+    h0 = None
+    if sign == 1:
+        eye = np.eye(part.degree, dtype=np.complex128)
+        h0 = nullspace(np.vstack([part.s_image - eye, part.t_image - eye]), settings).shape[1]
     d, a, b1, b2 = sig.d, sig.alpha, sig.beta1, sig.beta2
-    return (0, a + b1 + b2 - d, b2, a, b1 + b2, a + b2)
-
-
-def even_invariants(rep: ModularRepresentation,
-                    settings: Settings = DEFAULT_SETTINGS) -> EvenInvariants:
-    """Extract all even-weight invariants at once."""
-    if parity(rep, settings) != 1:
-        raise ParityError("even invariants need a purely even representation")
-    phases = t_eigenphases(rep, settings)
-    sig = signature(rep, settings)
-    exp = ExponentData(phases, sig.trace_lambda)
-    lam_plus = floor_trace(exp, 0)
-    lam_minus = -floor_trace_complement(exp, 1)
-    eye = np.eye(rep.degree, dtype=np.complex128)
-    h0 = nullspace(np.vstack([rep.s_image - eye, rep.t_image - eye]), settings).shape[1]
-    return EvenInvariants(sig, exp, lam_plus, lam_minus, h0, _gamma_base(sig))
-
-
-def odd_invariants(rep: ModularRepresentation,
-                   settings: Settings = DEFAULT_SETTINGS) -> OddInvariants:
-    """Extract all odd-weight invariants via the even partner."""
-    if parity(rep, settings) != -1:
-        raise ParityError("odd invariants need a purely odd representation")
-    partner = tensor_kappa(rep, -1)
-    phases = t_eigenphases(partner, settings)
-    sig = signature(partner, settings)
-    exp = ExponentData(phases, sig.trace_lambda)
-    lam_plus = floor_trace(exp, Fraction(1, 12))
-    lam_minus = -floor_trace_complement(exp, Fraction(11, 12))
-    return OddInvariants(sig, exp, lam_plus, lam_minus, _gamma_base(sig))
+    return PartInvariants(sign, sig, exp, floor_trace(exp, shift),
+                          -floor_trace_complement(exp, 1 - shift), h0,
+                          (0, a + b1 + b2 - d, b2, a, b1 + b2, a + b2))

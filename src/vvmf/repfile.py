@@ -47,6 +47,10 @@ def _check_entry(value, encoding: str, path: str):
         if (not isinstance(value, list) or len(value) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
             _fail(path, "a [re, im] pair of numbers")
+        try:
+            complex(*value)
+        except OverflowError:
+            _fail(path, "a [re, im] pair within the floating point range")
         return
     if not isinstance(value, dict) or set(value) != {"order", "coeffs"}:
         _fail(path, 'an {"order": n, "coeffs": [...]} object')
@@ -60,9 +64,11 @@ def _check_entry(value, encoding: str, path: str):
         if not isinstance(c, str):
             _fail(f"{path}.coeffs[{i}]", "a 'p/q' or integer string")
         try:
-            Fraction(c)
+            float(Fraction(c))
         except (ValueError, ZeroDivisionError):
             _fail(f"{path}.coeffs[{i}]", "a 'p/q' or integer string")
+        except OverflowError:
+            _fail(f"{path}.coeffs[{i}]", "a number within the floating point range")
 
 
 def _check_matrix(entries, degree: int, encoding: str, field: str):
@@ -98,10 +104,10 @@ def parse_repfile(doc: dict, name: str = "rep") -> RepFile:
 
 
 def load_repfile(path: str) -> RepFile:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ParseError(f"invalid JSON: {err}") from None
     stem = path.rsplit("/", 1)[-1].removesuffix(".json")
     return parse_repfile(doc, stem)

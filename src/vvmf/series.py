@@ -1,11 +1,11 @@
-"""Generator weight profiles, Hilbert series and duality reports.
+"""Generator weight profiles and duality reports.
 
 The graded modules of holomorphic and cusp forms are free of rank d
 over the ring generated by the two classical Eisenstein series, so each
 module is described completely by the multiset of weights of its free
 generators.  Those weights live in 0..12 (even parts on even weights,
-odd parts on odd ones) and determine the Hilbert series with the fixed
-denominator (1-z^4)(1-z^6).
+odd parts on odd ones) and are the numerator of the Hilbert series with
+the fixed denominator (1-z^4)(1-z^6).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .modrep import ModularRepresentation
 
 HOLOMORPHIC = "holomorphic"
 CUSP = "cusp"
-
-DENOMINATOR = "(1-z^4)(1-z^6)"
 
 
 @dataclass(frozen=True)
@@ -39,30 +37,6 @@ class GeneratorProfile:
             raise ValueError("generator counts must total the degree")
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
-    """Rational generating function of the dimension sequence."""
-
-    numerator: tuple[int, ...]
-    denominator: str = DENOMINATOR
-
-    def coefficient(self, w: int) -> int:
-        if 0 <= w < len(self.numerator):
-            return self.numerator[w]
-        return 0
-
-    def expand(self, max_weight: int) -> list[int]:
-        """Taylor coefficients of numerator/denominator up to max_weight."""
-        dims = [0] * (max_weight + 1)
-        for u, c in enumerate(self.numerator):
-            if c == 0 or u > max_weight:
-                continue
-            for a in range((max_weight - u) // 4 + 1):
-                for b in range((max_weight - u - 4 * a) // 6 + 1):
-                    dims[u + 4 * a + 6 * b] += c
-        return dims
-
-
 def generator_profile(rep: ModularRepresentation, kind: str = HOLOMORPHIC,
                       settings: Settings = DEFAULT_SETTINGS) -> GeneratorProfile:
     """Count free generators by weight.
@@ -76,14 +50,6 @@ def generator_profile(rep: ModularRepresentation, kind: str = HOLOMORPHIC,
     numerator = Analysis.of(rep, settings).generator_numerator(kind == CUSP)
     counts = {w: c for w, c in enumerate(numerator) if c}
     return GeneratorProfile(kind, counts, rep.degree)
-
-
-def hilbert_series(rep: ModularRepresentation, kind: str = HOLOMORPHIC,
-                   settings: Settings = DEFAULT_SETTINGS) -> HilbertSeries:
-    """Numerator polynomial of the dimension generating function."""
-    profile = generator_profile(rep, kind, settings)
-    top = max(profile.counts, default=0)
-    return HilbertSeries(tuple(profile.counts.get(w, 0) for w in range(top + 1)))
 
 
 @dataclass(frozen=True)
@@ -138,19 +104,14 @@ def duality_report(rep: ModularRepresentation, n_max: int = 3,
         _sum_check("odd-weight-sum", a, n_max, a.split.odd_part.degree,
                    lambda n, k: (2 * k + 1, 12 * n + 1 - 2 * k)),
     ]
+    names = ("generator-mirror-holo", "generator-mirror-cusp")
     try:
-        mirrors = (
-            ("generator-mirror-holo", hilbert_series(rep, HOLOMORPHIC, settings),
-             hilbert_series(dual, CUSP, settings)),
-            ("generator-mirror-cusp", hilbert_series(rep, CUSP, settings),
-             hilbert_series(dual, HOLOMORPHIC, settings)),
-        )
+        mirrors = [(a.generator_numerator(cusp), a.dual.generator_numerator(not cusp))
+                   for cusp in (False, True)]
     except Weight1Indeterminate as err:
-        checks.append(IdentityCheck("generator-mirror-holo", "skipped", note=str(err)))
-        checks.append(IdentityCheck("generator-mirror-cusp", "skipped", note=str(err)))
+        checks += [IdentityCheck(name, "skipped", note=str(err)) for name in names]
     else:
-        for name, series_rep, series_dual in mirrors:
-            bad = tuple(w for w in range(13)
-                        if series_dual.coefficient(w) != series_rep.coefficient(12 - w))
+        for name, (numerator, dual_numerator) in zip(names, mirrors):
+            bad = tuple(w for w in range(13) if dual_numerator[w] != numerator[12 - w])
             checks.append(IdentityCheck(name, "fail" if bad else "pass", bad))
     return DualityReport(rep.name, dual.name, n_max, tuple(checks))

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from vvmf.invariants import even_invariants, floor_trace, floor_trace_complement
+from vvmf.invariants import (
+    ExponentData,
+    floor_trace,
+    floor_trace_complement,
+    signature,
+    t_eigenphases,
+)
 from vvmf.modrep import ModularRepresentation, build_p1_permutation, direct_sum
 
 
@@ -15,9 +21,9 @@ def dim_via_exponent_shift(rep, k):
     Returns (holomorphic, cusp) dimensions of weight-k forms for the
     k-th character twist, read directly off the floor traces at shift
     k/12.  Exactness needs irreducibility, which the caller vouches for;
-    even_invariants raises ParityError unless rep is purely even.
+    signature raises ParityError unless rep is purely even.
     """
-    exp = even_invariants(rep).exp
+    exp = ExponentData(t_eigenphases(rep), signature(rep).trace_lambda)
     holo = max(0, floor_trace(exp, Fraction(k, 12)))
     cusp = max(0, -floor_trace_complement(exp, 1 - Fraction(k, 12)))
     return holo, cusp

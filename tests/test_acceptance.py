@@ -15,7 +15,7 @@ from vvmf.dimensions import (
     dim_cusp,
     dim_holomorphic,
 )
-from vvmf.invariants import even_invariants, odd_invariants
+from vvmf.invariants import part_invariants
 from vvmf.linalg import SnapFailure
 from vvmf.modrep import (
     contragredient,
@@ -65,15 +65,15 @@ def test_criterion_2_eta_squared_character():
     kappa = resolve("kappa^1")
     m1 = dim_holomorphic(kappa, 1)
     s1 = dim_cusp(kappa, 1)
-    inv = odd_invariants(kappa)
+    inv = part_invariants(kappa)
     checks = [
         ("dim M_1", (m1.value, m1.status), (1, EXACT)),
         ("dim S_1", (s1.value, s1.status), (1, EXACT)),
         ("dim M_3", dim_holomorphic(kappa, 3).value, 0),
         ("dim M_1 of dual", dim_holomorphic(contragredient(kappa), 1).value, 0),
-        ("lambda-dot-plus", inv.dot_lambda_plus, 1),
-        ("lambda-dot-minus", inv.dot_lambda_minus, 1),
-        ("gamma-dot-1", inv.dot_gamma(1), -1),
+        ("lambda-dot-plus", inv.lambda_plus, 1),
+        ("lambda-dot-minus", inv.lambda_minus, 1),
+        ("gamma-dot-1", inv.gamma(1), -1),
     ]
     failures = [c for c in checks if c[1] != c[2]]
     _finish(2, failures, "weight-one space of the order-twelve character")
@@ -137,7 +137,7 @@ def test_criterion_6_invariant_battery(catalog_reps):
 
     for name, split in splits.items():
         if split.even_part.degree:
-            inv = even_invariants(split.even_part)
+            inv = part_invariants(split.even_part)
             try:
                 inv.exp.integer_offset()
             except SnapFailure:
@@ -147,28 +147,28 @@ def test_criterion_6_invariant_battery(catalog_reps):
                 failures.append(("phase-zero-count", name))
             if not gamma_sequence_check(inv, 20):
                 failures.append(("gamma-recurrence", name))
-            dinv = even_invariants(contragredient(split.even_part))
+            dinv = part_invariants(contragredient(split.even_part))
             if inv.lambda_plus + dinv.lambda_minus != -inv.gamma(1):
                 failures.append(("reciprocity", name))
             if dinv.lambda_plus + inv.lambda_minus != -inv.gamma(1):
                 failures.append(("reciprocity-dual", name))
         if split.odd_part.degree:
-            oinv = odd_invariants(split.odd_part)
+            oinv = part_invariants(split.odd_part)
             try:
-                oinv.dot_exp.integer_offset()
+                oinv.exp.integer_offset()
             except SnapFailure:
                 failures.append(("integrality-odd", name))
-            g = oinv.dot_gamma
+            g = oinv.gamma
             for k in range(-20, 21):
                 if g(k + 5) + g(k) != g(k + 3) + g(k + 2):
                     failures.append(("gamma-dot-recurrence", name, k))
                 if g(k + 7) + g(k) != g(k + 3) + g(k + 4):
                     failures.append(("gamma-dot-recurrence", name, k))
-            doinv = odd_invariants(contragredient(split.odd_part))
-            if doinv.dot_lambda_plus != -oinv.dot_lambda_minus:
+            doinv = part_invariants(contragredient(split.odd_part))
+            if doinv.lambda_plus != -oinv.lambda_minus:
                 failures.append(("reciprocity-odd", name))
             for k in range(-20, 21):
-                if doinv.dot_gamma(k) != -oinv.dot_gamma(-k):
+                if doinv.gamma(k) != -oinv.gamma(-k):
                     failures.append(("gamma-dot-mirror", name, k))
 
     names = list(catalog_reps)

@@ -114,6 +114,20 @@ def test_validate_relation_violation(tmp_path, capsys):
     assert "RelationViolation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, needle", [
+    (json.dumps(dict(KAPPA_FILE, T=[[{"order": 12, "coeffs": ["0", "1e400"]}]])).encode(),
+     "T[0][0].coeffs[1]"),
+    (json.dumps(dict(BAD_FILE, S=[[[10**400, 0]]])).encode(), "S[0][0]"),
+    (b'{"degree": 1, "name": "\xff"}', "utf-8"),
+], ids=["cyclotomic-overflow", "complex-overflow", "not-utf8"])
+def test_unreadable_numbers_and_bytes_are_file_errors(tmp_path, capsys, content, needle):
+    path = tmp_path / "rep.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vvmf: error:") and needle in err
+
+
 def test_validate_json_keys(capsys):
     assert main(["validate", "catalog:kappa^1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

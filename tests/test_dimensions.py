@@ -16,7 +16,7 @@ from vvmf.dimensions import (
     dim_holomorphic,
     dim_table,
 )
-from vvmf.invariants import even_invariants, odd_invariants
+from vvmf.invariants import part_invariants
 from vvmf.linalg import Settings, snap_integer
 from vvmf.modrep import (
     ModularRepresentation,
@@ -214,7 +214,7 @@ def test_lambda_cohomology_identities(catalog_reps, std2):
     evens = [catalog_reps[n] for n in ("rho0", "kappa^2", "kappa^6", "p1(2)",
                                        "p1(3)", "rho0+kappa^2", "p1(2)*k^2")]
     for rep in evens + [std2]:
-        inv = even_invariants(parity_split(rep).even_part)
+        inv = part_invariants(parity_split(rep).even_part)
         dual = contragredient(rep)
         assert inv.lambda_plus == (dim_holomorphic(rep, 0).value
                                    - dim_cusp(dual, 2).value), rep.name
@@ -225,12 +225,12 @@ def test_lambda_cohomology_identities(catalog_reps, std2):
 def test_dot_lambda_cohomology_identities(catalog_reps):
     odds = [catalog_reps[f"kappa^{j}"] for j in (1, 3, 5, 7, 9, 11)]
     for rep in odds:
-        inv = odd_invariants(rep)
+        inv = part_invariants(rep)
         dual = contragredient(rep)
         m1, s1 = dim_holomorphic(rep, 1), dim_cusp(rep, 1)
         assert m1.status == EXACT and s1.status == EXACT
-        assert inv.dot_lambda_plus == m1.value - dim_cusp(dual, 1).value
-        assert inv.dot_lambda_minus == s1.value - dim_holomorphic(dual, 1).value
+        assert inv.lambda_plus == m1.value - dim_cusp(dual, 1).value
+        assert inv.lambda_minus == s1.value - dim_holomorphic(dual, 1).value
 
 
 def test_two_path_consistency(catalog_reps, std2):
@@ -302,3 +302,21 @@ def test_explicit_settings_split_once(monkeypatch):
     monkeypatch.setattr(vvmf.dimensions, "parity_split", counting_split)
     dim_table(build_p1_permutation(3), -2, 60, Settings())
     assert len(calls) == 1
+
+
+def test_dual_takes_the_weight_one_certificate(monkeypatch):
+    # x -> x^T maps the commutant onto the dual's, so one solve serves both.
+    calls = []
+
+    def counting_commutant(rep, settings):
+        calls.append(rep.name)
+        return commutant_dimension(rep, settings)
+
+    monkeypatch.setattr(vvmf.dimensions, "commutant_dimension", counting_commutant)
+    rep = tensor_kappa(steinberg(5), 1)
+    dim_table(rep, -2, 30)
+    report = duality_report(rep)
+    assert report.ok
+    assert [c.status for c in report.checks if c.name.startswith("generator-mirror")] == [
+        "pass", "pass"]
+    assert calls == ["St(5)*k^1[odd]"]

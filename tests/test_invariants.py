@@ -8,10 +8,9 @@ from helpers import conjugate, gamma_sequence_check, p1_sum
 from vvmf.invariants import (
     ExponentData,
     Signature,
-    even_invariants,
     floor_trace,
     floor_trace_complement,
-    odd_invariants,
+    part_invariants,
     signature,
     signature_of_twist,
     t_eigenphases,
@@ -161,21 +160,21 @@ def test_signature_of_twist_matches_tensor(std2):
 
 
 def test_integer_offset():
-    assert even_invariants(build_rho0()).exp.integer_offset() == 1
-    assert even_invariants(build_kappa_power(10)).exp.integer_offset() == -1
-    assert even_invariants(build_p1_permutation(3)).exp.integer_offset() == 1
+    assert part_invariants(build_rho0()).exp.integer_offset() == 1
+    assert part_invariants(build_kappa_power(10)).exp.integer_offset() == -1
+    assert part_invariants(build_p1_permutation(3)).exp.integer_offset() == 1
     with pytest.raises(SnapFailure):
         ExponentData((F(1, 2),), F(1, 3)).integer_offset()
 
 
 def test_floor_trace_examples():
-    assert floor_trace(even_invariants(build_rho0()).exp, 0) == 1
-    assert floor_trace(even_invariants(build_kappa_power(2)).exp, 0) == 0
+    assert floor_trace(part_invariants(build_rho0()).exp, 0) == 1
+    assert floor_trace(part_invariants(build_kappa_power(2)).exp, 0) == 0
 
 
 def test_floor_trace_integer_shift():
     for rep in (build_rho0(), build_kappa_power(4), build_p1_permutation(2)):
-        exp = even_invariants(rep).exp
+        exp = part_invariants(rep).exp
         d = exp.degree
         for s in (F(0), F(1, 12), F(5, 6)):
             assert floor_trace(exp, s + 1) == floor_trace(exp, s) + d
@@ -193,7 +192,7 @@ def negated(exp):
 def test_negated_data_gives_complement():
     for rep in (build_rho0(), build_kappa_power(2), build_p1_permutation(2),
                 build_p1_permutation(3)):
-        exp = even_invariants(rep).exp
+        exp = part_invariants(rep).exp
         assert floor_trace_complement(exp, 1) == floor_trace(negated(exp), 1)
         neg = negated(exp)
         assert neg.trace_lambda == -exp.trace_lambda
@@ -210,7 +209,7 @@ def test_even_invariants_frozen_values(std2):
         (std2, 0, -1, 0, (0, 1, 1, 1, 2, 2)),
     ]
     for rep, lam_plus, lam_minus, h0, base in cases:
-        inv = even_invariants(rep)
+        inv = part_invariants(rep)
         assert inv.lambda_plus == lam_plus, rep.name
         assert inv.lambda_minus == lam_minus, rep.name
         assert inv.h0 == h0, rep.name
@@ -219,7 +218,7 @@ def test_even_invariants_frozen_values(std2):
 
 def test_gamma_periodicity_and_zero(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = even_invariants(part)
+        inv = part_invariants(part)
         assert inv.gamma(0) == 0
         for k in range(-12, 13):
             assert inv.gamma(k + 6) == inv.gamma(k) + part.degree
@@ -228,91 +227,92 @@ def test_gamma_periodicity_and_zero(catalog_reps):
 def test_gamma_recurrences():
     for rep in (build_rho0(), build_kappa_power(2),
                 parity_split(build_p1_permutation(2)).even_part):
-        assert gamma_sequence_check(even_invariants(rep), 20)
+        assert gamma_sequence_check(part_invariants(rep), 20)
 
 
 def test_odd_invariants_kappa():
-    inv = odd_invariants(build_kappa_power(1))
-    assert inv.dot_lambda_plus == 1
-    assert inv.dot_lambda_minus == 1
-    assert [inv.dot_gamma(k) for k in range(7)] == [0, -1, 0, 0, 0, 0, 1]
+    inv = part_invariants(build_kappa_power(1))
+    assert inv.h0 is None
+    assert inv.lambda_plus == 1
+    assert inv.lambda_minus == 1
+    assert [inv.gamma(k) for k in range(7)] == [0, -1, 0, 0, 0, 0, 1]
 
 
 def test_odd_invariants_kappa_cubed():
-    inv = odd_invariants(build_kappa_power(3))
-    assert inv.dot_sig == signature(build_kappa_power(2))
-    assert inv.dot_lambda_plus == 0
+    inv = part_invariants(build_kappa_power(3))
+    assert inv.sig == signature(build_kappa_power(2))
+    assert inv.lambda_plus == 0
 
 
 def test_odd_invariants_kappa_eleventh():
-    # The value pairs with the first power through the dual identity
-    # dot_lambda_plus(dual) == -dot_lambda_minus(rep).
-    inv = odd_invariants(build_kappa_power(11))
-    assert inv.dot_lambda_plus == -odd_invariants(build_kappa_power(1)).dot_lambda_minus
-    assert inv.dot_lambda_plus == -1
+    # The value pairs with the first power through the odd dual identity
+    # lambda_plus(dual) == -lambda_minus(rep).
+    inv = part_invariants(build_kappa_power(11))
+    assert inv.lambda_plus == -part_invariants(build_kappa_power(1)).lambda_minus
+    assert inv.lambda_plus == -1
 
 
-def test_even_invariants_need_even_parity():
+def test_part_invariants_need_a_pure_part():
     with pytest.raises(ParityError):
-        even_invariants(build_kappa_power(1))
-    with pytest.raises(ParityError):
-        odd_invariants(build_kappa_power(2))
+        part_invariants(direct_sum(build_rho0(), build_kappa_power(1)))
+    assert part_invariants(build_kappa_power(1)).parity == -1
+    assert part_invariants(build_kappa_power(2)).parity == 1
 
 
 def test_phase_zero_count(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = even_invariants(part)
+        inv = part_invariants(part)
         zeros = sum(1 for x in inv.exp.phases if x == 0)
         assert inv.lambda_plus - inv.lambda_minus == zeros, part.name
 
 
 def test_dot_lambda_boundary_phase_count(catalog_reps):
     for part in odd_parts(catalog_reps):
-        inv = odd_invariants(part)
-        boundary = sum(1 for x in inv.dot_exp.phases if x == F(11, 12))
-        assert inv.dot_lambda_plus - inv.dot_lambda_minus == boundary, part.name
+        inv = part_invariants(part)
+        boundary = sum(1 for x in inv.exp.phases if x == F(11, 12))
+        assert inv.lambda_plus - inv.lambda_minus == boundary, part.name
 
 
 def test_dot_lambda_chain(catalog_reps):
     for part in odd_parts(catalog_reps):
-        inv = odd_invariants(part)
+        inv = part_invariants(part)
         partner = tensor_kappa(part, -1)
-        assert even_invariants(partner).lambda_plus <= inv.dot_lambda_minus
-        assert inv.dot_lambda_minus <= inv.dot_lambda_plus
+        assert part_invariants(partner).lambda_plus <= inv.lambda_minus
+        assert inv.lambda_minus <= inv.lambda_plus
 
 
 def test_dual_gamma_identity(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = even_invariants(part)
-        inv_dual = even_invariants(contragredient(part))
+        inv = part_invariants(part)
+        inv_dual = part_invariants(contragredient(part))
         for k in range(-20, 21):
             assert inv_dual.gamma(k) == inv.gamma(1) - inv.gamma(1 - k), part.name
 
 
 def test_reciprocity_even(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = even_invariants(part)
-        inv_dual = even_invariants(contragredient(part))
+        inv = part_invariants(part)
+        inv_dual = part_invariants(contragredient(part))
         assert inv.lambda_plus + inv_dual.lambda_minus == -inv.gamma(1), part.name
         assert inv_dual.lambda_plus + inv.lambda_minus == -inv.gamma(1), part.name
 
 
 def test_reciprocity_odd(catalog_reps):
     for part in odd_parts(catalog_reps):
-        inv = odd_invariants(part)
-        inv_dual = odd_invariants(contragredient(part))
-        assert inv_dual.dot_lambda_plus == -inv.dot_lambda_minus, part.name
+        inv = part_invariants(part)
+        inv_dual = part_invariants(contragredient(part))
+        assert inv_dual.lambda_plus == -inv.lambda_minus, part.name
         for k in range(-20, 21):
-            assert inv_dual.dot_gamma(k) == -inv.dot_gamma(-k), part.name
+            assert inv_dual.gamma(k) == -inv.gamma(-k), part.name
 
 
 def test_lambda_plus_nonpositive_for_nontrivial_irreducible(std2):
     reps = [build_kappa_power(j) for j in EVEN_KAPPAS] + [std2]
     for rep in reps:
-        assert even_invariants(rep).lambda_plus <= 0, rep.name
+        assert part_invariants(rep).lambda_plus <= 0, rep.name
 
 
 def test_lambda_order(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = even_invariants(part)
+        inv = part_invariants(part)
         assert inv.lambda_minus <= inv.lambda_plus

@@ -120,6 +120,9 @@ def broken(doc, **changes):
     (broken(KAPPA_COMPLEX, S=[[[0, True]]]), "S[0][0]"),
     (broken(KAPPA_COMPLEX, S=[[0, -1]]), "S[0]"),
     (broken(KAPPA_COMPLEX, T=[[[1, 0]], [[0, 1]]]), "T"),
+    (broken(KAPPA_CYCLOTOMIC, S=[[{"order": 4, "coeffs": ["0", "1e400"]}]]),
+     "S[0][0].coeffs[1]"),
+    (broken(KAPPA_COMPLEX, S=[[[0, -10**400]]]), "S[0][0]"),
 ])
 def test_schema_errors_name_the_location(doc, needle):
     with pytest.raises(ParseError) as exc:
