@@ -55,7 +55,7 @@ from .modrep import (
     tensor_kappa,
     validate,
 )
-from .repfile import ParseError, RepFile, load_repfile, parse_rep
+from .repfile import ParseError, parse_rep
 from .series import (
     DualityReport,
     GeneratorProfile,

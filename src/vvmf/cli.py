@@ -39,7 +39,7 @@ def _load_source(source: str, settings: Settings) -> tuple[ModularRepresentation
     if source.startswith("catalog:"):
         rep = catalog.resolve(source[len("catalog:"):])
     else:
-        rep = repfile.parse_rep(source, settings, run_validate=False)
+        rep = repfile.parse_rep(source)
     return rep, validate(rep, settings)
 
 

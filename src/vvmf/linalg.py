@@ -90,10 +90,14 @@ def nullspace(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> Comple
     matrix made only of floating point noise (such as s^2 - 1 of a
     purely even representation in a rotated basis) from getting full
     rank; the scaling keeps large honest entries from hiding a rank drop.
+    A tall matrix is first reduced to its square triangular QR factor,
+    which has the same null space and singular values.
     """
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=np.complex128)
+    if rows > cols:
+        a = np.linalg.qr(a, mode="r")
     _, sigma, vh = np.linalg.svd(a, full_matrices=rows < cols)
     rank = int(np.count_nonzero(sigma > settings.eps * max(1.0, sigma[0])))
     return vh[rank:].conj().T

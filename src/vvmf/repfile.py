@@ -2,9 +2,9 @@
 
 A file stores the two generator images entry by entry, either as
 [re, im] pairs or as exact cyclotomic combinations that are evaluated
-to complex doubles on load.  Loading is strict: any malformed field
-raises ParseError naming the offending location.  Keys outside the
-schema are ignored.
+to complex doubles on load.  Loading is strict: any malformed field, or
+an entry that is no finite complex double, raises ParseError naming the
+offending location.  Keys outside the schema are ignored.
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DEFAULT_SETTINGS, Settings
-from .modrep import ModularRepresentation, validate
+from .modrep import ModularRepresentation
 
 ENCODINGS = ("complex", "cyclotomic")
 
@@ -27,31 +25,21 @@ class ParseError(ValueError):
     """A representation file does not match the expected schema."""
 
 
-@dataclass(frozen=True)
-class RepFile:
-    """Parsed file content, with matrix entries still in raw JSON form."""
-
-    name: str
-    degree: int
-    entry_encoding: str
-    s_entries: list
-    t_entries: list
-
-
 def _fail(path: str, expected: str):
     raise ParseError(f"{path}: expected {expected}")
 
 
-def _check_entry(value, encoding: str, path: str):
-    if encoding == "complex":
-        if (not isinstance(value, list) or len(value) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
-            _fail(path, "a [re, im] pair of numbers")
-        try:
-            complex(*value)
-        except OverflowError:
-            _fail(path, "a [re, im] pair within the floating point range")
-        return
+def _complex_entry(value, path: str) -> complex:
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
+        _fail(path, "a [re, im] pair of numbers")
+    try:
+        return complex(*value)
+    except OverflowError:
+        _fail(path, "a [re, im] pair within the floating point range")
+
+
+def _cyclotomic_entry(value, path: str) -> complex:
     if not isinstance(value, dict) or set(value) != {"order", "coeffs"}:
         _fail(path, 'an {"order": n, "coeffs": [...]} object')
     order = value["order"]
@@ -60,29 +48,43 @@ def _check_entry(value, encoding: str, path: str):
     coeffs = value["coeffs"]
     if not isinstance(coeffs, list) or len(coeffs) > order:
         _fail(path + ".coeffs", f"a list of at most {order} strings")
-    for i, c in enumerate(coeffs):
+    total = 0j
+    for j, c in enumerate(coeffs):
         if not isinstance(c, str):
-            _fail(f"{path}.coeffs[{i}]", "a 'p/q' or integer string")
+            _fail(f"{path}.coeffs[{j}]", "a 'p/q' or integer string")
         try:
-            float(Fraction(c))
+            x = float(Fraction(c))
         except (ValueError, ZeroDivisionError):
-            _fail(f"{path}.coeffs[{i}]", "a 'p/q' or integer string")
+            _fail(f"{path}.coeffs[{j}]", "a 'p/q' or integer string")
         except OverflowError:
-            _fail(f"{path}.coeffs[{i}]", "a number within the floating point range")
+            _fail(f"{path}.coeffs[{j}]", "a number within the floating point range")
+        total += x * cmath.exp(2j * math.pi * j / order)
+    return total
 
 
-def _check_matrix(entries, degree: int, encoding: str, field: str):
+def _matrix(entries, degree: int, encoding: str, field: str) -> np.ndarray:
+    entry = _complex_entry if encoding == "complex" else _cyclotomic_entry
     if not isinstance(entries, list) or len(entries) != degree:
         _fail(field, f"a {degree}x{degree} matrix")
+    values = np.empty((degree, degree), dtype=np.complex128)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != degree:
             _fail(f"{field}[{i}]", f"a row of {degree} entries")
         for j, value in enumerate(row):
-            _check_entry(value, encoding, f"{field}[{i}][{j}]")
+            path = f"{field}[{i}][{j}]"
+            values[i, j] = z = entry(value, path)
+            if not cmath.isfinite(z):
+                _fail(path, "a value within the floating point range")
+    return values
 
 
-def parse_repfile(doc: dict, name: str = "rep") -> RepFile:
-    """Validate a decoded JSON document against the schema."""
+def parse_rep(path: str) -> ModularRepresentation:
+    """The representation a file describes; modrep.validate checks its relations."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ParseError(f"invalid JSON: {err}") from None
     if not isinstance(doc, dict):
         _fail("top level", "a JSON object")
     for key in ("degree", "entry_encoding", "S", "T"):
@@ -94,49 +96,9 @@ def parse_repfile(doc: dict, name: str = "rep") -> RepFile:
     encoding = doc["entry_encoding"]
     if encoding not in ENCODINGS:
         _fail("entry_encoding", "'complex' or 'cyclotomic'")
-    _check_matrix(doc["S"], degree, encoding, "S")
-    _check_matrix(doc["T"], degree, encoding, "T")
-    if "name" in doc:
-        if not isinstance(doc["name"], str):
-            _fail("name", "a string")
-        name = doc["name"]
-    return RepFile(name, degree, encoding, doc["S"], doc["T"])
-
-
-def load_repfile(path: str) -> RepFile:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ParseError(f"invalid JSON: {err}") from None
-    stem = path.rsplit("/", 1)[-1].removesuffix(".json")
-    return parse_repfile(doc, stem)
-
-
-def _entry_value(value, encoding: str) -> complex:
-    if encoding == "complex":
-        return complex(value[0], value[1])
-    order = value["order"]
-    total = 0j
-    for j, c in enumerate(value["coeffs"]):
-        total += float(Fraction(c)) * cmath.exp(2j * math.pi * j / order)
-    return total
-
-
-def to_representation(rf: RepFile, run_validate: bool = True,
-                      settings: Settings = DEFAULT_SETTINGS) -> ModularRepresentation:
-    """Build the representation a file describes, validating by default."""
-    s = np.array([[_entry_value(v, rf.entry_encoding) for v in row] for row in rf.s_entries],
-                 dtype=np.complex128)
-    t = np.array([[_entry_value(v, rf.entry_encoding) for v in row] for row in rf.t_entries],
-                 dtype=np.complex128)
-    rep = ModularRepresentation(s, t, rf.name)
-    if run_validate:
-        validate(rep, settings)
-    return rep
-
-
-def parse_rep(path: str, settings: Settings = DEFAULT_SETTINGS,
-              run_validate: bool = True) -> ModularRepresentation:
-    """Load, schema-check and (by default) validate a representation file."""
-    return to_representation(load_repfile(path), run_validate, settings)
+    s = _matrix(doc["S"], degree, encoding, "S")
+    t = _matrix(doc["T"], degree, encoding, "T")
+    name = doc.get("name", path.rsplit("/", 1)[-1].removesuffix(".json"))
+    if not isinstance(name, str):
+        _fail("name", "a string")
+    return ModularRepresentation(s, t, name)

@@ -1,5 +1,7 @@
 """Independent dimension routes the tests compare the library against."""
 
+import cmath
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -108,3 +110,38 @@ def complex_repfile(rep):
 
     return {"name": rep.name, "degree": rep.degree, "entry_encoding": "complex",
             "S": encode(rep.s_image), "T": encode(rep.t_image)}
+
+
+def cyclotomic_repfile(rep):
+    """A document for rep in the cyclotomic encoding, without a name.
+
+    Every entry of rep must be 0 or a twelfth root of unity.
+    """
+    def encode(z):
+        if abs(z) < 1e-12:
+            return {"order": 1, "coeffs": ["0"]}
+        j = round(12 * cmath.phase(z) / (2 * math.pi)) % 12
+        return {"order": 12, "coeffs": ["0"] * j + ["1"]}
+
+    return {"degree": rep.degree, "entry_encoding": "cyclotomic",
+            "S": [[encode(z) for z in row] for row in rep.s_image.tolist()],
+            "T": [[encode(z) for z in row] for row in rep.t_image.tolist()]}
+
+
+def _kappa_with_s(encoding, s_entry, t_entry):
+    return (f'{{"degree": 1, "entry_encoding": "{encoding}", '
+            f'"S": [[{s_entry}]], "T": [[{t_entry}]]}}')
+
+
+# Degree-one files, as JSON text, whose S entry is no finite double once
+# read: JSON turns 1e400 into infinity and accepts NaN and Infinity, and
+# the two cyclotomic terms overflow when added.
+NON_FINITE_FILES = {
+    f"complex-{label}": _kappa_with_s("complex", f"[{number}, 0]", "[0.8660254037844387, 0.5]")
+    for label, number in (("1e400", "1e400"), ("nan", "NaN"), ("inf", "Infinity"),
+                          ("minus-inf", "-Infinity"))
+} | {
+    "cyclotomic-sum-overflow": _kappa_with_s("cyclotomic",
+                                             '{"order": 2, "coeffs": ["1e308", "-1e308"]}',
+                                             '{"order": 12, "coeffs": ["0", "1"]}'),
+}

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import complex_repfile
+from helpers import NON_FINITE_FILES, complex_repfile
 from vvmf import modrep
 from vvmf.cli import main
 from vvmf.modrep import build_p1_permutation, find_t_order
@@ -119,7 +119,8 @@ def test_validate_relation_violation(tmp_path, capsys):
      "T[0][0].coeffs[1]"),
     (json.dumps(dict(BAD_FILE, S=[[[10**400, 0]]])).encode(), "S[0][0]"),
     (b'{"degree": 1, "name": "\xff"}', "utf-8"),
-], ids=["cyclotomic-overflow", "complex-overflow", "not-utf8"])
+    *((text.encode(), "S[0][0]") for text in NON_FINITE_FILES.values()),
+], ids=["cyclotomic-overflow", "complex-overflow", "not-utf8", *NON_FINITE_FILES])
 def test_unreadable_numbers_and_bytes_are_file_errors(tmp_path, capsys, content, needle):
     path = tmp_path / "rep.json"
     path.write_bytes(content)

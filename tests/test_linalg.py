@@ -107,6 +107,9 @@ def test_nullspace_row_permutation_invariance():
         other = null_basis(m[perm])
         # Same space: the orthogonal projectors agree.
         assert max_abs(basis @ basis.conj().T - other @ other.conj().T) <= 1e-9
+    # A tall matrix with the same null space: 40 generic combinations of the rows.
+    tall = null_basis(rng.normal(size=(40, 4)) @ m)
+    assert max_abs(basis @ basis.conj().T - tall @ tall.conj().T) <= 1e-9
 
 
 def test_nullspace_of_a_zero_column():

@@ -1,13 +1,23 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import complex_repfile
+from helpers import NON_FINITE_FILES, complex_repfile
 from vvmf.linalg import max_abs
-from vvmf.modrep import UNKNOWN, RelationViolation, build_kappa_power, build_p1_permutation
-from vvmf.repfile import ParseError, load_repfile, parse_rep, parse_repfile, to_representation
+from vvmf.modrep import (
+    UNKNOWN,
+    ModularRepresentation,
+    RelationViolation,
+    build_kappa_power,
+    build_p1_permutation,
+    validate,
+)
+from vvmf.repfile import ParseError, parse_rep
 
 KAPPA_CYCLOTOMIC = {
     "name": "kappa",
@@ -27,8 +37,9 @@ KAPPA_COMPLEX = {
 
 
 def write(tmp_path, doc, name="rep.json"):
+    """Write a document, or JSON text as it is, and return the path."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -48,10 +59,15 @@ def test_complex_kappa_file(tmp_path):
 
 
 def test_round_trip_both_encodings(tmp_path):
-    for doc in (KAPPA_CYCLOTOMIC, KAPPA_COMPLEX):
-        rf = load_repfile(write(tmp_path, doc))
-        assert (rf.name, rf.degree, rf.entry_encoding, rf.s_entries, rf.t_entries) == (
-            doc["name"], doc["degree"], doc["entry_encoding"], doc["S"], doc["T"])
+    # Each entry loads as exactly the value it denotes.
+    cyclotomic = parse_rep(write(tmp_path, KAPPA_CYCLOTOMIC))
+    assert (cyclotomic.name, cyclotomic.degree) == ("kappa", 1)
+    assert cyclotomic.s_image[0, 0] == cmath.exp(2j * math.pi * 3 / 4)
+    assert cyclotomic.t_image[0, 0] == cmath.exp(2j * math.pi / 12)
+    complex_ = parse_rep(write(tmp_path, KAPPA_COMPLEX))
+    assert (complex_.name, complex_.degree) == ("kappa", 1)
+    assert complex_.s_image[0, 0] == -1j
+    assert complex_.t_image[0, 0] == complex(*KAPPA_COMPLEX["T"][0][0])
 
 
 def test_serialize_representation_round_trip(tmp_path):
@@ -62,10 +78,10 @@ def test_serialize_representation_round_trip(tmp_path):
     assert max_abs(back.t_image - rep.t_image) <= 1e-12
 
 
-def test_irreducible_key_is_ignored():
+def test_irreducible_key_is_ignored(tmp_path):
     # Older files may carry an "irreducible" assertion; it is not trusted.
     for value in (True, False, "yes"):
-        rep = to_representation(parse_repfile(dict(KAPPA_CYCLOTOMIC, irreducible=value)))
+        rep = parse_rep(write(tmp_path, dict(KAPPA_CYCLOTOMIC, irreducible=value)))
         assert rep.irreducible_assertion == UNKNOWN
 
 
@@ -83,15 +99,16 @@ def test_relation_violation_from_file(tmp_path):
         "S": [[{"order": 1, "coeffs": ["1"]}]],
         "T": [[{"order": 12, "coeffs": ["0", "1"]}]],
     }
+    rep = parse_rep(write(tmp_path, doc))
     with pytest.raises(RelationViolation):
-        parse_rep(write(tmp_path, doc))
+        validate(rep)
 
 
 def test_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
-        load_repfile(str(path))
+        parse_rep(str(path))
 
 
 def broken(doc, **changes):
@@ -123,19 +140,57 @@ def broken(doc, **changes):
     (broken(KAPPA_CYCLOTOMIC, S=[[{"order": 4, "coeffs": ["0", "1e400"]}]]),
      "S[0][0].coeffs[1]"),
     (broken(KAPPA_COMPLEX, S=[[[0, -10**400]]]), "S[0][0]"),
+    *(pytest.param(text, "S[0][0]: expected a value within the floating point range", id=label)
+      for label, text in NON_FINITE_FILES.items()),
 ])
-def test_schema_errors_name_the_location(doc, needle):
+def test_schema_errors_name_the_location(tmp_path, doc, needle):
     with pytest.raises(ParseError) as exc:
-        parse_repfile(doc)
+        parse_rep(write(tmp_path, doc))
     assert needle in str(exc.value)
 
 
-def test_top_level_must_be_object():
+def test_top_level_must_be_object(tmp_path):
     with pytest.raises(ParseError):
-        parse_repfile([1, 2, 3])
+        parse_rep(write(tmp_path, [1, 2, 3]))
 
 
-def test_matrix_entry_count_must_match_degree():
+def test_matrix_entry_count_must_match_degree(tmp_path):
     doc = broken(KAPPA_COMPLEX, degree=2)
     with pytest.raises(ParseError):
-        parse_repfile(doc)
+        parse_rep(write(tmp_path, doc))
+
+
+# Finite doubles of every kind; both zeros and the smallest subnormals are
+# drawn on purpose, since the float strategy alone rarely gives -0.0.
+finite = st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.floats(allow_nan=False,
+                                                                   allow_infinity=False)
+images = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.builds(complex, finite, finite), min_size=d, max_size=d), min_size=2 * d,
+    max_size=2 * d))
+loader_settings = settings(derandomize=True, database=None, max_examples=30, deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@loader_settings
+@given(images)
+def test_finite_matrices_load_bit_for_bit(tmp_path, rows):
+    d = len(rows) // 2
+    rep = ModularRepresentation(rows[:d], rows[d:], "rep")
+    back = parse_rep(write(tmp_path, complex_repfile(rep)))
+    assert back.s_image.tobytes() == rep.s_image.tobytes()
+    assert back.t_image.tobytes() == rep.t_image.tobytes()
+
+
+@loader_settings
+@given(images, st.data())
+def test_one_bad_number_is_named(tmp_path, rows, data):
+    d = len(rows) // 2
+    doc = complex_repfile(ModularRepresentation(rows[:d], rows[d:], "rep"))
+    field = data.draw(st.sampled_from("ST"))
+    i, j, part = (data.draw(st.integers(0, n)) for n in (d - 1, d - 1, 1))
+    doc[field][i][j][part] = "BAD"
+    number = data.draw(st.sampled_from(["1e400", "-1e400", "NaN", "Infinity", "-Infinity",
+                                        "1" + "0" * 400]))
+    with pytest.raises(ParseError) as exc:
+        parse_rep(write(tmp_path, json.dumps(doc).replace('"BAD"', number)))
+    assert str(exc.value).startswith(f"{field}[{i}][{j}]: expected")
