@@ -88,26 +88,36 @@ class ExponentData:
         is an integer whenever signature and phases belong to the same
         representation.  A fractional value means corrupted input.
         """
-        gap = self.trace_lambda - sum(self.phases, Fraction(0))
-        if gap.denominator != 1:
-            raise SnapFailure(f"log trace differs from phase sum by the non-integer {gap}")
-        return int(gap)
+        m, numerators, trace = _over_common_denominator(self, self.trace_lambda)
+        gap = trace - sum(numerators)
+        if gap % m:
+            raise SnapFailure(
+                f"log trace differs from phase sum by the non-integer {Fraction(gap, m)}")
+        return gap // m
+
+
+def _over_common_denominator(exp: ExponentData, x: Fraction) -> tuple[int, list[int], int]:
+    """A common denominator m of the phases and x, the phase numerators over m, and m * x."""
+    m = math.lcm(x.denominator, *(p.denominator for p in exp.phases))
+    numerators = [p.numerator * (m // p.denominator) for p in exp.phases]
+    return m, numerators, x.numerator * (m // x.denominator)
 
 
 def floor_trace(exp: ExponentData, shift=0) -> int:
     """Sum of floor(log eigenvalue + shift) over all eigenvalues.
 
-    Exact integer arithmetic: the floors only see the fractional phases,
-    and the integer parts contribute the integer offset.
+    Exact integer arithmetic over a common denominator: the floors only
+    see the fractional phases, and the integer parts contribute the
+    integer offset.
     """
-    s = Fraction(shift)
-    return exp.integer_offset() + sum(math.floor(x + s) for x in exp.phases)
+    m, numerators, s = _over_common_denominator(exp, Fraction(shift))
+    return exp.integer_offset() + sum((x + s) // m for x in numerators)
 
 
 def floor_trace_complement(exp: ExponentData, shift=1) -> int:
     """Sum of floor(shift - log eigenvalue) over all eigenvalues."""
-    s = Fraction(shift)
-    return -exp.integer_offset() + sum(math.floor(s - x) for x in exp.phases)
+    m, numerators, s = _over_common_denominator(exp, Fraction(shift))
+    return -exp.integer_offset() + sum((s - x) // m for x in numerators)
 
 
 def t_eigenphases(rep: ModularRepresentation,

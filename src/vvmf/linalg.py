@@ -61,19 +61,22 @@ def max_abs(a: ComplexMatrix) -> float:
 
 
 def mat_pow(a: ComplexMatrix, n: int) -> ComplexMatrix:
-    """Non-negative matrix power by repeated squaring."""
+    """Non-negative matrix power by repeated squaring, as a new array."""
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if n < 0:
         raise ValueError("exponent must be non-negative")
-    result = np.eye(a.shape[0], dtype=np.complex128)
+    if n == 0:
+        return np.eye(a.shape[0], dtype=np.complex128)
+    result = None
     base = a
-    while n:
+    while True:
         if n & 1:
-            result = result @ base
-        base = base @ base
+            result = base if result is None else result @ base
         n >>= 1
-    return result
+        if not n:
+            return a.copy() if result is a else result
+        base = base @ base
 
 
 def is_identity(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> bool:

@@ -77,9 +77,11 @@ class ModularRepresentation:
     t_image: ComplexMatrix
     name: str = "rep"
     irreducible_assertion: str = UNKNOWN
-    # Derived data by Settings, filled by dimensions.Analysis.of; it lives
-    # and dies with the representation and is not part of its value.
+    # Derived data, which lives and dies with the representation and is not
+    # part of its value: the Analysis per Settings (dimensions.Analysis.of)
+    # and the certified t spectrum per (order_cap, Settings).
     analyses: dict = field(default_factory=dict, init=False, repr=False)
+    spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         s = as_matrix(self.s_image)
@@ -164,13 +166,18 @@ def _t_spectrum(rep: ModularRepresentation, order_cap: int,
     most order_cap.  The order n is the lcm of the denominators and is
     certified by matrix powers: t^n is the identity, t^(n/p) is not for
     any prime p dividing n, and the phases reproduce the trace of t.
+    The result is kept on the representation, by order cap and settings;
+    a failure is not, and raises again on every call.
     """
+    key = (order_cap, settings)
+    if key in rep.spectra:
+        return rep.spectra[key]
     t = rep.t_image
     eps = settings.eps
     pairs = []
     for lam in np.linalg.eigvals(t):
         defect = abs(lam) - 1.0
-        if abs(defect) > eps:
+        if not abs(defect) <= eps:
             raise TOrderNotFound(
                 "modulus", f"t eigenvalue {complex(lam):.6g} has |lambda| - 1 = {defect:.3e}, "
                 f"beyond the tolerance {eps:.1e}")
@@ -182,23 +189,27 @@ def _t_spectrum(rep: ModularRepresentation, order_cap: int,
     n = math.lcm(*denominators)
     primes = sorted(set().union(*map(_prime_factors, denominators)))
     radical = math.prod(primes)
-    # t^(n/p) = base^(radical/p) and t^n = base^radical share one power.
+    # Each t^(n/p) is a power of one base, and t^n is the smallest prime's
+    # power of its t^(n/p).
     base = mat_pow(t, n // radical)
-    residual = max_abs(mat_pow(base, radical) - np.eye(rep.degree, dtype=np.complex128))
-    if residual > eps:
+    divisor_powers = [mat_pow(base, radical // p) for p in primes]
+    t_n = mat_pow(divisor_powers[0], primes[0]) if primes else base
+    residual = max_abs(t_n - np.eye(rep.degree, dtype=np.complex128))
+    if not residual <= eps:
         raise TOrderNotFound(
             "power", f"t^{n} differs from the identity by {residual:.3e}, "
             f"beyond the tolerance {eps:.1e}")
-    for p in primes:
-        if is_identity(mat_pow(base, radical // p), settings):
+    for p, power in zip(primes, divisor_powers):
+        if is_identity(power, settings):
             raise TOrderNotFound(
                 "divisor", f"t^{n // p} is already the identity, a proper divisor of the "
                 f"eigenphase order {n}")
     roots = np.exp(2j * np.pi * np.array([p / q for p, q in pairs]))
     gap = abs(complex(np.sum(roots)) - complex(np.trace(t)))
-    if gap > eps * rep.degree:
+    if not gap <= eps * rep.degree:
         raise SnapFailure(f"t eigenphases miss the trace of t by {gap:.3e}")
-    return n, tuple(Fraction(p, q) for p, q in pairs)
+    spectrum = rep.spectra[key] = (n, tuple(Fraction(p, q) for p, q in pairs))
+    return spectrum
 
 
 def find_t_order(rep: ModularRepresentation, order_cap: int,
@@ -216,15 +227,17 @@ def validate(rep: ModularRepresentation,
     s, t = rep.s_image, rep.t_image
     d = rep.degree
     eye = np.eye(d, dtype=np.complex128)
-    s2 = s @ s
-    st = s @ t
-    residuals = {
-        "s^4 = 1": max_abs(s2 @ s2 - eye),
-        "(st)^3 = s^2": max_abs(st @ st @ st - s2),
-        "s^2 central": max_abs(s2 @ t - t @ s2),
-    }
+    # Products that overflow leave a NaN residual, which fails the gate.
+    with np.errstate(all="ignore"):
+        s2 = s @ s
+        st = s @ t
+        residuals = {
+            "s^4 = 1": max_abs(s2 @ s2 - eye),
+            "(st)^3 = s^2": max_abs(st @ st @ st - s2),
+            "s^2 central": max_abs(s2 @ t - t @ s2),
+        }
     for relation, residual in residuals.items():
-        if residual > settings.eps:
+        if not residual <= settings.eps:
             raise RelationViolation(relation, residual)
     n = find_t_order(rep, settings.order_cap, settings)
     return ValidationReport(True, n, max(residuals.values()))
@@ -254,7 +267,7 @@ def _restrict(g: ComplexMatrix, basis: ComplexMatrix, eps: float) -> ComplexMatr
     """Matrix of g on the span of the orthonormal columns of basis."""
     image = g @ basis
     m = basis.conj().T @ image
-    if max_abs(basis @ m - image) > eps:
+    if not max_abs(basis @ m - image) <= eps:
         raise ProjectorDefect("generator image does not preserve the parity eigenspace")
     return m
 
@@ -265,10 +278,19 @@ def parity_split(rep: ModularRepresentation,
 
     s^2 is central, so its eigenspaces for +1 and -1 carry
     subrepresentations; their orthonormal bases are the null spaces of
-    s^2 - 1 and s^2 + 1.
+    s^2 - 1 and s^2 + 1.  A representation of one parity is that part
+    itself, with the identity as its basis, and the other part is empty.
     """
     d = rep.degree
     eye = np.eye(d, dtype=np.complex128)
+    sign = parity(rep, settings)
+    if sign:
+        empty = ModularRepresentation(np.zeros((0, 0)), np.zeros((0, 0)),
+                                      f"{rep.name}[{'odd' if sign == 1 else 'even'}]")
+        no_basis = np.zeros((d, 0), dtype=np.complex128)
+        if sign == 1:
+            return ParityDecomposition(rep, empty, eye, no_basis)
+        return ParityDecomposition(empty, rep, no_basis, eye)
     s2 = rep.s_image @ rep.s_image
     parts = []
     bases = []
@@ -278,8 +300,7 @@ def parity_split(rep: ModularRepresentation,
         t_part = _restrict(rep.t_image, basis, settings.eps)
         if basis.shape[1] and not is_identity(sign * (s_part @ s_part), settings):
             raise ProjectorDefect(f"{tag} part does not have parity {sign:+d}")
-        assertion = rep.irreducible_assertion if basis.shape[1] == d else UNKNOWN
-        parts.append(ModularRepresentation(s_part, t_part, f"{rep.name}[{tag}]", assertion))
+        parts.append(ModularRepresentation(s_part, t_part, f"{rep.name}[{tag}]"))
         bases.append(basis)
     if parts[0].degree + parts[1].degree != d:
         raise ProjectorDefect("parity eigenspace dimensions do not add up to the degree")

@@ -14,6 +14,7 @@ from vvmf.invariants import (
     signature,
     t_eigenphases,
 )
+from vvmf.linalg import SnapFailure
 from vvmf.modrep import ModularRepresentation, build_p1_permutation, direct_sum
 
 
@@ -29,6 +30,26 @@ def dim_via_exponent_shift(rep, k):
     holo = max(0, floor_trace(exp, Fraction(k, 12)))
     cusp = max(0, -floor_trace_complement(exp, 1 - Fraction(k, 12)))
     return holo, cusp
+
+
+def fraction_offset(exp):
+    """Log trace minus phase sum, one Fraction per term, or SnapFailure."""
+    gap = exp.trace_lambda - sum(exp.phases, Fraction(0))
+    if gap.denominator != 1:
+        raise SnapFailure(f"log trace differs from phase sum by the non-integer {gap}")
+    return int(gap)
+
+
+def fraction_floor_trace(exp, shift):
+    """floor_trace with one Fraction per eigenvalue."""
+    s = Fraction(shift)
+    return fraction_offset(exp) + sum(math.floor(x + s) for x in exp.phases)
+
+
+def fraction_floor_trace_complement(exp, shift):
+    """floor_trace_complement with one Fraction per eigenvalue."""
+    s = Fraction(shift)
+    return -fraction_offset(exp) + sum(math.floor(s - x) for x in exp.phases)
 
 
 def p1_sum(*moduli):

@@ -114,6 +114,14 @@ def test_validate_relation_violation(tmp_path, capsys):
     assert "RelationViolation" in capsys.readouterr().err
 
 
+def test_validate_overflowing_file(tmp_path, capsys):
+    huge = [[[1e300, 0], [-1e300, 0]], [[1e300, 0], [1e300, 0]]]
+    doc = {"degree": 2, "entry_encoding": "complex", "S": huge, "T": huge}
+    assert main(["validate", write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "RelationViolation" in err and "s^4 = 1" in err
+
+
 @pytest.mark.parametrize("content, needle", [
     (json.dumps(dict(KAPPA_FILE, T=[[{"order": 12, "coeffs": ["0", "1e400"]}]])).encode(),
      "T[0][0].coeffs[1]"),

@@ -11,6 +11,7 @@ from vvmf.dimensions import (
     EXACT,
     LOWER_BOUND,
     DimResult,
+    Weight1Indeterminate,
     certify_irreducible,
     dim_cusp,
     dim_holomorphic,
@@ -22,6 +23,7 @@ from vvmf.modrep import (
     ModularRepresentation,
     ParityError,
     TOrderNotFound,
+    _t_spectrum,
     build_kappa_power,
     build_p1_permutation,
     build_rho0,
@@ -30,6 +32,7 @@ from vvmf.modrep import (
     direct_sum,
     parity_split,
     tensor_kappa,
+    validate,
 )
 from vvmf.series import CUSP, HOLOMORPHIC, duality_report, generator_profile
 
@@ -319,4 +322,80 @@ def test_dual_takes_the_weight_one_certificate(monkeypatch):
     assert report.ok
     assert [c.status for c in report.checks if c.name.startswith("generator-mirror")] == [
         "pass", "pass"]
-    assert calls == ["St(5)*k^1[odd]"]
+    assert calls == ["St(5)*k^1"]
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs each call; return the log."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def whole_analysis(rep):
+    validate(rep)
+    dim_table(rep, -2, 60)
+    for kind in (HOLOMORPHIC, CUSP):
+        try:
+            generator_profile(rep, kind)
+        except Weight1Indeterminate:
+            pass
+    duality_report(rep)
+
+
+@pytest.mark.parametrize("n, twist, eigvals, svds", [
+    # One t spectrum each for the representation and its dual; the two
+    # SVDs left are the h0 null spaces.
+    (30, 0, 2, 2),
+    # The odd part's commutant reuses the spectrum validate certified;
+    # the even partners of the part and of its dual have their own.
+    (16, 3, 3, 17),
+])
+def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, eigvals, svds):
+    rep = tensor_kappa(build_p1_permutation(n), twist)
+    eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
+    svd_calls = counting(monkeypatch, np.linalg, "svd")
+    whole_analysis(rep)
+    assert (len(eigvals_calls), len(svd_calls)) == (eigvals, svds)
+
+
+def test_pure_parity_representation_is_its_own_part(monkeypatch):
+    svd_calls = counting(monkeypatch, np.linalg, "svd")
+    even = build_p1_permutation(7)
+    split = parity_split(even)
+    assert split.even_part is even
+    assert split.odd_part.degree == 0
+    assert np.array_equal(split.even_basis, np.eye(even.degree))
+    assert split.odd_basis.shape == (even.degree, 0)
+    odd = tensor_kappa(even, 1)
+    split = parity_split(odd)
+    assert split.odd_part is odd
+    assert split.even_part.degree == 0
+    assert svd_calls == []
+    # A mixed representation is still split through both null spaces.
+    mixed = direct_sum(build_p1_permutation(5), odd)
+    split = parity_split(mixed)
+    assert (split.even_part.degree, split.odd_part.degree) == (6, 8)
+    assert split.even_part.name == "p1(5)+p1(7)*k^1[even]"
+    assert split.odd_part.name == "p1(5)+p1(7)*k^1[odd]"
+    assert len(svd_calls) == 2
+
+
+def test_failing_t_spectrum_is_not_cached(monkeypatch):
+    rep = noisy_p1_two()
+    eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
+    for attempt in (1, 2):
+        with pytest.raises(TOrderNotFound):
+            _t_spectrum(rep, 4096, Settings())
+        assert len(eigvals_calls) == attempt
+    assert rep.spectra == {}
+    loose = Settings(eps=1e-5)
+    assert _t_spectrum(rep, 4096, loose) is _t_spectrum(rep, 4096, loose)
+    assert list(rep.spectra) == [(4096, loose)]
+    assert len(eigvals_calls) == 3

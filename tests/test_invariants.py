@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import conjugate, gamma_sequence_check, p1_sum
+from helpers import (
+    conjugate,
+    fraction_floor_trace,
+    fraction_floor_trace_complement,
+    fraction_offset,
+    gamma_sequence_check,
+    p1_sum,
+)
 from vvmf.invariants import (
     ExponentData,
     Signature,
@@ -179,6 +188,25 @@ def test_floor_trace_integer_shift():
         for s in (F(0), F(1, 12), F(5, 6)):
             assert floor_trace(exp, s + 1) == floor_trace(exp, s) + d
             assert floor_trace_complement(exp, s + 1) == floor_trace_complement(exp, s) + d
+
+
+phases = st.integers(1, 5000).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: F(p, q)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(phases, max_size=24).map(sorted), st.integers(-40, 40), st.integers(2, 5000))
+def test_integer_floor_traces_match_fractions(phase_list, offset, bad_denominator):
+    exp = ExponentData(tuple(phase_list), sum(phase_list, F(0)) + offset)
+    assert exp.integer_offset() == fraction_offset(exp) == offset
+    for shift in (F(0), F(1, 12), F(11, 12), F(1)):
+        assert floor_trace(exp, shift) == fraction_floor_trace(exp, shift)
+        assert floor_trace_complement(exp, shift) == fraction_floor_trace_complement(exp, shift)
+    off = ExponentData(exp.phases, exp.trace_lambda + F(1, bad_denominator))
+    for derive in (ExponentData.integer_offset, fraction_offset,
+                   lambda e: floor_trace(e, F(1, 12)),
+                   lambda e: floor_trace_complement(e, F(11, 12))):
+        with pytest.raises(SnapFailure, match="non-integer"):
+            derive(off)
 
 
 def negated(exp):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vvmf.linalg import (
     DEFAULT_EPS,
@@ -68,6 +70,22 @@ def test_mat_pow_additive_exponents(m, n):
     lhs = mat_pow(a, m + n)
     rhs = mat_pow(a, m) @ mat_pow(a, n)
     assert max_abs(lhs - rhs) <= 10 * DEFAULT_EPS
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 64), st.integers(0, 2**32 - 1))
+def test_mat_pow_matches_repeated_products(d, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    # Unit spectral norm keeps every power, and its rounding, of order one.
+    a /= np.linalg.norm(a, 2)
+    a.setflags(write=False)
+    expected = np.eye(d, dtype=complex)
+    for _ in range(n):
+        expected = expected @ a
+    result = mat_pow(a, n)
+    assert max_abs(result - expected) <= 1e-12
+    assert not np.shares_memory(result, a)
 
 
 def test_is_identity():

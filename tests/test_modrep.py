@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ def test_validate_relation_violation():
         validate(rep)
     assert exc.value.relation == "(st)^3 = s^2"
     assert exc.value.residual > 1e-9
+
+
+def test_overflowing_products_fail_the_relations():
+    # s^2 overflows, so every residual is NaN, and NaN passes no gate.
+    m = [[1e300, -1e300], [1e300, 1e300]]
+    with pytest.raises(RelationViolation) as exc:
+        validate(ModularRepresentation(m, m))
+    assert exc.value.relation == "s^4 = 1"
+    assert math.isnan(exc.value.residual)
 
 
 def test_t_order_cap():
