@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, nullspace, snap_integer
+from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, nullity, snap_integer
 from .modrep import (
     ModularRepresentation,
     ParityError,
@@ -173,8 +173,9 @@ class PartInvariants:
     An odd part is read off its even partner, the tensor with the
     inverse character: sig and exp belong to the partner, and its floor
     traces are taken at the shifts 1/12 and 11/12 because the character
-    moves every eigenphase by one twelfth.  h0, the dimension of the
-    invariant vectors, is None for an odd part.
+    moves every eigenphase by one twelfth.  The partner's phases are the
+    part's certified phases moved back by that twelfth.  h0, the
+    dimension of the invariant vectors, is None for an odd part.
     """
 
     parity: int
@@ -196,15 +197,18 @@ def part_invariants(part: ModularRepresentation,
     sign = parity(part, settings)
     if sign == 0:
         raise ParityError("invariants need a purely even or purely odd representation")
-    even = part if sign == 1 else tensor_kappa(part, -1)
-    shift = Fraction(0) if sign == 1 else Fraction(1, 12)
-    phases = t_eigenphases(even, settings)
-    sig = signature(even, settings)
-    exp = ExponentData(phases, sig.trace_lambda)
+    phases = t_eigenphases(part, settings)
     h0 = None
     if sign == 1:
-        eye = np.eye(part.degree, dtype=np.complex128)
-        h0 = nullspace(np.vstack([part.s_image - eye, part.t_image - eye]), settings).shape[1]
+        even, shift = part, Fraction(0)
+        eye = np.eye(part.degree)
+        h0 = nullity(np.vstack([part.s_image - eye, part.t_image - eye]), settings)
+    else:
+        # The partner's t is e(-1/12) times the certified t of the part.
+        even, shift = tensor_kappa(part, -1), Fraction(1, 12)
+        phases = tuple(sorted((x - shift) % 1 for x in phases))
+    sig = signature(even, settings)
+    exp = ExponentData(phases, sig.trace_lambda)
     d, a, b1, b2 = sig.d, sig.alpha, sig.beta1, sig.beta2
     return PartInvariants(sign, sig, exp, floor_trace(exp, shift),
                           -floor_trace_complement(exp, 1 - shift), h0,

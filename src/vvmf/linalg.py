@@ -1,10 +1,13 @@
-"""Dense complex matrix helpers with tolerance-guarded integer snapping.
+"""Dense real or complex matrix helpers with tolerance-guarded integer snapping.
 
 Everything the package ultimately reports (multiplicities, dimensions,
 generator counts) is an integer; floating point enters only through the
 matrix images of the two group generators.  Every float-to-integer
 conversion goes through ``snap_integer`` so numerical corruption becomes
-a hard error instead of a silently wrong table.
+a hard error instead of a silently wrong table.  A matrix whose entries
+are all exactly real is kept in float64, so that every factorisation and
+product on it runs in real arithmetic; complex scalars upcast it where
+they enter.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ComplexMatrix = np.ndarray
+# A float64 or complex128 array.
+Matrix = np.ndarray
 
 DEFAULT_EPS = 1e-9
 DEFAULT_ORDER_CAP = 4096
@@ -45,29 +49,33 @@ class Settings:
 DEFAULT_SETTINGS = Settings()
 
 
-def as_matrix(entries) -> ComplexMatrix:
-    """Copy nested lists or an array to an owned square complex128 matrix."""
+def as_matrix(entries) -> Matrix:
+    """Copy nested lists or an array to an owned square matrix.
+
+    The copy is float64 when every imaginary part is exactly zero and
+    complex128 otherwise.
+    """
     a = np.array(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return a
+    return a if a.imag.any() else a.real.copy()
 
 
-def max_abs(a: ComplexMatrix) -> float:
+def max_abs(a: Matrix) -> float:
     """Largest entry magnitude; 0.0 for empty matrices."""
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def mat_pow(a: ComplexMatrix, n: int) -> ComplexMatrix:
+def mat_pow(a: Matrix, n: int) -> Matrix:
     """Non-negative matrix power by repeated squaring, as a new array."""
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if n < 0:
         raise ValueError("exponent must be non-negative")
     if n == 0:
-        return np.eye(a.shape[0], dtype=np.complex128)
+        return np.eye(a.shape[0], dtype=a.dtype)
     result = None
     base = a
     while True:
@@ -79,31 +87,52 @@ def mat_pow(a: ComplexMatrix, n: int) -> ComplexMatrix:
         base = base @ base
 
 
-def is_identity(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> bool:
+def is_identity(a: Matrix, settings: Settings = DEFAULT_SETTINGS) -> bool:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return max_abs(a - np.eye(a.shape[0], dtype=np.complex128)) <= settings.eps
+    return max_abs(a - np.eye(a.shape[0])) <= settings.eps
 
 
-def nullspace(a: ComplexMatrix, settings: Settings = DEFAULT_SETTINGS) -> ComplexMatrix:
-    """Orthonormal basis of the null space of a, as the columns of a matrix.
+def _rank_reduce(a: Matrix) -> Matrix:
+    """a itself, or for a tall matrix its square triangular QR factor,
+    which has the same null space and singular values."""
+    return np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a
+
+
+def _rank(sigma: np.ndarray, settings: Settings) -> int:
+    """Number of singular values (sorted, largest first) that count as nonzero.
 
     A singular value counts as zero when it is at most
     eps * max(1, largest singular value).  The floor of one keeps a
     matrix made only of floating point noise (such as s^2 - 1 of a
     purely even representation in a rotated basis) from getting full
     rank; the scaling keeps large honest entries from hiding a rank drop.
-    A tall matrix is first reduced to its square triangular QR factor,
-    which has the same null space and singular values.
+    """
+    return int(np.count_nonzero(sigma > settings.eps * max(1.0, sigma[0])))
+
+
+def nullspace(a: Matrix, settings: Settings = DEFAULT_SETTINGS) -> Matrix:
+    """Orthonormal basis of the null space of a, as the columns of a matrix.
+
+    The rank is the count of singular values above the threshold of
+    _rank; nullity gives the dimension alone.
     """
     rows, cols = a.shape
     if rows == 0 or cols == 0:
-        return np.eye(cols, dtype=np.complex128)
-    if rows > cols:
-        a = np.linalg.qr(a, mode="r")
-    _, sigma, vh = np.linalg.svd(a, full_matrices=rows < cols)
-    rank = int(np.count_nonzero(sigma > settings.eps * max(1.0, sigma[0])))
-    return vh[rank:].conj().T
+        return np.eye(cols, dtype=a.dtype)
+    _, sigma, vh = np.linalg.svd(_rank_reduce(a), full_matrices=rows < cols)
+    return vh[_rank(sigma, settings):].conj().T
+
+
+def nullity(a: Matrix, settings: Settings = DEFAULT_SETTINGS) -> int:
+    """Dimension of the null space of a, from its singular values alone.
+
+    It equals nullspace(a, settings).shape[1].
+    """
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return cols
+    return cols - _rank(np.linalg.svd(_rank_reduce(a), compute_uv=False), settings)
 
 
 def snap_integer(x: float, settings: Settings = DEFAULT_SETTINGS) -> int:

@@ -19,13 +19,14 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_SETTINGS,
-    ComplexMatrix,
+    Matrix,
     Settings,
     SnapFailure,
     as_matrix,
     is_identity,
     mat_pow,
     max_abs,
+    nullity,
     nullspace,
 )
 
@@ -73,8 +74,8 @@ class ParityError(ValueError):
 class ModularRepresentation:
     """Images of the two generators, immutable after construction."""
 
-    s_image: ComplexMatrix
-    t_image: ComplexMatrix
+    s_image: Matrix
+    t_image: Matrix
     name: str = "rep"
     irreducible_assertion: str = UNKNOWN
     # Derived data, which lives and dies with the representation and is not
@@ -116,8 +117,8 @@ class ParityDecomposition:
 
     even_part: ModularRepresentation
     odd_part: ModularRepresentation
-    even_basis: ComplexMatrix
-    odd_basis: ComplexMatrix
+    even_basis: Matrix
+    odd_basis: Matrix
 
 
 def _rational_phase(x: float, order_cap: int, eps: float) -> tuple[int, int]:
@@ -175,6 +176,7 @@ def _t_spectrum(rep: ModularRepresentation, order_cap: int,
     t = rep.t_image
     eps = settings.eps
     pairs = []
+    # A real t with a real spectrum gives float eigenvalues; cmath reads both.
     for lam in np.linalg.eigvals(t):
         defect = abs(lam) - 1.0
         if not abs(defect) <= eps:
@@ -194,7 +196,7 @@ def _t_spectrum(rep: ModularRepresentation, order_cap: int,
     base = mat_pow(t, n // radical)
     divisor_powers = [mat_pow(base, radical // p) for p in primes]
     t_n = mat_pow(divisor_powers[0], primes[0]) if primes else base
-    residual = max_abs(t_n - np.eye(rep.degree, dtype=np.complex128))
+    residual = max_abs(t_n - np.eye(rep.degree))
     if not residual <= eps:
         raise TOrderNotFound(
             "power", f"t^{n} differs from the identity by {residual:.3e}, "
@@ -225,8 +227,7 @@ def validate(rep: ModularRepresentation,
              settings: Settings = DEFAULT_SETTINGS) -> ValidationReport:
     """Check the defining relations and the finite order of the t image."""
     s, t = rep.s_image, rep.t_image
-    d = rep.degree
-    eye = np.eye(d, dtype=np.complex128)
+    eye = np.eye(rep.degree)
     # Products that overflow leave a NaN residual, which fails the gate.
     with np.errstate(all="ignore"):
         s2 = s @ s
@@ -253,7 +254,7 @@ def parity(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) ->
     return 0
 
 
-def st_inverse_image(rep: ModularRepresentation) -> ComplexMatrix:
+def st_inverse_image(rep: ModularRepresentation) -> Matrix:
     """Image of the order-three element s t^-1.
 
     The relations give t s t s t = s, hence s t^-1 = (t s)^2, so no power
@@ -263,7 +264,7 @@ def st_inverse_image(rep: ModularRepresentation) -> ComplexMatrix:
     return ts @ ts
 
 
-def _restrict(g: ComplexMatrix, basis: ComplexMatrix, eps: float) -> ComplexMatrix:
+def _restrict(g: Matrix, basis: Matrix, eps: float) -> Matrix:
     """Matrix of g on the span of the orthonormal columns of basis."""
     image = g @ basis
     m = basis.conj().T @ image
@@ -282,12 +283,12 @@ def parity_split(rep: ModularRepresentation,
     itself, with the identity as its basis, and the other part is empty.
     """
     d = rep.degree
-    eye = np.eye(d, dtype=np.complex128)
+    eye = np.eye(d)
     sign = parity(rep, settings)
     if sign:
         empty = ModularRepresentation(np.zeros((0, 0)), np.zeros((0, 0)),
                                       f"{rep.name}[{'odd' if sign == 1 else 'even'}]")
-        no_basis = np.zeros((d, 0), dtype=np.complex128)
+        no_basis = np.zeros((d, 0))
         if sign == 1:
             return ParityDecomposition(rep, empty, eye, no_basis)
         return ParityDecomposition(empty, rep, no_basis, eye)
@@ -319,7 +320,7 @@ def commutant_dimension(rep: ModularRepresentation,
     is solved, and only for the diagonal blocks.
     """
     d = rep.degree
-    eye = np.eye(d, dtype=np.complex128)
+    eye = np.eye(d)
     # The phases come sorted, so the counter lists them in that order.
     multiplicity = Counter(_t_spectrum(rep, settings.order_cap, settings)[1])
     spaces = [nullspace(rep.t_image - cmath.exp(2j * math.pi * float(x)) * eye, settings)
@@ -338,7 +339,7 @@ def commutant_dimension(rep: ModularRepresentation,
     system = np.zeros((d, d, len(i)), dtype=np.complex128)
     system[:, j, n] = s[:, i]
     system[i, :, n] -= s[j, :]
-    return nullspace(system.reshape(d * d, len(i)), settings).shape[1]
+    return nullity(system.reshape(d * d, len(i)), settings)
 
 
 def direct_sum(a: ModularRepresentation, b: ModularRepresentation) -> ModularRepresentation:
@@ -373,8 +374,12 @@ def tensor_kappa(rep: ModularRepresentation, j: int) -> ModularRepresentation:
     j = j % 12
     if j == 0:
         return rep
-    s = kappa_s_value(j) * rep.s_image
-    t = kappa_t_value(j) * rep.t_image
+    if j == 6:
+        # The sign character, applied exactly, so that real images stay real.
+        s, t = -rep.s_image, -rep.t_image
+    else:
+        s = kappa_s_value(j) * rep.s_image
+        t = kappa_t_value(j) * rep.t_image
     return ModularRepresentation(s, t, f"{rep.name}*k^{j}", rep.irreducible_assertion)
 
 

@@ -157,6 +157,16 @@ def test_global_order_cap(capsys):
     assert "TOrderNotFound" in capsys.readouterr().err
 
 
+def test_order_cap_bounds_only_the_representations_own_phases(capsys):
+    # kappa^3 has t order 4; its even partner kappa^2 has the phase 1/6,
+    # which is derived, not certified, and so is not held to the cap.
+    argv = ["--order-cap", "4", "dims", "catalog:kappa^3", "--from", "1", "--to", "5"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[4].split() == ["3", "1", "1"]
+
+
 def test_no_global_closure_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--closure-cap", "5", "dims", "catalog:p1(3)", "--from", "0", "--to", "4"])

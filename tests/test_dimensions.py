@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vvmf.dimensions
-from helpers import conjugate, dim_via_exponent_shift, enumerate_closure, steinberg
+from helpers import conjugate, dim_via_exponent_shift, enumerate_closure, p1_sum, steinberg
 from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import (
     EXACT,
@@ -285,6 +285,18 @@ def test_results_follow_the_settings_passed():
         dim_holomorphic(rep, 0, Settings(eps=1e-9))
 
 
+def test_odd_part_reads_its_partner_phases_under_a_low_order_cap():
+    # kappa^3 validates with t order 4; the phase 1/6 of its even partner
+    # kappa^2 is the certified 1/4 shifted by -1/12, not a second solve.
+    rep = build_kappa_power(3)
+    capped = Settings(order_cap=4)
+    assert validate(rep, capped).t_order == 4
+    inv = part_invariants(rep, capped)
+    assert [str(x) for x in inv.exp.phases] == ["1/6"]
+    assert [(w, dim_holomorphic(rep, w, capped).value, dim_cusp(rep, w, capped).value)
+            for w in range(1, 6)] == [(1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 0, 0), (5, 0, 0)]
+
+
 def test_analysed_representation_is_freed():
     rep = build_p1_permutation(3)
     dim_table(rep, -2, 12)
@@ -326,13 +338,14 @@ def test_dual_takes_the_weight_one_certificate(monkeypatch):
 
 
 def counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that logs each call; return the log."""
+    """Replace module.name by a wrapper that logs the dtype of the array
+    each call receives; return the log."""
     calls = []
     original = getattr(module, name)
 
-    def wrapper(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+    def wrapper(a, *args, **kwargs):
+        calls.append(a.dtype.name)
+        return original(a, *args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -353,9 +366,9 @@ def whole_analysis(rep):
     # One t spectrum each for the representation and its dual; the two
     # SVDs left are the h0 null spaces.
     (30, 0, 2, 2),
-    # The odd part's commutant reuses the spectrum validate certified;
-    # the even partners of the part and of its dual have their own.
-    (16, 3, 3, 17),
+    # The odd part's commutant and its even partner reuse the spectrum
+    # validate certified; the dual has its own.
+    (16, 3, 2, 17),
 ])
 def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, eigvals, svds):
     rep = tensor_kappa(build_p1_permutation(n), twist)
@@ -363,6 +376,14 @@ def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, eigvals, s
     svd_calls = counting(monkeypatch, np.linalg, "svd")
     whole_analysis(rep)
     assert (len(eigvals_calls), len(svd_calls)) == (eigvals, svds)
+
+
+def test_real_representation_runs_real_lapack(monkeypatch):
+    eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
+    svd_calls = counting(monkeypatch, np.linalg, "svd")
+    whole_analysis(p1_sum(25, 27, 28))
+    # One t spectrum and one h0 count each for the representation and its dual.
+    assert (eigvals_calls, svd_calls) == (["float64"] * 2, ["float64"] * 2)
 
 
 def test_pure_parity_representation_is_its_own_part(monkeypatch):

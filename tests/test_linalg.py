@@ -12,6 +12,7 @@ from vvmf.linalg import (
     is_identity,
     mat_pow,
     max_abs,
+    nullity,
     nullspace,
     snap_integer,
 )
@@ -38,7 +39,9 @@ def test_caps_must_be_positive():
 
 def test_as_matrix_shapes():
     m = as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.complex128
+    assert m.dtype == np.float64
+    assert as_matrix(np.array([[1, -0.0j], [3, 4 + 0j]])).dtype == np.float64
+    assert as_matrix([[1, 1e-300j], [3, 4]]).dtype == np.complex128
     with pytest.raises(ValueError):
         as_matrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
@@ -153,6 +156,28 @@ def test_nullspace_empty_shapes():
     wide = null_basis([[1, 0, 0], [0, 1, 0]])
     assert wide.shape == (3, 1)
     assert abs(abs(wide[2, 0]) - 1) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8),
+       st.sampled_from([np.float64, np.complex128]), st.sampled_from(["rank", "zero", "noise"]),
+       st.integers(0, 2**32 - 1))
+def test_nullity_counts_the_nullspace(rows, cols, rank, dtype, kind, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is np.complex128 else x
+
+    rank = min(rank, rows, cols)
+    if kind == "rank":
+        a = draw((rows, rank)) @ draw((rank, cols))
+    else:
+        # Noise at 1e-12 stays under the floor eps * max(1, sigma_max): rank 0.
+        a = np.zeros((rows, cols), dtype=dtype) if kind == "zero" else 1e-12 * draw((rows, cols))
+        rank = 0
+    assert a.dtype == dtype
+    assert nullity(a) == nullspace(a).shape[1] == cols - rank
 
 
 def test_snap_integer_examples():

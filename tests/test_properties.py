@@ -4,16 +4,20 @@ Inputs are direct sums of catalog atoms, each with a character twist.
 Per parity part, the invariants add over a direct sum, and so does every
 dimension away from weight one (where a reducible odd part only gives a
 lower bound).  Conjugating by a well-conditioned matrix changes neither
-dimensions, generator profiles nor duality checks.
+dimensions, generator profiles nor duality checks; in particular an
+exactly real representation, analysed in real arithmetic, agrees with a
+unitary conjugate of it, analysed in complex arithmetic.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conjugate
+from helpers import conjugate, p1_sum, steinberg
 from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import Analysis, Weight1Indeterminate
-from vvmf.modrep import direct_sum, tensor_kappa
+from vvmf.modrep import build_p1_permutation, direct_sum, tensor_kappa
 from vvmf.series import CUSP, HOLOMORPHIC, duality_report, generator_profile
 
 WEIGHTS = range(-2, 31)
@@ -68,11 +72,8 @@ def test_direct_sums_add(term_list):
                                                for r in summands), (w, cusp)
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(st.lists(terms, min_size=1, max_size=2), st.integers(0, 2**16))
-def test_conjugation_changes_nothing(term_list, seed):
-    rep = build(term_list)
-    conj = conjugate(rep, seed)
+def assert_same_outputs(rep, conj):
+    """Equal dimensions (value, status, rule), generator profiles and duality checks."""
     a, b = Analysis.of(rep), Analysis.of(conj)
     for w in WEIGHTS:
         for cusp in (False, True):
@@ -83,3 +84,27 @@ def test_conjugation_changes_nothing(term_list, seed):
     checks = [[(c.name, c.status, c.counterexamples) for c in duality_report(r, 2).checks]
               for r in (rep, conj)]
     assert checks[0] == checks[1]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.lists(terms, min_size=1, max_size=2), st.integers(0, 2**16))
+def test_conjugation_changes_nothing(term_list, seed):
+    rep = build(term_list)
+    assert_same_outputs(rep, conjugate(rep, seed))
+
+
+REAL_REPS = {
+    **{f"p1({n})": lambda n=n: build_p1_permutation(n) for n in range(2, 17)},
+    "p1(5)+p1(7)": lambda: p1_sum(5, 7),
+    **{f"St({p})": lambda p=p: steinberg(p) for p in (5, 7, 11)},
+    **{f"p1({n})*k^6": lambda n=n: tensor_kappa(build_p1_permutation(n), 6) for n in (2, 7, 12)},
+}
+
+
+@pytest.mark.parametrize("name", REAL_REPS)
+def test_real_representation_matches_its_unitary_conjugate(name):
+    rep = REAL_REPS[name]()
+    conj = conjugate(rep, 0, condition=1.0)
+    assert {rep.s_image.dtype, rep.t_image.dtype} == {np.dtype(np.float64)}
+    assert {conj.s_image.dtype, conj.t_image.dtype} == {np.dtype(np.complex128)}
+    assert_same_outputs(rep, conj)
