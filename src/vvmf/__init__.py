@@ -24,7 +24,6 @@ from .invariants import (
     floor_trace_complement,
     part_invariants,
     signature,
-    signature_of_twist,
     t_eigenphases,
 )
 from .linalg import (

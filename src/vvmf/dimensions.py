@@ -89,8 +89,7 @@ class Analysis:
         """Invariants of the odd or the even part, computed on first use."""
         inv = self._invariants.get(odd)
         if inv is None:
-            part = self.split.odd_part if odd else self.split.even_part
-            inv = self._invariants[odd] = part_invariants(part, self.settings)
+            inv = self._invariants[odd] = part_invariants(self.split, odd, self.settings)
         return inv
 
     @cached_property

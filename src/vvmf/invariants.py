@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, nullity, snap_integer
 from .modrep import (
     ModularRepresentation,
+    ParityDecomposition,
     ParityError,
     _t_spectrum,
     parity,
@@ -125,16 +126,21 @@ def t_eigenphases(rep: ModularRepresentation,
     """Eigenvalue phases of the t image as exact fractions in [0, 1), sorted.
 
     They come from one eigenvalue solve, rationalised with denominators
-    up to settings.order_cap and certified against the order of the
-    image; see modrep for the checks.
+    up to the order cap of the settings and certified against the order
+    of the image; see modrep for the checks.
     """
-    return _t_spectrum(rep, settings.order_cap, settings)[1]
+    return _t_spectrum(rep, settings)[1]
 
 
 def signature(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> Signature:
     """Signature of a purely even representation, recovered from traces."""
     if parity(rep, settings) != 1:
         raise ParityError("signature needs a purely even representation")
+    return _signature_from_traces(rep, settings)
+
+
+def _signature_from_traces(rep: ModularRepresentation, settings: Settings) -> Signature:
+    """Signature of rep, which the caller knows to be purely even."""
     d = rep.degree
     tr_s = complex(np.trace(rep.s_image))
     alpha = snap_integer((d - tr_s.real) / 2, settings)
@@ -144,26 +150,6 @@ def signature(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS)
     if (beta_sum + beta_diff) % 2:
         raise SnapFailure(f"cube root multiplicities {beta_sum}, {beta_diff} have mixed parity")
     return Signature(d, alpha, (beta_sum + beta_diff) // 2, (beta_sum - beta_diff) // 2)
-
-
-_TWIST_TABLE = (
-    lambda d, a, b1, b2: (a, b1, b2),
-    lambda d, a, b1, b2: (d - a, b2, d - b1 - b2),
-    lambda d, a, b1, b2: (a, d - b1 - b2, b1),
-    lambda d, a, b1, b2: (d - a, b1, b2),
-    lambda d, a, b1, b2: (a, b2, d - b1 - b2),
-    lambda d, a, b1, b2: (d - a, d - b1 - b2, b1),
-)
-
-
-def signature_of_twist(sig: Signature, k: int) -> Signature:
-    """Signature after tensoring with the (-2k)-th character power.
-
-    Only k mod 6 matters because the twelfth character power is trivial
-    and even twists preserve parity.
-    """
-    a, b1, b2 = _TWIST_TABLE[k % 6](sig.d, sig.alpha, sig.beta1, sig.beta2)
-    return Signature(sig.d, a, b1, b2)
 
 
 @dataclass(frozen=True)
@@ -191,25 +177,27 @@ class PartInvariants:
         return self.gamma_base[k % 6] + self.sig.d * (k // 6)
 
 
-def part_invariants(part: ModularRepresentation,
+def part_invariants(split: ParityDecomposition, odd: bool,
                     settings: Settings = DEFAULT_SETTINGS) -> PartInvariants:
-    """Extract all invariants of a purely even or purely odd representation."""
-    sign = parity(part, settings)
-    if sign == 0:
-        raise ParityError("invariants need a purely even or purely odd representation")
+    """Extract all invariants of the odd or the even part of a parity split.
+
+    The split has settled the part's parity, so it is not tested again,
+    neither on the part nor on its even partner.
+    """
+    part = split.odd_part if odd else split.even_part
     phases = t_eigenphases(part, settings)
     h0 = None
-    if sign == 1:
-        even, shift = part, Fraction(0)
-        eye = np.eye(part.degree)
-        h0 = nullity(np.vstack([part.s_image - eye, part.t_image - eye]), settings)
-    else:
+    if odd:
         # The partner's t is e(-1/12) times the certified t of the part.
         even, shift = tensor_kappa(part, -1), Fraction(1, 12)
         phases = tuple(sorted((x - shift) % 1 for x in phases))
-    sig = signature(even, settings)
+    else:
+        even, shift = part, Fraction(0)
+        eye = np.eye(part.degree)
+        h0 = nullity(np.vstack([part.s_image - eye, part.t_image - eye]), settings)
+    sig = _signature_from_traces(even, settings)
     exp = ExponentData(phases, sig.trace_lambda)
     d, a, b1, b2 = sig.d, sig.alpha, sig.beta1, sig.beta2
-    return PartInvariants(sign, sig, exp, floor_trace(exp, shift),
+    return PartInvariants(-1 if odd else 1, sig, exp, floor_trace(exp, shift),
                           -floor_trace_complement(exp, 1 - shift), h0,
                           (0, a + b1 + b2 - d, b2, a, b1 + b2, a + b2))

@@ -79,8 +79,8 @@ class ModularRepresentation:
     name: str = "rep"
     irreducible_assertion: str = UNKNOWN
     # Derived data, which lives and dies with the representation and is not
-    # part of its value: the Analysis per Settings (dimensions.Analysis.of)
-    # and the certified t spectrum per (order_cap, Settings).
+    # part of its value: the Analysis (dimensions.Analysis.of) and the
+    # certified t spectrum, each per Settings.
     analyses: dict = field(default_factory=dict, init=False, repr=False)
     spectra: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -113,7 +113,12 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ParityDecomposition:
-    """Splitting into the +1 and -1 eigenspaces of the central involution."""
+    """Splitting into the +1 and -1 eigenspaces of the central involution.
+
+    The split is the proof of each part's parity: s^2 acts as +1 on
+    even_part and as -1 on odd_part, so nothing that reads a part from
+    here tests its parity again.
+    """
 
     even_part: ModularRepresentation
     odd_part: ModularRepresentation
@@ -157,22 +162,21 @@ def _prime_factors(n: int) -> set[int]:
     return primes
 
 
-def _t_spectrum(rep: ModularRepresentation, order_cap: int,
+def _t_spectrum(rep: ModularRepresentation,
                 settings: Settings) -> tuple[int, tuple[Fraction, ...]]:
     """Order of the t image and its eigenphases, sorted fractions in [0, 1).
 
     One eigenvalue solve gives the phases: each eigenvalue must lie
     within eps of the unit circle, and its phase is rationalised as the
     first continued-fraction convergent within eps, with denominator at
-    most order_cap.  The order n is the lcm of the denominators and is
+    most the order cap.  The order n is the lcm of the denominators and is
     certified by matrix powers: t^n is the identity, t^(n/p) is not for
     any prime p dividing n, and the phases reproduce the trace of t.
-    The result is kept on the representation, by order cap and settings;
-    a failure is not, and raises again on every call.
+    The result is kept on the representation, by settings; a failure is
+    not, and raises again on every call.
     """
-    key = (order_cap, settings)
-    if key in rep.spectra:
-        return rep.spectra[key]
+    if settings in rep.spectra:
+        return rep.spectra[settings]
     t = rep.t_image
     eps = settings.eps
     pairs = []
@@ -183,7 +187,7 @@ def _t_spectrum(rep: ModularRepresentation, order_cap: int,
             raise TOrderNotFound(
                 "modulus", f"t eigenvalue {complex(lam):.6g} has |lambda| - 1 = {defect:.3e}, "
                 f"beyond the tolerance {eps:.1e}")
-        pairs.append(_rational_phase(cmath.phase(lam) / (2 * math.pi), order_cap, eps))
+        pairs.append(_rational_phase(cmath.phase(lam) / (2 * math.pi), settings.order_cap, eps))
     # Distinct phases with denominators up to the cap differ by far more
     # than float resolution, so the float keys order them exactly.
     pairs.sort(key=lambda pq: pq[0] / pq[1])
@@ -210,17 +214,17 @@ def _t_spectrum(rep: ModularRepresentation, order_cap: int,
     gap = abs(complex(np.sum(roots)) - complex(np.trace(t)))
     if not gap <= eps * rep.degree:
         raise SnapFailure(f"t eigenphases miss the trace of t by {gap:.3e}")
-    spectrum = rep.spectra[key] = (n, tuple(Fraction(p, q) for p, q in pairs))
+    spectrum = rep.spectra[settings] = (n, tuple(Fraction(p, q) for p, q in pairs))
     return spectrum
 
 
-def find_t_order(rep: ModularRepresentation, order_cap: int,
-                 settings: Settings = DEFAULT_SETTINGS) -> int:
+def find_t_order(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> int:
     """Least n >= 1 with t_image^n equal to the identity.
 
-    order_cap bounds the denominator of each eigenphase, not n itself.
+    The order cap of the settings bounds the denominator of each
+    eigenphase, not n itself.
     """
-    return _t_spectrum(rep, order_cap, settings)[0]
+    return _t_spectrum(rep, settings)[0]
 
 
 def validate(rep: ModularRepresentation,
@@ -240,18 +244,21 @@ def validate(rep: ModularRepresentation,
     for relation, residual in residuals.items():
         if not residual <= settings.eps:
             raise RelationViolation(relation, residual)
-    n = find_t_order(rep, settings.order_cap, settings)
+    n = find_t_order(rep, settings)
     return ValidationReport(True, n, max(residuals.values()))
 
 
-def parity(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> int:
-    """+1 if s^2 acts as +1, -1 if as -1, 0 when both parities occur."""
-    s2 = rep.s_image @ rep.s_image
+def _parity_of_square(s2: Matrix, settings: Settings) -> int:
     if is_identity(s2, settings):
         return 1
     if is_identity(-s2, settings):
         return -1
     return 0
+
+
+def parity(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> int:
+    """+1 if s^2 acts as +1, -1 if as -1, 0 when both parities occur."""
+    return _parity_of_square(rep.s_image @ rep.s_image, settings)
 
 
 def st_inverse_image(rep: ModularRepresentation) -> Matrix:
@@ -281,10 +288,12 @@ def parity_split(rep: ModularRepresentation,
     subrepresentations; their orthonormal bases are the null spaces of
     s^2 - 1 and s^2 + 1.  A representation of one parity is that part
     itself, with the identity as its basis, and the other part is empty.
+    This is where an analysis decides parity, from the one s^2 it forms.
     """
     d = rep.degree
     eye = np.eye(d)
-    sign = parity(rep, settings)
+    s2 = rep.s_image @ rep.s_image
+    sign = _parity_of_square(s2, settings)
     if sign:
         empty = ModularRepresentation(np.zeros((0, 0)), np.zeros((0, 0)),
                                       f"{rep.name}[{'odd' if sign == 1 else 'even'}]")
@@ -292,7 +301,6 @@ def parity_split(rep: ModularRepresentation,
         if sign == 1:
             return ParityDecomposition(rep, empty, eye, no_basis)
         return ParityDecomposition(empty, rep, no_basis, eye)
-    s2 = rep.s_image @ rep.s_image
     parts = []
     bases = []
     for sign, tag in ((1, "even"), (-1, "odd")):
@@ -322,7 +330,7 @@ def commutant_dimension(rep: ModularRepresentation,
     d = rep.degree
     eye = np.eye(d)
     # The phases come sorted, so the counter lists them in that order.
-    multiplicity = Counter(_t_spectrum(rep, settings.order_cap, settings)[1])
+    multiplicity = Counter(_t_spectrum(rep, settings)[1])
     spaces = [nullspace(rep.t_image - cmath.exp(2j * math.pi * float(x)) * eye, settings)
               for x in multiplicity]
     sizes = [v.shape[1] for v in spaces]
@@ -410,44 +418,28 @@ def build_kappa_power(j: int) -> ModularRepresentation:
     return ModularRepresentation(s, t, f"kappa^{j}")
 
 
-def _p1_points(n: int) -> list[tuple[int, int]]:
-    """Projective line over the integers mod n, one canonical pair per class.
-
-    A pair (c, d) with gcd(c, d, n) = 1 represents a class; two pairs are
-    identified when they differ by a unit factor.  The canonical member
-    is the lexicographically smallest unit multiple.
-    """
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    seen = set()
-    points = []
-    for c in range(n):
-        for d in range(n):
-            if math.gcd(math.gcd(c, d), n) != 1:
-                continue
-            canon = min(((u * c) % n, (u * d) % n) for u in units)
-            if canon not in seen:
-                seen.add(canon)
-                points.append(canon)
-    points.sort()
-    return points
-
-
 def build_p1_permutation(n: int) -> ModularRepresentation:
     """Permutation representation on the projective line mod n.
 
     The generators act on row pairs from the right: s sends (c : d) to
     (d : -c) and t sends (c : d) to (c : c + d).  Degree is n times the
     product of (1 + 1/p) over primes p dividing n.
+
+    A pair (c, d) with gcd(c, d, n) = 1 represents a point, and two pairs
+    are the same point when they differ by a unit factor; the canonical
+    member is the lexicographically smallest unit multiple, and the
+    basis is the canonical pairs in sorted order.
     """
     if not 2 <= n <= 30:
         raise ValueError(f"modulus must lie in 2..30, got {n}")
-    points = _p1_points(n)
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    index = {pt: i for i, pt in enumerate(points)}
 
     def canonical(c, d):
         return min(((u * c) % n, (u * d) % n) for u in units)
 
+    points = sorted({canonical(c, d) for c in range(n) for d in range(n)
+                     if math.gcd(math.gcd(c, d), n) == 1})
+    index = {pt: i for i, pt in enumerate(points)}
     deg = len(points)
     s = np.zeros((deg, deg), dtype=np.complex128)
     t = np.zeros((deg, deg), dtype=np.complex128)

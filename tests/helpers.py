@@ -9,6 +9,7 @@ import numpy as np
 
 from vvmf.invariants import (
     ExponentData,
+    Signature,
     floor_trace,
     floor_trace_complement,
     signature,
@@ -30,6 +31,28 @@ def dim_via_exponent_shift(rep, k):
     holo = max(0, floor_trace(exp, Fraction(k, 12)))
     cusp = max(0, -floor_trace_complement(exp, 1 - Fraction(k, 12)))
     return holo, cusp
+
+
+_TWIST_TABLE = (
+    lambda d, a, b1, b2: (a, b1, b2),
+    lambda d, a, b1, b2: (d - a, b2, d - b1 - b2),
+    lambda d, a, b1, b2: (a, d - b1 - b2, b1),
+    lambda d, a, b1, b2: (d - a, b1, b2),
+    lambda d, a, b1, b2: (a, b2, d - b1 - b2),
+    lambda d, a, b1, b2: (d - a, d - b1 - b2, b1),
+)
+
+
+def signature_of_twist(sig, k):
+    """Signature after tensoring with the (-2k)-th character power.
+
+    Only k mod 6 matters because the twelfth character power is trivial
+    and even twists preserve parity.  Hand-derived from how the twist
+    moves the eigenvalues of s and s t^-1; the library reads every
+    signature off traces instead.
+    """
+    a, b1, b2 = _TWIST_TABLE[k % 6](sig.d, sig.alpha, sig.beta1, sig.beta2)
+    return Signature(sig.d, a, b1, b2)
 
 
 def fraction_offset(exp):

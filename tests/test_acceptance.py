@@ -65,7 +65,7 @@ def test_criterion_2_eta_squared_character():
     kappa = resolve("kappa^1")
     m1 = dim_holomorphic(kappa, 1)
     s1 = dim_cusp(kappa, 1)
-    inv = part_invariants(kappa)
+    inv = part_invariants(parity_split(kappa), True)
     checks = [
         ("dim M_1", (m1.value, m1.status), (1, EXACT)),
         ("dim S_1", (s1.value, s1.status), (1, EXACT)),
@@ -137,7 +137,7 @@ def test_criterion_6_invariant_battery(catalog_reps):
 
     for name, split in splits.items():
         if split.even_part.degree:
-            inv = part_invariants(split.even_part)
+            inv = part_invariants(split, False)
             try:
                 inv.exp.integer_offset()
             except SnapFailure:
@@ -147,13 +147,13 @@ def test_criterion_6_invariant_battery(catalog_reps):
                 failures.append(("phase-zero-count", name))
             if not gamma_sequence_check(inv, 20):
                 failures.append(("gamma-recurrence", name))
-            dinv = part_invariants(contragredient(split.even_part))
+            dinv = part_invariants(parity_split(contragredient(split.even_part)), False)
             if inv.lambda_plus + dinv.lambda_minus != -inv.gamma(1):
                 failures.append(("reciprocity", name))
             if dinv.lambda_plus + inv.lambda_minus != -inv.gamma(1):
                 failures.append(("reciprocity-dual", name))
         if split.odd_part.degree:
-            oinv = part_invariants(split.odd_part)
+            oinv = part_invariants(split, True)
             try:
                 oinv.exp.integer_offset()
             except SnapFailure:
@@ -164,7 +164,7 @@ def test_criterion_6_invariant_battery(catalog_reps):
                     failures.append(("gamma-dot-recurrence", name, k))
                 if g(k + 7) + g(k) != g(k + 3) + g(k + 4):
                     failures.append(("gamma-dot-recurrence", name, k))
-            doinv = part_invariants(contragredient(split.odd_part))
+            doinv = part_invariants(parity_split(contragredient(split.odd_part)), True)
             if doinv.lambda_plus != -oinv.lambda_minus:
                 failures.append(("reciprocity-odd", name))
             for k in range(-20, 21):

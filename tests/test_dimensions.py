@@ -1,10 +1,13 @@
 import gc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import vvmf.dimensions
+import vvmf.invariants
+import vvmf.modrep as modrep
 from helpers import conjugate, dim_via_exponent_shift, enumerate_closure, p1_sum, steinberg
 from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import (
@@ -217,7 +220,7 @@ def test_lambda_cohomology_identities(catalog_reps, std2):
     evens = [catalog_reps[n] for n in ("rho0", "kappa^2", "kappa^6", "p1(2)",
                                        "p1(3)", "rho0+kappa^2", "p1(2)*k^2")]
     for rep in evens + [std2]:
-        inv = part_invariants(parity_split(rep).even_part)
+        inv = part_invariants(parity_split(rep), False)
         dual = contragredient(rep)
         assert inv.lambda_plus == (dim_holomorphic(rep, 0).value
                                    - dim_cusp(dual, 2).value), rep.name
@@ -228,7 +231,7 @@ def test_lambda_cohomology_identities(catalog_reps, std2):
 def test_dot_lambda_cohomology_identities(catalog_reps):
     odds = [catalog_reps[f"kappa^{j}"] for j in (1, 3, 5, 7, 9, 11)]
     for rep in odds:
-        inv = part_invariants(rep)
+        inv = part_invariants(parity_split(rep), True)
         dual = contragredient(rep)
         m1, s1 = dim_holomorphic(rep, 1), dim_cusp(rep, 1)
         assert m1.status == EXACT and s1.status == EXACT
@@ -291,7 +294,7 @@ def test_odd_part_reads_its_partner_phases_under_a_low_order_cap():
     rep = build_kappa_power(3)
     capped = Settings(order_cap=4)
     assert validate(rep, capped).t_order == 4
-    inv = part_invariants(rep, capped)
+    inv = part_invariants(parity_split(rep, capped), True, capped)
     assert [str(x) for x in inv.exp.phases] == ["1/6"]
     assert [(w, dim_holomorphic(rep, w, capped).value, dim_cusp(rep, w, capped).value)
             for w in range(1, 6)] == [(1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 0, 0), (5, 0, 0)]
@@ -413,10 +416,50 @@ def test_failing_t_spectrum_is_not_cached(monkeypatch):
     eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
     for attempt in (1, 2):
         with pytest.raises(TOrderNotFound):
-            _t_spectrum(rep, 4096, Settings())
+            _t_spectrum(rep, Settings())
         assert len(eigvals_calls) == attempt
     assert rep.spectra == {}
     loose = Settings(eps=1e-5)
-    assert _t_spectrum(rep, 4096, loose) is _t_spectrum(rep, 4096, loose)
-    assert list(rep.spectra) == [(4096, loose)]
+    assert _t_spectrum(rep, loose) is _t_spectrum(rep, loose)
+    assert list(rep.spectra) == [loose]
     assert len(eigvals_calls) == 3
+
+
+def test_t_spectrum_is_kept_per_order_cap():
+    # kappa^3 has t order 4: a cap of 4 certifies it, a cap of 3 does not,
+    # and neither may reuse the spectrum certified under another cap.
+    rep = build_kappa_power(3)
+    wide, narrow = Settings(), Settings(order_cap=4)
+    assert _t_spectrum(rep, wide) == _t_spectrum(rep, narrow) == (4, (Fraction(1, 4),))
+    assert list(rep.spectra) == [wide, narrow]
+    with pytest.raises(TOrderNotFound):
+        _t_spectrum(rep, Settings(order_cap=3))
+    assert list(rep.spectra) == [wide, narrow]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_p1_permutation(30),
+    lambda: tensor_kappa(build_p1_permutation(16), 3),
+    lambda: direct_sum(build_p1_permutation(5), tensor_kappa(build_p1_permutation(7), 1)),
+], ids=["p1(30)", "p1(16)*k^3", "p1(5)+p1(7)*k^1"])
+def test_analysis_decides_parity_once_per_representation(monkeypatch, build):
+    # One decision each for the representation and its dual, made in the
+    # parity split; the parts and the odd part's partner are not tested
+    # again, and the public parity test is not on the analysis path.
+    rep = build()
+    calls = {"_parity_of_square": 0, "parity": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(modrep, "_parity_of_square")
+    # invariants holds its own reference to parity, for signature.
+    count(modrep, "parity")
+    count(vvmf.invariants, "parity")
+    whole_analysis(rep)
+    assert calls == {"_parity_of_square": 2, "parity": 0}

@@ -13,6 +13,7 @@ from helpers import (
     fraction_offset,
     gamma_sequence_check,
     p1_sum,
+    signature_of_twist,
 )
 from vvmf.invariants import (
     ExponentData,
@@ -21,10 +22,9 @@ from vvmf.invariants import (
     floor_trace_complement,
     part_invariants,
     signature,
-    signature_of_twist,
     t_eigenphases,
 )
-from vvmf.linalg import DEFAULT_ORDER_CAP, SnapFailure
+from vvmf.linalg import SnapFailure
 from vvmf.modrep import (
     ModularRepresentation,
     ParityError,
@@ -105,7 +105,7 @@ def test_t_eigenphases_match_cycle_type(moduli, seed, j):
     lengths = cycle_lengths(perm.t_image)
     expected = sorted((F(k, length) + F(j, 12)) % 1 for length in lengths for k in range(length))
     assert t_eigenphases(rep) == tuple(expected)
-    assert find_t_order(rep, DEFAULT_ORDER_CAP) == math.lcm(*lengths, 12 // math.gcd(j, 12))
+    assert find_t_order(rep) == math.lcm(*lengths, 12 // math.gcd(j, 12))
 
 
 def test_signature_examples(std2):
@@ -169,21 +169,21 @@ def test_signature_of_twist_matches_tensor(std2):
 
 
 def test_integer_offset():
-    assert part_invariants(build_rho0()).exp.integer_offset() == 1
-    assert part_invariants(build_kappa_power(10)).exp.integer_offset() == -1
-    assert part_invariants(build_p1_permutation(3)).exp.integer_offset() == 1
+    assert part_invariants(parity_split(build_rho0()), False).exp.integer_offset() == 1
+    assert part_invariants(parity_split(build_kappa_power(10)), False).exp.integer_offset() == -1
+    assert part_invariants(parity_split(build_p1_permutation(3)), False).exp.integer_offset() == 1
     with pytest.raises(SnapFailure):
         ExponentData((F(1, 2),), F(1, 3)).integer_offset()
 
 
 def test_floor_trace_examples():
-    assert floor_trace(part_invariants(build_rho0()).exp, 0) == 1
-    assert floor_trace(part_invariants(build_kappa_power(2)).exp, 0) == 0
+    assert floor_trace(part_invariants(parity_split(build_rho0()), False).exp, 0) == 1
+    assert floor_trace(part_invariants(parity_split(build_kappa_power(2)), False).exp, 0) == 0
 
 
 def test_floor_trace_integer_shift():
     for rep in (build_rho0(), build_kappa_power(4), build_p1_permutation(2)):
-        exp = part_invariants(rep).exp
+        exp = part_invariants(parity_split(rep), False).exp
         d = exp.degree
         for s in (F(0), F(1, 12), F(5, 6)):
             assert floor_trace(exp, s + 1) == floor_trace(exp, s) + d
@@ -220,7 +220,7 @@ def negated(exp):
 def test_negated_data_gives_complement():
     for rep in (build_rho0(), build_kappa_power(2), build_p1_permutation(2),
                 build_p1_permutation(3)):
-        exp = part_invariants(rep).exp
+        exp = part_invariants(parity_split(rep), False).exp
         assert floor_trace_complement(exp, 1) == floor_trace(negated(exp), 1)
         neg = negated(exp)
         assert neg.trace_lambda == -exp.trace_lambda
@@ -237,7 +237,7 @@ def test_even_invariants_frozen_values(std2):
         (std2, 0, -1, 0, (0, 1, 1, 1, 2, 2)),
     ]
     for rep, lam_plus, lam_minus, h0, base in cases:
-        inv = part_invariants(rep)
+        inv = part_invariants(parity_split(rep), False)
         assert inv.lambda_plus == lam_plus, rep.name
         assert inv.lambda_minus == lam_minus, rep.name
         assert inv.h0 == h0, rep.name
@@ -246,7 +246,7 @@ def test_even_invariants_frozen_values(std2):
 
 def test_gamma_periodicity_and_zero(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = part_invariants(part)
+        inv = part_invariants(parity_split(part), False)
         assert inv.gamma(0) == 0
         for k in range(-12, 13):
             assert inv.gamma(k + 6) == inv.gamma(k) + part.degree
@@ -255,11 +255,11 @@ def test_gamma_periodicity_and_zero(catalog_reps):
 def test_gamma_recurrences():
     for rep in (build_rho0(), build_kappa_power(2),
                 parity_split(build_p1_permutation(2)).even_part):
-        assert gamma_sequence_check(part_invariants(rep), 20)
+        assert gamma_sequence_check(part_invariants(parity_split(rep), False), 20)
 
 
 def test_odd_invariants_kappa():
-    inv = part_invariants(build_kappa_power(1))
+    inv = part_invariants(parity_split(build_kappa_power(1)), True)
     assert inv.h0 is None
     assert inv.lambda_plus == 1
     assert inv.lambda_minus == 1
@@ -267,7 +267,7 @@ def test_odd_invariants_kappa():
 
 
 def test_odd_invariants_kappa_cubed():
-    inv = part_invariants(build_kappa_power(3))
+    inv = part_invariants(parity_split(build_kappa_power(3)), True)
     assert inv.sig == signature(build_kappa_power(2))
     assert inv.lambda_plus == 0
 
@@ -275,60 +275,66 @@ def test_odd_invariants_kappa_cubed():
 def test_odd_invariants_kappa_eleventh():
     # The value pairs with the first power through the odd dual identity
     # lambda_plus(dual) == -lambda_minus(rep).
-    inv = part_invariants(build_kappa_power(11))
-    assert inv.lambda_plus == -part_invariants(build_kappa_power(1)).lambda_minus
+    inv = part_invariants(parity_split(build_kappa_power(11)), True)
+    first = part_invariants(parity_split(build_kappa_power(1)), True)
+    assert inv.lambda_plus == -first.lambda_minus
     assert inv.lambda_plus == -1
 
 
 def test_part_invariants_need_a_pure_part():
-    with pytest.raises(ParityError):
-        part_invariants(direct_sum(build_rho0(), build_kappa_power(1)))
-    assert part_invariants(build_kappa_power(1)).parity == -1
-    assert part_invariants(build_kappa_power(2)).parity == 1
+    # The side of the split sets the parity; a mixed representation is
+    # read one part at a time.
+    split = parity_split(direct_sum(build_rho0(), build_kappa_power(1)))
+    assert part_invariants(split, False).parity == 1
+    assert part_invariants(split, True).parity == -1
+    # kappa^1 has the phase 1/12, and its even partner the phase 0.
+    assert part_invariants(split, True).exp.phases == (0,)
+    assert part_invariants(parity_split(build_kappa_power(1)), True).parity == -1
+    assert part_invariants(parity_split(build_kappa_power(2)), False).parity == 1
 
 
 def test_phase_zero_count(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = part_invariants(part)
+        inv = part_invariants(parity_split(part), False)
         zeros = sum(1 for x in inv.exp.phases if x == 0)
         assert inv.lambda_plus - inv.lambda_minus == zeros, part.name
 
 
 def test_dot_lambda_boundary_phase_count(catalog_reps):
     for part in odd_parts(catalog_reps):
-        inv = part_invariants(part)
+        inv = part_invariants(parity_split(part), True)
         boundary = sum(1 for x in inv.exp.phases if x == F(11, 12))
         assert inv.lambda_plus - inv.lambda_minus == boundary, part.name
 
 
 def test_dot_lambda_chain(catalog_reps):
     for part in odd_parts(catalog_reps):
-        inv = part_invariants(part)
+        inv = part_invariants(parity_split(part), True)
         partner = tensor_kappa(part, -1)
-        assert part_invariants(partner).lambda_plus <= inv.lambda_minus
+        assert part_invariants(parity_split(partner), False).lambda_plus <= inv.lambda_minus
         assert inv.lambda_minus <= inv.lambda_plus
 
 
 def test_dual_gamma_identity(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = part_invariants(part)
-        inv_dual = part_invariants(contragredient(part))
+        inv = part_invariants(parity_split(part), False)
+        inv_dual = part_invariants(parity_split(contragredient(part)), False)
         for k in range(-20, 21):
             assert inv_dual.gamma(k) == inv.gamma(1) - inv.gamma(1 - k), part.name
 
 
 def test_reciprocity_even(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = part_invariants(part)
-        inv_dual = part_invariants(contragredient(part))
+        inv = part_invariants(parity_split(part), False)
+        inv_dual = part_invariants(parity_split(contragredient(part)), False)
         assert inv.lambda_plus + inv_dual.lambda_minus == -inv.gamma(1), part.name
         assert inv_dual.lambda_plus + inv.lambda_minus == -inv.gamma(1), part.name
 
 
 def test_reciprocity_odd(catalog_reps):
     for part in odd_parts(catalog_reps):
-        inv = part_invariants(part)
-        inv_dual = part_invariants(contragredient(part))
+        inv = part_invariants(parity_split(part), True)
+        inv_dual = part_invariants(parity_split(contragredient(part)), True)
         assert inv_dual.lambda_plus == -inv.lambda_minus, part.name
         for k in range(-20, 21):
             assert inv_dual.gamma(k) == -inv.gamma(-k), part.name
@@ -337,10 +343,10 @@ def test_reciprocity_odd(catalog_reps):
 def test_lambda_plus_nonpositive_for_nontrivial_irreducible(std2):
     reps = [build_kappa_power(j) for j in EVEN_KAPPAS] + [std2]
     for rep in reps:
-        assert part_invariants(rep).lambda_plus <= 0, rep.name
+        assert part_invariants(parity_split(rep), False).lambda_plus <= 0, rep.name
 
 
 def test_lambda_order(catalog_reps):
     for part in even_parts(catalog_reps):
-        inv = part_invariants(part)
+        inv = part_invariants(parity_split(part), False)
         assert inv.lambda_minus <= inv.lambda_plus

@@ -80,8 +80,8 @@ def test_overflowing_products_fail_the_relations():
 def test_t_order_cap():
     rep = ModularRepresentation([[-1j]], [[ZETA12]])
     with pytest.raises(TOrderNotFound):
-        find_t_order(rep, order_cap=5)
-    assert find_t_order(rep, order_cap=12) == 12
+        find_t_order(rep, Settings(order_cap=5))
+    assert find_t_order(rep, Settings(order_cap=12)) == 12
     assert validate(rep).t_order == 12
 
 
@@ -99,14 +99,14 @@ def test_t_order_matches_power_search(catalog_reps):
     reps = list(catalog_reps.values()) + [
         tensor_kappa(build_p1_permutation(n), j) for n in range(2, 8) for j in (0, 1, 5)]
     for rep in reps:
-        assert find_t_order(rep, 4096) == power_search_order(rep)
+        assert find_t_order(rep) == power_search_order(rep)
 
 
 def test_order_cap_bounds_denominators_not_the_order():
     rep = p1_sum(25, 27, 28)
-    assert find_t_order(rep, 28) == 18900
+    assert find_t_order(rep, Settings(order_cap=28)) == 18900
     with pytest.raises(TOrderNotFound) as exc:
-        find_t_order(rep, 27)
+        find_t_order(rep, Settings(order_cap=27))
     assert exc.value.check == "denominator"
     assert "order cap 27" in str(exc.value)
 
@@ -119,18 +119,18 @@ def t_only(t):
 def test_irrational_t_phase_fails_without_looping():
     rep = t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]])
     with pytest.raises(TOrderNotFound) as exc:
-        find_t_order(rep, 4096)
+        find_t_order(rep)
     assert exc.value.check == "denominator"
     # Under a cap no loop could walk, the first convergent within
     # tolerance is found and its power refused.
     with pytest.raises(TOrderNotFound) as exc:
-        find_t_order(rep, 10 ** 12)
+        find_t_order(rep, Settings(order_cap=10 ** 12))
     assert exc.value.check == "power"
 
 
 def test_non_unit_t_eigenvalue():
     with pytest.raises(TOrderNotFound) as exc:
-        find_t_order(t_only([[1, 0], [0, 1.001]]), 4096)
+        find_t_order(t_only([[1, 0], [0, 1.001]]))
     assert exc.value.check == "modulus"
     assert "1.000e-03" in str(exc.value)
 
@@ -138,7 +138,7 @@ def test_non_unit_t_eigenvalue():
 def test_unipotent_t_has_no_order():
     # Every eigenvalue is 1, but t itself is not the identity.
     with pytest.raises(TOrderNotFound) as exc:
-        find_t_order(t_only([[1, 1], [0, 1]]), 4096)
+        find_t_order(t_only([[1, 1], [0, 1]]))
     assert exc.value.check == "power"
     assert "t^1 differs from the identity by 1.000e+00" in str(exc.value)
 
@@ -149,10 +149,10 @@ def test_t_order_proper_divisor_refused():
     phases = [173 / 693, 1 / 7, 1 / 9, 1 / 11]
     rep = t_only(np.diag([cmath.exp(2j * cmath.pi * x) for x in phases]))
     with pytest.raises(TOrderNotFound) as exc:
-        find_t_order(rep, 4096, Settings(eps=9e-4))
+        find_t_order(rep, Settings(eps=9e-4))
     assert exc.value.check == "divisor"
     assert "t^1386 is already the identity" in str(exc.value)
-    assert find_t_order(rep, 4096) == 693
+    assert find_t_order(rep) == 693
 
 
 def test_closure_sizes():

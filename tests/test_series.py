@@ -49,7 +49,7 @@ def formula_profile(rep, kind):
                 counts[w] = counts.get(w, 0) + c
 
     if split.even_part.degree:
-        inv = part_invariants(split.even_part)
+        inv = part_invariants(split, False)
         g, lp, lm, h0 = inv.gamma, inv.lambda_plus, inv.lambda_minus, inv.h0
         if kind == HOLOMORPHIC:
             put({0: h0, 2: g(1) + lp, 4: g(2) + lp - h0, 6: g(3) - g(1) - h0,
@@ -61,7 +61,7 @@ def formula_profile(rep, kind):
         m1, s1 = dim_holomorphic(rep, 1), dim_cusp(rep, 1)
         if m1.status != EXACT or s1.status != EXACT:
             return None
-        inv = part_invariants(split.odd_part)
+        inv = part_invariants(split, True)
         g, lp, lm = inv.gamma, inv.lambda_plus, inv.lambda_minus
         if kind == HOLOMORPHIC:
             put({1: m1.value, 3: g(1) + lp, 5: g(2) + lp - m1.value,
