@@ -145,6 +145,9 @@ def _cmd_generators(args, settings) -> int:
 
 
 def _cmd_duality(args, settings) -> int:
+    if args.nmax < 1:
+        print(f"vvmf duality: --nmax must be at least 1, got {args.nmax}", file=sys.stderr)
+        return 1
     rep, _ = _load_source(args.source, settings)
     report = duality_report(rep, args.nmax, settings)
     if args.json:
@@ -211,7 +214,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("duality", help="verify identities against the dual representation")
     p.add_argument("source")
-    p.add_argument("--nmax", type=int, default=3, help="sweep depth (default 3)")
+    p.add_argument("--nmax", type=int, default=3, help="sweep depth, at least 1 (default 3)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_duality)
 

@@ -76,6 +76,7 @@ class Analysis:
         self.split = parity_split(rep, settings)
         self._invariants: dict[bool, PartInvariants] = {}
         self._numerators: dict[bool, tuple[int, ...]] = {}
+        self._rows: dict[tuple[int, bool], DimResult] = {}
         self._mirror: Analysis | None = None
 
     @classmethod
@@ -107,7 +108,17 @@ class Analysis:
         return dual
 
     def dim(self, w: int, cusp: bool = False) -> DimResult:
-        """Dimension of the holomorphic (or cusp) forms of integer weight w."""
+        """Dimension of the holomorphic (or cusp) forms of integer weight w.
+
+        Each row is built once and kept: the table, the generator
+        numerators and the duality sums read the same rows.
+        """
+        row = self._rows.get((w, cusp))
+        if row is None:
+            row = self._rows[w, cusp] = self._row(w, cusp)
+        return row
+
+    def _row(self, w: int, cusp: bool) -> DimResult:
         odd = w % 2 == 1
         if (self.split.odd_part if odd else self.split.even_part).degree == 0:
             return DimResult(0, EXACT, "parity-zero")

@@ -11,7 +11,7 @@ the package is arithmetic on these integers and rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -73,10 +73,22 @@ class ExponentData:
 
     phases: tuple[Fraction, ...]
     trace_lambda: Fraction
+    # The phases over their common denominator with the log trace, and the
+    # log trace minus the phase sum over it: the integers every floor
+    # trace reads, derived once.
+    _denominator: int = field(init=False, repr=False, compare=False)
+    _numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _gap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assert all(0 <= x < 1 for x in self.phases)
-        assert list(self.phases) == sorted(self.phases)
+        m = math.lcm(self.trace_lambda.denominator, *(p.denominator for p in self.phases))
+        numerators = tuple(p.numerator * (m // p.denominator) for p in self.phases)
+        assert all(0 <= x < m for x in numerators)
+        assert list(numerators) == sorted(numerators)
+        object.__setattr__(self, "_denominator", m)
+        object.__setattr__(self, "_numerators", numerators)
+        trace = self.trace_lambda.numerator * (m // self.trace_lambda.denominator)
+        object.__setattr__(self, "_gap", trace - sum(numerators))
 
     @property
     def degree(self) -> int:
@@ -89,36 +101,30 @@ class ExponentData:
         is an integer whenever signature and phases belong to the same
         representation.  A fractional value means corrupted input.
         """
-        m, numerators, trace = _over_common_denominator(self, self.trace_lambda)
-        gap = trace - sum(numerators)
-        if gap % m:
-            raise SnapFailure(
-                f"log trace differs from phase sum by the non-integer {Fraction(gap, m)}")
-        return gap // m
-
-
-def _over_common_denominator(exp: ExponentData, x: Fraction) -> tuple[int, list[int], int]:
-    """A common denominator m of the phases and x, the phase numerators over m, and m * x."""
-    m = math.lcm(x.denominator, *(p.denominator for p in exp.phases))
-    numerators = [p.numerator * (m // p.denominator) for p in exp.phases]
-    return m, numerators, x.numerator * (m // x.denominator)
+        if self._gap % self._denominator:
+            raise SnapFailure(f"log trace differs from phase sum by the non-integer "
+                              f"{Fraction(self._gap, self._denominator)}")
+        return self._gap // self._denominator
 
 
 def floor_trace(exp: ExponentData, shift=0) -> int:
     """Sum of floor(log eigenvalue + shift) over all eigenvalues.
 
-    Exact integer arithmetic over a common denominator: the floors only
-    see the fractional phases, and the integer parts contribute the
+    Exact integer arithmetic over the common denominator m of the phases:
+    with shift = a/b, floor(x/m + a/b) = (b x + a m) // (b m).  The floors
+    only see the fractional phases, and the integer parts contribute the
     integer offset.
     """
-    m, numerators, s = _over_common_denominator(exp, Fraction(shift))
-    return exp.integer_offset() + sum((x + s) // m for x in numerators)
+    s, m = Fraction(shift), exp._denominator
+    b, am, bm = s.denominator, s.numerator * m, s.denominator * m
+    return exp.integer_offset() + sum((b * x + am) // bm for x in exp._numerators)
 
 
 def floor_trace_complement(exp: ExponentData, shift=1) -> int:
     """Sum of floor(shift - log eigenvalue) over all eigenvalues."""
-    m, numerators, s = _over_common_denominator(exp, Fraction(shift))
-    return -exp.integer_offset() + sum((s - x) // m for x in numerators)
+    s, m = Fraction(shift), exp._denominator
+    b, am, bm = s.denominator, s.numerator * m, s.denominator * m
+    return -exp.integer_offset() + sum((am - b * x) // bm for x in exp._numerators)
 
 
 def t_eigenphases(rep: ModularRepresentation,
@@ -136,15 +142,16 @@ def signature(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS)
     """Signature of a purely even representation, recovered from traces."""
     if parity(rep, settings) != 1:
         raise ParityError("signature needs a purely even representation")
-    return _signature_from_traces(rep, settings)
+    return _signature_from_traces(rep, st_inverse_image(rep), settings)
 
 
-def _signature_from_traces(rep: ModularRepresentation, settings: Settings) -> Signature:
-    """Signature of rep, which the caller knows to be purely even."""
+def _signature_from_traces(rep: ModularRepresentation, u: np.ndarray,
+                           settings: Settings) -> Signature:
+    """Signature of rep, which the caller knows to be purely even, with u its s t^-1."""
     d = rep.degree
     tr_s = complex(np.trace(rep.s_image))
     alpha = snap_integer((d - tr_s.real) / 2, settings)
-    tr_u = complex(np.trace(st_inverse_image(rep)))
+    tr_u = complex(np.trace(u))
     beta_sum = snap_integer(2 * (d - tr_u.real) / 3, settings)
     beta_diff = snap_integer(2 * tr_u.imag / _SQRT3, settings)
     if (beta_sum + beta_diff) % 2:
@@ -186,18 +193,32 @@ def part_invariants(split: ParityDecomposition, odd: bool,
     """
     part = split.odd_part if odd else split.even_part
     phases = t_eigenphases(part, settings)
-    h0 = None
     if odd:
         # The partner's t is e(-1/12) times the certified t of the part.
         even, shift = tensor_kappa(part, -1), Fraction(1, 12)
         phases = tuple(sorted((x - shift) % 1 for x in phases))
     else:
         even, shift = part, Fraction(0)
-        eye = np.eye(part.degree)
-        h0 = nullity(np.vstack([part.s_image - eye, part.t_image - eye]), settings)
-    sig = _signature_from_traces(even, settings)
+    u = st_inverse_image(even)
+    sig = _signature_from_traces(even, u, settings)
+    h0 = None if odd else _h0(part, u, sig.alpha, settings)
     exp = ExponentData(phases, sig.trace_lambda)
     d, a, b1, b2 = sig.d, sig.alpha, sig.beta1, sig.beta2
     return PartInvariants(-1 if odd else 1, sig, exp, floor_trace(exp, shift),
                           -floor_trace_complement(exp, 1 - shift), h0,
                           (0, a + b1 + b2 - d, b2, a, b1 + b2, a + b2))
+
+
+def _h0(rep: ModularRepresentation, u: np.ndarray, alpha: int, settings: Settings) -> int:
+    """Dimension of the vectors fixed by s and t, for an even rep with u = s t^-1.
+
+    A vector fixed by s and u is fixed by t = u^-1 s.  Since s^2 = 1,
+    s + 1 kills exactly the alpha-dimensional -1 eigenspace of s and
+    maps onto its fixed space, so (u - 1)(s + 1) has nullity alpha + h0.
+    """
+    eye = np.eye(rep.degree)
+    h0 = nullity((u - eye) @ (rep.s_image + eye), settings) - alpha
+    if h0 < 0:
+        raise SnapFailure(f"h0 comes out as {h0}: (u - 1)(s + 1) has a smaller null space "
+                          f"than the {alpha}-dimensional -1 eigenspace of s")
+    return h0

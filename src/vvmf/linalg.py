@@ -70,21 +70,35 @@ def max_abs(a: Matrix) -> float:
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
     """Non-negative matrix power by repeated squaring, as a new array."""
+    return mat_powers(a, [n])[0]
+
+
+def mat_powers(a: Matrix, exponents: list[int]) -> list[Matrix]:
+    """a^e for each non-negative exponent e, as arrays other than a.
+
+    The powers share one chain of squarings of a, up to the top bit of
+    the largest exponent, and each is the product of the squarings its
+    bits select, lowest first: the same products, in the same order, as
+    a power taken alone.
+    """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if n < 0:
+    if min(exponents, default=0) < 0:
         raise ValueError("exponent must be non-negative")
-    if n == 0:
-        return np.eye(a.shape[0], dtype=a.dtype)
-    result = None
-    base = a
-    while True:
-        if n & 1:
-            result = base if result is None else result @ base
-        n >>= 1
-        if not n:
-            return a.copy() if result is a else result
-        base = base @ base
+    squares = [a]
+    for _ in range(max(exponents, default=0).bit_length() - 1):
+        squares.append(squares[-1] @ squares[-1])
+    powers = []
+    for e in exponents:
+        power = None
+        for square in squares:
+            if e & 1:
+                power = square if power is None else power @ square
+            e >>= 1
+        if power is None:
+            power = np.eye(a.shape[0], dtype=a.dtype)
+        powers.append(a.copy() if power is a else power)
+    return powers
 
 
 def is_identity(a: Matrix, settings: Settings = DEFAULT_SETTINGS) -> bool:

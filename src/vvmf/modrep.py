@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .linalg import (
     as_matrix,
     is_identity,
     mat_pow,
+    mat_powers,
     max_abs,
     nullity,
     nullspace,
@@ -126,12 +128,14 @@ class ParityDecomposition:
     odd_basis: Matrix
 
 
-def _rational_phase(x: float, order_cap: int, eps: float) -> tuple[int, int]:
-    """First continued-fraction convergent p/q within eps of x, as (p mod q, q).
+def _convergents(x: float, order_cap: int, eps: float) -> Iterator[tuple[int, int]]:
+    """Continued-fraction convergents p/q within eps of x with q up to the
+    order cap, as (p mod q, q), from the first such one on.
 
     The expansion of the float x is finite and its denominators grow at
     least like the Fibonacci numbers, so this takes a few dozen steps
-    at most, whatever the cap.
+    at most, whatever the cap.  Each convergent is closer to x than the
+    one before, so once one is within eps all later ones are.
     """
     num, den = x.as_integer_ratio()
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -140,13 +144,15 @@ def _rational_phase(x: float, order_cap: int, eps: float) -> tuple[int, int]:
         num, den = den, rem
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         if q1 > order_cap:
-            break
+            return
         if abs(x - p1 / q1) <= eps:
-            return p1 % q1, q1
-    raise TOrderNotFound(
-        "denominator",
-        f"t eigenphase {x % 1:.12g} has no denominator up to the order cap "
-        f"{order_cap} within {eps:.1e}")
+            yield p1 % q1, q1
+
+
+def _misses_one(x: float, n: int, eps: float) -> bool:
+    """True when e(n x) is farther than eps from 1; n x is reduced mod 1 exactly."""
+    num, den = x.as_integer_ratio()
+    return not abs(cmath.exp(2j * math.pi * (n * num % den / den)) - 1) <= eps
 
 
 def _prime_factors(n: int) -> set[int]:
@@ -162,6 +168,19 @@ def _prime_factors(n: int) -> set[int]:
     return primes
 
 
+def _order_powers(t: Matrix, n: int, primes: list[int]) -> tuple[list[Matrix], Matrix]:
+    """t^(n/p) for each of the primes p dividing n, ascending, and t^n.
+
+    Each t^(n/p) is a power of one base, t^(n/r) with r the product of
+    the primes, and all of them are taken from one chain of squarings of
+    that base; t^n is the smallest prime's power of its t^(n/p).
+    """
+    radical = math.prod(primes)
+    base = mat_pow(t, n // radical)
+    divisor_powers = mat_powers(base, [radical // p for p in primes])
+    return divisor_powers, mat_pow(divisor_powers[0], primes[0]) if primes else base
+
+
 def _t_spectrum(rep: ModularRepresentation,
                 settings: Settings) -> tuple[int, tuple[Fraction, ...]]:
     """Order of the t image and its eigenphases, sorted fractions in [0, 1).
@@ -172,6 +191,9 @@ def _t_spectrum(rep: ModularRepresentation,
     most the order cap.  The order n is the lcm of the denominators and is
     certified by matrix powers: t^n is the identity, t^(n/p) is not for
     any prime p dividing n, and the phases reproduce the trace of t.
+    When t^n is not the identity, each phase x with e(n x) off 1 moves to
+    its next convergent within eps and under the cap, and n is certified
+    again; a phase with none left fails the power check.
     The result is kept on the representation, by settings; a failure is
     not, and raises again on every call.
     """
@@ -179,7 +201,7 @@ def _t_spectrum(rep: ModularRepresentation,
         return rep.spectra[settings]
     t = rep.t_image
     eps = settings.eps
-    pairs = []
+    xs, pairs, candidates = [], [], []
     # A real t with a real spectrum gives float eigenvalues; cmath reads both.
     for lam in np.linalg.eigvals(t):
         defect = abs(lam) - 1.0
@@ -187,34 +209,51 @@ def _t_spectrum(rep: ModularRepresentation,
             raise TOrderNotFound(
                 "modulus", f"t eigenvalue {complex(lam):.6g} has |lambda| - 1 = {defect:.3e}, "
                 f"beyond the tolerance {eps:.1e}")
-        pairs.append(_rational_phase(cmath.phase(lam) / (2 * math.pi), settings.order_cap, eps))
-    # Distinct phases with denominators up to the cap differ by far more
-    # than float resolution, so the float keys order them exactly.
-    pairs.sort(key=lambda pq: pq[0] / pq[1])
-    denominators = {q for _, q in pairs}
-    n = math.lcm(*denominators)
-    primes = sorted(set().union(*map(_prime_factors, denominators)))
-    radical = math.prod(primes)
-    # Each t^(n/p) is a power of one base, and t^n is the smallest prime's
-    # power of its t^(n/p).
-    base = mat_pow(t, n // radical)
-    divisor_powers = [mat_pow(base, radical // p) for p in primes]
-    t_n = mat_pow(divisor_powers[0], primes[0]) if primes else base
-    residual = max_abs(t_n - np.eye(rep.degree))
-    if not residual <= eps:
-        raise TOrderNotFound(
-            "power", f"t^{n} differs from the identity by {residual:.3e}, "
-            f"beyond the tolerance {eps:.1e}")
+        x = cmath.phase(lam) / (2 * math.pi)
+        convergents = _convergents(x, settings.order_cap, eps)
+        pair = next(convergents, None)
+        if pair is None:
+            raise TOrderNotFound(
+                "denominator",
+                f"t eigenphase {x % 1:.12g} has no denominator up to the order cap "
+                f"{settings.order_cap} within {eps:.1e}")
+        xs.append(x)
+        pairs.append(pair)
+        candidates.append(convergents)
+    eye = np.eye(rep.degree)
+    while True:
+        denominators = {q for _, q in pairs}
+        n = math.lcm(*denominators)
+        primes = sorted(set().union(*map(_prime_factors, denominators)))
+        divisor_powers, t_n = _order_powers(t, n, primes)
+        residual = max_abs(t_n - eye)
+        if residual <= eps:
+            break
+        # A phase whose denominator exceeds about eps^(-1/2) can have an
+        # earlier convergent within eps: move each phase that n does not
+        # bring back to 1 on to its next convergent, and certify again.
+        missing = [i for i, x in enumerate(xs) if _misses_one(x, n, eps)]
+        moved = [next(candidates[i], None) for i in missing]
+        if not missing or None in moved:
+            raise TOrderNotFound(
+                "power", f"t^{n} differs from the identity by {residual:.3e}, "
+                f"beyond the tolerance {eps:.1e}")
+        for i, pair in zip(missing, moved):
+            pairs[i] = pair
     for p, power in zip(primes, divisor_powers):
         if is_identity(power, settings):
             raise TOrderNotFound(
                 "divisor", f"t^{n // p} is already the identity, a proper divisor of the "
                 f"eigenphase order {n}")
+    # Distinct phases with denominators up to the cap differ by far more
+    # than float resolution, so the float keys order them exactly.
+    pairs.sort(key=lambda pq: pq[0] / pq[1])
     roots = np.exp(2j * np.pi * np.array([p / q for p, q in pairs]))
     gap = abs(complex(np.sum(roots)) - complex(np.trace(t)))
     if not gap <= eps * rep.degree:
         raise SnapFailure(f"t eigenphases miss the trace of t by {gap:.3e}")
-    spectrum = rep.spectra[settings] = (n, tuple(Fraction(p, q) for p, q in pairs))
+    fractions = {pair: Fraction(*pair) for pair in set(pairs)}
+    spectrum = rep.spectra[settings] = (n, tuple(fractions[pair] for pair in pairs))
     return spectrum
 
 

@@ -95,7 +95,10 @@ def duality_report(rep: ModularRepresentation, n_max: int = 3,
     dimension of the dual at complementary weights; both only ever see
     weights where every status is exact.  The generator mirror needs
     exact weight-one data and is skipped, not failed, without it.
+    The sweep runs over n = 1..n_max, so n_max must be at least 1.
     """
+    if n_max < 1:
+        raise ValueError(f"duality sweep depth n_max must be at least 1, got {n_max}")
     a = Analysis.of(rep, settings)
     dual = a.dual.rep
     checks = [

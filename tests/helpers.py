@@ -15,7 +15,7 @@ from vvmf.invariants import (
     signature,
     t_eigenphases,
 )
-from vvmf.linalg import SnapFailure
+from vvmf.linalg import DEFAULT_SETTINGS, SnapFailure, nullity
 from vvmf.modrep import ModularRepresentation, build_p1_permutation, direct_sum
 
 
@@ -53,6 +53,13 @@ def signature_of_twist(sig, k):
     """
     a, b1, b2 = _TWIST_TABLE[k % 6](sig.d, sig.alpha, sig.beta1, sig.beta2)
     return Signature(sig.d, a, b1, b2)
+
+
+def stacked_h0(rep, settings=DEFAULT_SETTINGS):
+    """Dimension of the vectors fixed by s and t, as the null space of
+    s - 1 stacked on t - 1."""
+    eye = np.eye(rep.degree)
+    return nullity(np.vstack([rep.s_image - eye, rep.t_image - eye]), settings)
 
 
 def fraction_offset(exp):

@@ -258,6 +258,14 @@ def test_duality_passes(capsys):
     assert "against ~kappa^2" in out
 
 
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_duality_needs_a_sweep(capsys, n_max):
+    assert main(["duality", "catalog:p1(2)", "--nmax", n_max]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--nmax must be at least 1, got {n_max}" in captured.err
+
+
 def test_duality_json(capsys):
     assert main(["duality", "catalog:kappa^1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -13,6 +13,7 @@ from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import (
     EXACT,
     LOWER_BOUND,
+    Analysis,
     DimResult,
     Weight1Indeterminate,
     certify_irreducible,
@@ -379,6 +380,41 @@ def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, eigvals, s
     svd_calls = counting(monkeypatch, np.linalg, "svd")
     whole_analysis(rep)
     assert (len(eigvals_calls), len(svd_calls)) == (eigvals, svds)
+
+
+def test_h0_takes_no_qr(monkeypatch):
+    # h0 is the null space of a square d x d product; the stacked 2d x d
+    # matrix it replaced took a QR first, for p1(30) and for its dual.
+    qr_calls = counting(monkeypatch, np.linalg, "qr")
+    whole_analysis(build_p1_permutation(30))
+    assert qr_calls == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_p1_permutation(30),
+    lambda: tensor_kappa(build_p1_permutation(16), 3),
+    lambda: direct_sum(build_p1_permutation(5), tensor_kappa(build_p1_permutation(7), 1)),
+], ids=["p1(30)", "p1(16)*k^3", "p1(5)+p1(7)*k^1"])
+def test_analysis_builds_each_row_once(monkeypatch, build):
+    # The table, the generator numerators and the duality sums ask for
+    # many rows twice; each (analysis, weight, kind) is built once.
+    built, asked = [], set()
+
+    class CountedResult(DimResult):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    dim = Analysis.dim
+
+    def asking(self, w, cusp=False):
+        asked.add((id(self), w, cusp))
+        return dim(self, w, cusp)
+
+    monkeypatch.setattr(vvmf.dimensions, "DimResult", CountedResult)
+    monkeypatch.setattr(Analysis, "dim", asking)
+    whole_analysis(build())
+    assert len(built) == len(asked)
 
 
 def test_real_representation_runs_real_lapack(monkeypatch):

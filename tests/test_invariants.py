@@ -14,7 +14,9 @@ from helpers import (
     gamma_sequence_check,
     p1_sum,
     signature_of_twist,
+    stacked_h0,
 )
+from vvmf.catalog import catalog_names, resolve
 from vvmf.invariants import (
     ExponentData,
     Signature,
@@ -242,6 +244,27 @@ def test_even_invariants_frozen_values(std2):
         assert inv.lambda_minus == lam_minus, rep.name
         assert inv.h0 == h0, rep.name
         assert inv.gamma_base == base, rep.name
+
+
+# Every catalog name, sums and twists, and p1 sums and even twists like
+# those of the benchmark's ladder.
+H0_REPS = [(name, lambda name=name: resolve(name)) for name in catalog_names() + [
+    "rho0+kappa^2", "kappa^1+kappa^2", "p1(2)*k^2", "p1(3)*k^3", "p1(5)+p1(7)*k^1"]] + [
+    ("+".join(f"p1({m})" for m in moduli) + f"*k^{j}",
+     lambda moduli=moduli, j=j: tensor_kappa(p1_sum(*moduli), j))
+    for moduli in ((7,), (12,), (16,), (30,), (7, 12)) for j in (0, 2, 4)]
+
+
+@pytest.mark.parametrize("build", [b for _, b in H0_REPS], ids=[name for name, _ in H0_REPS])
+def test_h0_matches_the_stacked_null_space(build):
+    # h0 is read off (u - 1)(s + 1) less alpha; the reference stacks
+    # s - 1 on t - 1.  Both must agree on the input and on seeded
+    # conjugates of condition 1, 10 and 100.
+    rep = build()
+    for r in [rep] + [conjugate(rep, seed, c) for c in (1.0, 10.0, 100.0) for seed in (0, 1)]:
+        split = parity_split(r)
+        if split.even_part.degree:
+            assert part_invariants(split, False).h0 == stacked_h0(split.even_part)
 
 
 def test_gamma_periodicity_and_zero(catalog_reps):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import enumerate_closure, p1_sum
 from vvmf.linalg import Settings, is_identity, mat_pow, max_abs
@@ -12,6 +14,8 @@ from vvmf.modrep import (
     ModularRepresentation,
     RelationViolation,
     TOrderNotFound,
+    _order_powers,
+    _prime_factors,
     build_kappa_power,
     build_p1_permutation,
     build_rho0,
@@ -153,6 +157,101 @@ def test_t_order_proper_divisor_refused():
     assert exc.value.check == "divisor"
     assert "t^1386 is already the identity" in str(exc.value)
     assert find_t_order(rep) == 693
+
+
+@pytest.mark.parametrize("moduli, n", [
+    ((30,), 30), ((8, 9, 5), 360), ((16, 27, 5), 2160), ((25, 27, 28), 18900)])
+def test_order_powers_match_single_powers(moduli, n):
+    # Permutation matrices multiply exactly, so sharing the squarings must
+    # give every power bit for bit.
+    t = p1_sum(*moduli).t_image
+    primes = sorted(_prime_factors(n))
+    divisor_powers, t_n = _order_powers(t, n, primes)
+    assert len(divisor_powers) == len(primes)
+    for p, power in zip(primes, divisor_powers):
+        assert np.array_equal(power, mat_pow(t, n // p)), p
+        assert not is_identity(power)
+    assert np.array_equal(t_n, mat_pow(t, n))
+    assert np.array_equal(t_n, np.eye(len(t)))
+
+
+def count_products(t, n):
+    """Matrix products _order_powers takes for a t of order n."""
+    ufuncs = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            ufuncs.append(ufunc)
+            plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs).view(Counted)
+
+    _order_powers(np.asarray(t).view(Counted), n, sorted(_prime_factors(n)))
+    assert set(ufuncs) <= {np.matmul}
+    return len(ufuncs)
+
+
+@pytest.mark.parametrize("moduli, n, products", [
+    # Separate squarings for each t^(n/p) took 14 and 41.
+    ((30,), 30, 9), ((25, 27, 28), 18900, 26)])
+def test_order_powers_share_the_squarings(moduli, n, products):
+    assert count_products(p1_sum(*moduli).t_image, n) == products
+
+
+def test_large_eigenphase_denominators_certify():
+    # The first convergent within eps of k/99991 often has a smaller
+    # denominator; the power check sends each such phase on to the next.
+    wide = Settings(order_cap=10 ** 6)
+    for k in range(1, 2000):
+        rep = t_only([[cmath.exp(2j * cmath.pi * k / 99991)]])
+        assert find_t_order(rep, wide) == 99991, k
+
+
+CAP = 10 ** 6
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(2, CAP).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
+def test_rational_phase_certifies_its_denominator(phase):
+    # Denominators up to the cap reach far beyond eps^(-1/2), where the
+    # first convergent within eps is often not the phase.
+    p, q = phase
+    rep = t_only([[cmath.exp(2j * cmath.pi * p / q)]])
+    assert find_t_order(rep, Settings(order_cap=CAP)) == q // math.gcd(p, q)
+
+
+@pytest.mark.parametrize("cap", [4096, CAP])
+@pytest.mark.parametrize("noise", [1e-7, 1e-9])
+def test_noisy_phases_do_not_certify(cap, noise):
+    # Phases moved off p/q by noise of standard deviation 1e-7 or 1e-9,
+    # under eps 1e-9: no convergent under the cap brings t^n back to the
+    # identity.  With the first convergent alone, none certified either.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(2, 5000))
+        x = int(rng.integers(1, q)) / q + noise * rng.standard_normal()
+        with pytest.raises(TOrderNotFound):
+            find_t_order(t_only([[cmath.exp(2j * cmath.pi * x)]]), Settings(order_cap=cap))
+
+
+def test_noisy_phases_certify_only_their_own_order():
+    # Noise 1e-7 under eps 1e-5: where the power gate passes, the order is
+    # the denominator of the phase the noise was added to.
+    loose = Settings(eps=1e-5, order_cap=4096)
+    certified = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(2, 5000))
+        p = int(rng.integers(1, q))
+        x = p / q + 1e-7 * rng.standard_normal()
+        try:
+            n = find_t_order(t_only([[cmath.exp(2j * cmath.pi * x)]]), loose)
+        except TOrderNotFound:
+            continue
+        assert n == q // math.gcd(p, q), seed
+        certified += 1
+    # Five certify with the first convergent alone; seed 25 (203/1261)
+    # certifies once its phase moves on from an earlier convergent.
+    assert certified == 6
 
 
 def test_closure_sizes():

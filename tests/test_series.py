@@ -190,6 +190,13 @@ def test_duality_report_skips_indeterminate_mirror():
     assert statuses["generator-mirror-cusp"] == "skipped"
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_duality_report_needs_a_sweep(n_max):
+    # A sweep over no n would report the weight sums as passed unchecked.
+    with pytest.raises(ValueError, match="at least 1"):
+        duality_report(build_p1_permutation(2), n_max)
+
+
 def test_generator_mirror_matches_reflection():
     # Cusp generators of the dual sit at twelve minus the holomorphic weights.
     for j in (1, 2, 5, 11):
