@@ -1,16 +1,21 @@
 """Dimension formulas for holomorphic and cusp forms of every integer weight.
 
-All values come from one Analysis per representation and settings.  The
-single case the formulas do not pin down exactly is weight one for a
-reducible odd part (commutant dimension above one); there the returned
-value is a lower bound and is marked as such instead of silently
-pretending to be exact.
+All values come from one Analysis per representation and settings; a
+representation whose contragredient has the very same images (any
+permutation representation) shares it with its dual.  The single case
+the formulas do not pin down exactly is weight one for a reducible odd
+part (commutant dimension above one); there the returned value is a
+lower bound and is marked as such instead of silently pretending to be
+exact.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .invariants import PartInvariants, part_invariants
 from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure
@@ -102,8 +107,22 @@ class Analysis:
     @cached_property
     def dual(self) -> Analysis:
         """Analysis of the contragredient, which takes its weight-one certificate
-        from here: x -> x^T maps one commutant onto the other."""
-        dual = Analysis.of(contragredient(self.rep), self.settings)
+        from here: x -> x^T maps one commutant onto the other.
+
+        When the contragredient's images equal this representation's entry
+        for entry, as for a permutation representation, its analysis would
+        repeat this one on the same numbers.  It then shares this Analysis's
+        split, part invariants, rows and generator numerators; only its rep,
+        and so its name, is its own.  Images equal only up to rounding get
+        their own analysis.
+        """
+        rep = contragredient(self.rep)
+        if (np.array_equal(rep.s_image, self.rep.s_image)
+                and np.array_equal(rep.t_image, self.rep.t_image)):
+            dual = rep.analyses[self.settings] = copy.copy(self)
+            dual.rep = rep
+        else:
+            dual = Analysis.of(rep, self.settings)
         dual._mirror = self
         return dual
 

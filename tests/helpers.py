@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from vvmf.dimensions import Analysis, Weight1Indeterminate
 from vvmf.invariants import (
     ExponentData,
     Signature,
@@ -16,7 +17,12 @@ from vvmf.invariants import (
     t_eigenphases,
 )
 from vvmf.linalg import DEFAULT_SETTINGS, SnapFailure, nullity
-from vvmf.modrep import ModularRepresentation, build_p1_permutation, direct_sum
+from vvmf.modrep import (
+    ModularRepresentation,
+    build_p1_permutation,
+    contragredient,
+    direct_sum,
+)
 
 
 def dim_via_exponent_shift(rep, k):
@@ -112,6 +118,43 @@ def steinberg(p):
     basis = q[:, :d - 1]
     return ModularRepresentation(basis.T @ rep.s_image @ basis, basis.T @ rep.t_image @ basis,
                                  f"St({p})")
+
+
+def vector_permutation(n):
+    """SL2(Z) permuting the nonzero row vectors of (Z/n)^2 from the right.
+
+    A permutation representation, so exactly its own contragredient, and
+    for n > 2 one with both parity parts: -1 swaps v and -v.
+    """
+    points = [(c, d) for c in range(n) for d in range(n) if (c, d) != (0, 0)]
+    index = {p: i for i, p in enumerate(points)}
+
+    def image(g):
+        m = np.zeros((len(points), len(points)))
+        for i, (c, d) in enumerate(points):
+            m[index[(c * g[0][0] + d * g[1][0]) % n, (c * g[0][1] + d * g[1][1]) % n], i] = 1
+        return m
+
+    return ModularRepresentation(image(((0, -1), (1, 0))), image(((1, 1), (0, 1))), f"vec({n})")
+
+
+def separate_dual(rep):
+    """Analysis of a copy of rep whose dual is analysed on its own, from
+    the contragredient's images, as for a representation that differs from
+    its contragredient; the dual still takes the weight-one certificate."""
+    a = Analysis.of(ModularRepresentation(rep.s_image, rep.t_image, rep.name))
+    a.dual = Analysis.of(contragredient(a.rep), a.settings)
+    a.dual._mirror = a
+    return a
+
+
+def numerators(a):
+    """Both generator numerators of an Analysis, or None when weight one
+    is only a lower bound."""
+    try:
+        return a.generator_numerator(False), a.generator_numerator(True)
+    except Weight1Indeterminate:
+        return None
 
 
 def enumerate_closure(rep, cap):

@@ -8,7 +8,15 @@ import pytest
 import vvmf.dimensions
 import vvmf.invariants
 import vvmf.modrep as modrep
-from helpers import conjugate, dim_via_exponent_shift, enumerate_closure, p1_sum, steinberg
+from helpers import (
+    conjugate,
+    dim_via_exponent_shift,
+    enumerate_closure,
+    numerators,
+    p1_sum,
+    steinberg,
+    vector_permutation,
+)
 from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import (
     EXACT,
@@ -367,9 +375,12 @@ def whole_analysis(rep):
 
 
 @pytest.mark.parametrize("n, twist, eigvals, svds", [
-    # One t spectrum each for the representation and its dual; the two
-    # SVDs left are the h0 null spaces.
-    (30, 0, 2, 2),
+    # p1(30) is exactly its own contragredient, so its dual shares the
+    # analysis: one t spectrum, and one SVD for the h0 null space.
+    (30, 0, 1, 1),
+    # Twisted by kappa^2 it is not, and the dual has its own spectrum
+    # and its own h0.
+    (30, 2, 2, 2),
     # The odd part's commutant and its even partner reuse the spectrum
     # validate certified; the dual has its own.
     (16, 3, 2, 17),
@@ -392,12 +403,14 @@ def test_h0_takes_no_qr(monkeypatch):
 
 @pytest.mark.parametrize("build", [
     lambda: build_p1_permutation(30),
+    lambda: tensor_kappa(build_p1_permutation(30), 2),
     lambda: tensor_kappa(build_p1_permutation(16), 3),
     lambda: direct_sum(build_p1_permutation(5), tensor_kappa(build_p1_permutation(7), 1)),
-], ids=["p1(30)", "p1(16)*k^3", "p1(5)+p1(7)*k^1"])
+], ids=["p1(30)", "p1(30)*k^2", "p1(16)*k^3", "p1(5)+p1(7)*k^1"])
 def test_analysis_builds_each_row_once(monkeypatch, build):
     # The table, the generator numerators and the duality sums ask for
-    # many rows twice; each (analysis, weight, kind) is built once.
+    # many rows twice; each (images, weight, kind) is built once, so a
+    # dual with the representation's own images builds none of its own.
     built, asked = [], set()
 
     class CountedResult(DimResult):
@@ -408,7 +421,9 @@ def test_analysis_builds_each_row_once(monkeypatch, build):
     dim = Analysis.dim
 
     def asking(self, w, cusp=False):
-        asked.add((id(self), w, cusp))
+        # Adding 0.0 turns -0.0 into 0.0, which compares equal to it.
+        images = tuple((m + 0.0).tobytes() for m in (self.rep.s_image, self.rep.t_image))
+        asked.add((images, w, cusp))
         return dim(self, w, cusp)
 
     monkeypatch.setattr(vvmf.dimensions, "DimResult", CountedResult)
@@ -421,8 +436,83 @@ def test_real_representation_runs_real_lapack(monkeypatch):
     eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
     svd_calls = counting(monkeypatch, np.linalg, "svd")
     whole_analysis(p1_sum(25, 27, 28))
-    # One t spectrum and one h0 count each for the representation and its dual.
+    # One t spectrum and one h0 count, shared with the dual, which has the
+    # same images.
+    assert (eigvals_calls, svd_calls) == (["float64"], ["float64"])
+    # St(7)'s dual equals it only up to rounding: one of each per side.
+    eigvals_calls.clear()
+    svd_calls.clear()
+    whole_analysis(steinberg(7))
     assert (eigvals_calls, svd_calls) == (["float64"] * 2, ["float64"] * 2)
+
+
+SELF_DUAL = {
+    "rho0": build_rho0,
+    **{f"p1({n})": lambda n=n: build_p1_permutation(n) for n in range(2, 8)},
+    "p1(5)+p1(7)": lambda: p1_sum(5, 7),
+    "p1(25)+p1(27)+p1(28)": lambda: p1_sum(25, 27, 28),
+    # Negated images: -0.0 where the contragredient has 0.0.
+    "p1(5)*k^6": lambda: tensor_kappa(build_p1_permutation(5), 6),
+    # A permutation representation with an odd part.
+    "vec(3)": lambda: vector_permutation(3),
+}
+
+
+@pytest.mark.parametrize("name", SELF_DUAL)
+def test_dual_with_the_same_images_shares_the_analysis(monkeypatch, name):
+    rep = SELF_DUAL[name]()
+    a = Analysis.of(rep)
+    validate(rep)
+    dim_table(rep, -2, 60)
+    numerators(a)
+    # The duality report solves nothing that the analysis has not.
+    eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
+    svd_calls = counting(monkeypatch, np.linalg, "svd")
+    assert duality_report(rep).dual_name == "~" + rep.name
+    assert (eigvals_calls, svd_calls) == ([], [])
+    d = a.dual
+    assert d.rep.name == "~" + rep.name
+    assert Analysis.of(d.rep) is d
+    assert d.split is a.split
+    fresh = Analysis.of(ModularRepresentation(d.rep.s_image, d.rep.t_image, d.rep.name))
+    for odd in (False, True):
+        if (fresh.split.odd_part if odd else fresh.split.even_part).degree:
+            assert d.invariants(odd) == fresh.invariants(odd)
+    for w in range(-2, 61):
+        for cusp in (False, True):
+            assert d.dim(w, cusp) == fresh.dim(w, cusp), (w, cusp)
+    assert numerators(d) == numerators(fresh)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: steinberg(5),
+    lambda: steinberg(7),
+    lambda: tensor_kappa(build_p1_permutation(7), 2),
+    lambda: resolve("kappa^1+kappa^11"),
+    lambda: conjugate(build_p1_permutation(7), 3),
+], ids=["St(5)", "St(7)", "p1(7)*k^2", "kappa^1+kappa^11", "conj(p1(7))"])
+def test_dual_with_other_images_has_its_own_analysis(monkeypatch, build):
+    # St(p) equals its contragredient only up to rounding; the others
+    # differ outright.
+    rep = build()
+    eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
+    whole_analysis(rep)
+    a = Analysis.of(rep)
+    assert a.dual.split is not a.split
+    assert len(eigvals_calls) == 2
+
+
+def test_shared_dual_takes_the_weight_one_certificate(monkeypatch):
+    calls = []
+
+    def counting_commutant(rep, settings):
+        calls.append(rep.name)
+        return commutant_dimension(rep, settings)
+
+    monkeypatch.setattr(vvmf.dimensions, "commutant_dimension", counting_commutant)
+    a = Analysis.of(vector_permutation(3))
+    assert a.dual.weight1_exact == a.weight1_exact
+    assert calls == ["vec(3)[odd]"]
 
 
 def test_pure_parity_representation_is_its_own_part(monkeypatch):
@@ -473,15 +563,18 @@ def test_t_spectrum_is_kept_per_order_cap():
     assert list(rep.spectra) == [wide, narrow]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_p1_permutation(30),
-    lambda: tensor_kappa(build_p1_permutation(16), 3),
-    lambda: direct_sum(build_p1_permutation(5), tensor_kappa(build_p1_permutation(7), 1)),
-], ids=["p1(30)", "p1(16)*k^3", "p1(5)+p1(7)*k^1"])
-def test_analysis_decides_parity_once_per_representation(monkeypatch, build):
-    # One decision each for the representation and its dual, made in the
-    # parity split; the parts and the odd part's partner are not tested
-    # again, and the public parity test is not on the analysis path.
+@pytest.mark.parametrize("build, decisions", [
+    # The dual of p1(30) has its images and shares its split.
+    (lambda: build_p1_permutation(30), 1),
+    (lambda: tensor_kappa(build_p1_permutation(30), 2), 2),
+    (lambda: tensor_kappa(build_p1_permutation(16), 3), 2),
+    (lambda: direct_sum(build_p1_permutation(5), tensor_kappa(build_p1_permutation(7), 1)), 2),
+], ids=["p1(30)", "p1(30)*k^2", "p1(16)*k^3", "p1(5)+p1(7)*k^1"])
+def test_analysis_decides_parity_once_per_representation(monkeypatch, build, decisions):
+    # One decision each for the representation and its dual unless they
+    # share the analysis, made in the parity split; the parts and the odd
+    # part's partner are not tested again, and the public parity test is
+    # not on the analysis path.
     rep = build()
     calls = {"_parity_of_square": 0, "parity": 0}
 
@@ -498,4 +591,4 @@ def test_analysis_decides_parity_once_per_representation(monkeypatch, build):
     count(modrep, "parity")
     count(vvmf.invariants, "parity")
     whole_analysis(rep)
-    assert calls == {"_parity_of_square": 2, "parity": 0}
+    assert calls == {"_parity_of_square": decisions, "parity": 0}

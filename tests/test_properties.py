@@ -6,7 +6,10 @@ dimension away from weight one (where a reducible odd part only gives a
 lower bound).  Conjugating by a well-conditioned matrix changes neither
 dimensions, generator profiles nor duality checks; in particular an
 exactly real representation, analysed in real arithmetic, agrees with a
-unitary conjugate of it, analysed in complex arithmetic.
+unitary conjugate of it, analysed in complex arithmetic.  A sum of
+permutation representations, conjugated by a permutation matrix, is
+still exactly its own contragredient: its dual shares its analysis and
+must give what a separately analysed dual gives.
 """
 
 import numpy as np
@@ -14,10 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conjugate, p1_sum, steinberg
+from helpers import conjugate, numerators, p1_sum, separate_dual, steinberg
 from vvmf.catalog import catalog_names, resolve
-from vvmf.dimensions import Analysis, Weight1Indeterminate
-from vvmf.modrep import build_p1_permutation, direct_sum, tensor_kappa
+from vvmf.dimensions import Analysis, Weight1Indeterminate, dim_table
+from vvmf.modrep import (
+    ModularRepresentation,
+    build_p1_permutation,
+    build_rho0,
+    contragredient,
+    direct_sum,
+    tensor_kappa,
+)
 from vvmf.series import CUSP, HOLOMORPHIC, duality_report, generator_profile
 
 WEIGHTS = range(-2, 31)
@@ -108,3 +118,41 @@ def test_real_representation_matches_its_unitary_conjugate(name):
     assert {rep.s_image.dtype, rep.t_image.dtype} == {np.dtype(np.float64)}
     assert {conj.s_image.dtype, conj.t_image.dtype} == {np.dtype(np.complex128)}
     assert_same_outputs(rep, conj)
+
+
+# Exactly their own contragredients: permutation representations, and
+# their negations, whose -0.0 entries are 0.0 in the contragredient.
+SELF_DUAL_ATOMS = {
+    "rho0": build_rho0,
+    **{f"p1({n})": lambda n=n: build_p1_permutation(n) for n in range(2, 13)},
+    **{f"p1({n})*k^6": lambda n=n: tensor_kappa(build_p1_permutation(n), 6) for n in range(2, 13)},
+}
+
+
+def rows(a):
+    return [a.dim(w, cusp) for w in WEIGHTS for cusp in (False, True)]
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(list(SELF_DUAL_ATOMS)), min_size=1, max_size=3), st.randoms())
+def test_permuted_self_dual_sums_share_their_dual(names, random):
+    # A permutation matrix conjugates exactly, so the result is still
+    # exactly its own contragredient.
+    plain = None
+    for name in names:
+        atom = SELF_DUAL_ATOMS[name]()
+        plain = atom if plain is None else direct_sum(plain, atom)
+    order = list(range(plain.degree))
+    random.shuffle(order)
+    p = np.eye(plain.degree)[order]
+    rep = ModularRepresentation(p @ plain.s_image @ p.T, p @ plain.t_image @ p.T, "perm")
+    dual = contragredient(rep)
+    assert np.array_equal(dual.s_image, rep.s_image)
+    assert np.array_equal(dual.t_image, rep.t_image)
+    shared, separate = Analysis.of(rep), separate_dual(rep)
+    report, fresh_report = duality_report(rep, 2), duality_report(separate.rep, 2)
+    assert report == fresh_report
+    assert shared.dual.split is shared.split
+    assert rows(shared.dual) == rows(separate.dual)
+    assert numerators(shared.dual) == numerators(separate.dual)
+    assert dim_table(rep, -2, 30) == dim_table(plain, -2, 30)
