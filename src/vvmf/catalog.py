@@ -2,8 +2,8 @@
 
 Atoms are rho0, kappa^j for j in 1..11 and p1(N) for N in 2..7.  An
 expression combines atoms with `+` (direct sum, lowest precedence),
-`*k^j` (character twist, binds tighter) and a `~` prefix (dual) on
-atoms.  Example: rho0+~p1(2)*k^3.
+`*k^j` for j in 0..11 (character twist, binds tighter) and a `~`
+prefix (dual) on atoms.  Example: rho0+~p1(2)*k^3.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ def _term(token: str) -> ModularRepresentation:
         m = _TWIST.match(factor)
         if not m:
             raise CatalogError(f"expected a twist of the form k^j, got {factor!r}")
+        if int(m.group(1)) > 11:
+            raise CatalogError(f"character power out of range in twist {factor!r}")
         rep = tensor_kappa(rep, int(m.group(1)))
     return rep
 

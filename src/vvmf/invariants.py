@@ -18,13 +18,13 @@ import numpy as np
 
 from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure, nullity, snap_integer
 from .modrep import (
+    _KAPPA_POWERS,
     ModularRepresentation,
     ParityDecomposition,
     ParityError,
     _t_spectrum,
     parity,
     st_inverse_image,
-    tensor_kappa,
 )
 
 _SQRT3 = math.sqrt(3.0)
@@ -142,16 +142,14 @@ def signature(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS)
     """Signature of a purely even representation, recovered from traces."""
     if parity(rep, settings) != 1:
         raise ParityError("signature needs a purely even representation")
-    return _signature_from_traces(rep, st_inverse_image(rep), settings)
+    return _signature_from_traces(rep.degree, complex(np.trace(rep.s_image)),
+                                  complex(np.trace(st_inverse_image(rep))), settings)
 
 
-def _signature_from_traces(rep: ModularRepresentation, u: np.ndarray,
+def _signature_from_traces(d: int, tr_s: complex, tr_u: complex,
                            settings: Settings) -> Signature:
-    """Signature of rep, which the caller knows to be purely even, with u its s t^-1."""
-    d = rep.degree
-    tr_s = complex(np.trace(rep.s_image))
+    """Signature of a purely even representation of degree d from tr s and tr s t^-1."""
     alpha = snap_integer((d - tr_s.real) / 2, settings)
-    tr_u = complex(np.trace(u))
     beta_sum = snap_integer(2 * (d - tr_u.real) / 3, settings)
     beta_diff = snap_integer(2 * tr_u.imag / _SQRT3, settings)
     if (beta_sum + beta_diff) % 2:
@@ -166,9 +164,9 @@ class PartInvariants:
     An odd part is read off its even partner, the tensor with the
     inverse character: sig and exp belong to the partner, and its floor
     traces are taken at the shifts 1/12 and 11/12 because the character
-    moves every eigenphase by one twelfth.  The partner's phases are the
-    part's certified phases moved back by that twelfth.  h0, the
-    dimension of the invariant vectors, is None for an odd part.
+    moves every eigenphase by one twelfth.  The partner is never built:
+    its traces and phases are the part's, moved by the character.  h0,
+    the dimension of the invariant vectors, is None for an odd part.
     """
 
     parity: int
@@ -188,19 +186,20 @@ def part_invariants(split: ParityDecomposition, odd: bool,
                     settings: Settings = DEFAULT_SETTINGS) -> PartInvariants:
     """Extract all invariants of the odd or the even part of a parity split.
 
-    The split has settled the part's parity, so it is not tested again,
-    neither on the part nor on its even partner.
+    The split has settled the part's parity, so it is not tested again.
     """
     part = split.odd_part if odd else split.even_part
     phases = t_eigenphases(part, settings)
+    u = st_inverse_image(part)
+    tr_s, tr_u = complex(np.trace(part.s_image)), complex(np.trace(u))
+    shift = Fraction(1 if odd else 0, 12)
     if odd:
-        # The partner's t is e(-1/12) times the certified t of the part.
-        even, shift = tensor_kappa(part, -1), Fraction(1, 12)
+        # The even partner's s, u = (t s)^2 and t are the part's times
+        # kappa^-1(s), (kappa^-1(s) kappa^-1(t))^2 and e(-1/12); only traces are read.
+        ks, kt = _KAPPA_POWERS[11]
+        tr_s, tr_u = ks * tr_s, (ks * kt) ** 2 * tr_u
         phases = tuple(sorted((x - shift) % 1 for x in phases))
-    else:
-        even, shift = part, Fraction(0)
-    u = st_inverse_image(even)
-    sig = _signature_from_traces(even, u, settings)
+    sig = _signature_from_traces(part.degree, tr_s, tr_u, settings)
     h0 = None if odd else _h0(part, u, sig.alpha, settings)
     exp = ExponentData(phases, sig.trace_lambda)
     d, a, b1, b2 = sig.d, sig.alpha, sig.beta1, sig.beta2

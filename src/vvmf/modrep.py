@@ -5,6 +5,10 @@ generators s = [[0,-1],[1,0]] and t = [[1,1],[0,1]].  The defining
 relations are s^4 = 1 and (st)^3 = s^2, with s^2 central; on top of
 that we insist the image of t has finite order, which makes the whole
 image finite and gives every construction here exact integer answers.
+
+Odd weights go through the order-twelve character kappa: kappa(s) = -i,
+kappa(t) = e(1/12).  Its values, like every root of unity built here from
+integers, are exact at 1, i, -1 and -i, so kappa^6 keeps real images real.
 """
 
 from __future__ import annotations
@@ -37,8 +41,17 @@ UNKNOWN = "unknown"
 
 _ASSERTIONS = (ASSERTED_REDUCIBLE, UNKNOWN)
 
-# Twelfth roots of unity, index j holds exp(2*pi*i*j/12).
-_ROOT12 = tuple(cmath.exp(2j * math.pi * j / 12) for j in range(12))
+
+def _root_of_unity(p: int, q: int) -> complex:
+    """e(p/q) = exp(2 pi i p/q) for integers p and q > 0, exact when it is 1, i, -1 or -i."""
+    p %= q
+    if 4 * p % q == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * p // q]
+    return cmath.exp(2j * math.pi * p / q)
+
+
+# (kappa(s)^j, kappa(t)^j) = ((-i)^j, e(j/12)) for kappa, the multiplier of eta^2.
+_KAPPA_POWERS = tuple((_root_of_unity(-j, 4), _root_of_unity(j, 12)) for j in range(12))
 
 
 class RelationViolation(ValueError):
@@ -370,7 +383,7 @@ def commutant_dimension(rep: ModularRepresentation,
     eye = np.eye(d)
     # The phases come sorted, so the counter lists them in that order.
     multiplicity = Counter(_t_spectrum(rep, settings)[1])
-    spaces = [nullspace(rep.t_image - cmath.exp(2j * math.pi * float(x)) * eye, settings)
+    spaces = [nullspace(rep.t_image - _root_of_unity(x.numerator, x.denominator) * eye, settings)
               for x in multiplicity]
     sizes = [v.shape[1] for v in spaces]
     if sizes != list(multiplicity.values()):
@@ -406,28 +419,14 @@ def direct_sum(a: ModularRepresentation, b: ModularRepresentation) -> ModularRep
     return ModularRepresentation(s, t, f"{a.name}+{b.name}", assertion)
 
 
-def kappa_s_value(j: int) -> complex:
-    """j-th power of the unit the order-twelve character assigns to s."""
-    return (1, -1j, -1, 1j)[j % 4]
-
-
-def kappa_t_value(j: int) -> complex:
-    """j-th power of the primitive twelfth root the character assigns to t."""
-    return _ROOT12[j % 12]
-
-
 def tensor_kappa(rep: ModularRepresentation, j: int) -> ModularRepresentation:
     """Tensor with the j-th power of the order-twelve linear character."""
     j = j % 12
     if j == 0:
         return rep
-    if j == 6:
-        # The sign character, applied exactly, so that real images stay real.
-        s, t = -rep.s_image, -rep.t_image
-    else:
-        s = kappa_s_value(j) * rep.s_image
-        t = kappa_t_value(j) * rep.t_image
-    return ModularRepresentation(s, t, f"{rep.name}*k^{j}", rep.irreducible_assertion)
+    s, t = _KAPPA_POWERS[j]
+    return ModularRepresentation(s * rep.s_image, t * rep.t_image, f"{rep.name}*k^{j}",
+                                 rep.irreducible_assertion)
 
 
 def contragredient(rep: ModularRepresentation) -> ModularRepresentation:
@@ -452,9 +451,8 @@ def build_kappa_power(j: int) -> ModularRepresentation:
     j = j % 12
     if j == 0:
         return build_rho0()
-    s = np.array([[kappa_s_value(j)]], dtype=np.complex128)
-    t = np.array([[kappa_t_value(j)]], dtype=np.complex128)
-    return ModularRepresentation(s, t, f"kappa^{j}")
+    s, t = _KAPPA_POWERS[j]
+    return ModularRepresentation([[s]], [[t]], f"kappa^{j}")
 
 
 def build_p1_permutation(n: int) -> ModularRepresentation:

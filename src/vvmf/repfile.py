@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from .modrep import ModularRepresentation
+from .modrep import ModularRepresentation, _root_of_unity
 
 ENCODINGS = ("complex", "cyclotomic")
 
@@ -58,7 +57,7 @@ def _cyclotomic_entry(value, path: str) -> complex:
             _fail(f"{path}.coeffs[{j}]", "a 'p/q' or integer string")
         except OverflowError:
             _fail(f"{path}.coeffs[{j}]", "a number within the floating point range")
-        total += x * cmath.exp(2j * math.pi * j / order)
+        total += x * _root_of_unity(j, order)
     return total
 
 

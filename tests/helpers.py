@@ -22,6 +22,7 @@ from vvmf.modrep import (
     build_p1_permutation,
     contragredient,
     direct_sum,
+    tensor_kappa,
 )
 
 
@@ -59,6 +60,13 @@ def signature_of_twist(sig, k):
     """
     a, b1, b2 = _TWIST_TABLE[k % 6](sig.d, sig.alpha, sig.beta1, sig.beta2)
     return Signature(sig.d, a, b1, b2)
+
+
+def partner_invariants(part):
+    """Signature and eigenphases of the even partner of an odd part, built
+    as a representation: the part tensored with the inverse character."""
+    partner = tensor_kappa(part, -1)
+    return signature(partner), t_eigenphases(partner)
 
 
 def stacked_h0(rep, settings=DEFAULT_SETTINGS):

@@ -98,6 +98,14 @@ def test_unknown_catalog_name(capsys):
     assert "vvmf: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factor", ["k^12", "k^13"])
+def test_twist_power_out_of_range(capsys, factor):
+    assert main(["validate", f"catalog:p1(2)*{factor}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"vvmf: error: character power out of range in twist '{factor}'" in captured.err
+
+
 def test_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
     assert "vvmf: error:" in capsys.readouterr().err

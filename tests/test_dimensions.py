@@ -453,6 +453,9 @@ SELF_DUAL = {
     "p1(25)+p1(27)+p1(28)": lambda: p1_sum(25, 27, 28),
     # Negated images: -0.0 where the contragredient has 0.0.
     "p1(5)*k^6": lambda: tensor_kappa(build_p1_permutation(5), 6),
+    # The sign character, whose images are exactly -1, alone and in a sum.
+    "kappa^6": lambda: build_kappa_power(6),
+    "p1(5)+kappa^6": lambda: direct_sum(build_p1_permutation(5), build_kappa_power(6)),
     # A permutation representation with an odd part.
     "vec(3)": lambda: vector_permutation(3),
 }

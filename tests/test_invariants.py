@@ -13,8 +13,10 @@ from helpers import (
     fraction_offset,
     gamma_sequence_check,
     p1_sum,
+    partner_invariants,
     signature_of_twist,
     stacked_h0,
+    steinberg,
 )
 from vvmf.catalog import catalog_names, resolve
 from vvmf.invariants import (
@@ -373,3 +375,41 @@ def test_lambda_order(catalog_reps):
     for part in even_parts(catalog_reps):
         inv = part_invariants(parity_split(part), False)
         assert inv.lambda_minus <= inv.lambda_plus
+
+
+# Odd parts whose even partner the library reads off the part's own traces.
+PARTNERED = (
+    [(f"p1({n})*k^{j}", lambda n=n, j=j: tensor_kappa(build_p1_permutation(n), j))
+     for n in range(2, 17) for j in ODD_KAPPAS]
+    + [("St(5)*k^1", lambda: tensor_kappa(steinberg(5), 1)),
+       ("St(7)*k^3", lambda: tensor_kappa(steinberg(7), 3))]
+    + [(expr, lambda expr=expr: resolve(expr))
+       for expr in ["kappa^1+kappa^11", "p1(5)+p1(7)*k^1"]
+       + [name for name in catalog_names() if parity_split(resolve(name)).odd_part.degree]]
+    + [(f"p1({n})*k^{j} conj",
+        lambda n=n, j=j: conjugate(tensor_kappa(build_p1_permutation(n), j), n))
+       for n, j in [(2, 1), (3, 3), (4, 5), (5, 7), (6, 9), (7, 11), (8, 1), (9, 3), (10, 5)]]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in PARTNERED], ids=[name for name, _ in PARTNERED])
+def test_odd_part_reads_its_partner_off_its_traces(build):
+    split = parity_split(build())
+    assert split.odd_part.degree
+    inv = part_invariants(split, True)
+    assert (inv.sig, inv.exp.phases) == partner_invariants(split.odd_part)
+
+
+@pytest.mark.parametrize("expr", ["p1(7)*k^1", "p1(5)+p1(7)*k^1", "kappa^1+kappa^11"])
+def test_odd_part_invariants_build_no_representation(monkeypatch, expr):
+    split = parity_split(resolve(expr))
+    built = []
+    post_init = ModularRepresentation.__post_init__
+
+    def counting_post_init(rep):
+        built.append(rep.name)
+        post_init(rep)
+
+    monkeypatch.setattr(ModularRepresentation, "__post_init__", counting_post_init)
+    part_invariants(split, True)
+    assert built == []

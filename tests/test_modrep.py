@@ -11,11 +11,13 @@ from vvmf.linalg import Settings, is_identity, mat_pow, max_abs
 from vvmf.modrep import (
     ASSERTED_REDUCIBLE,
     UNKNOWN,
+    _KAPPA_POWERS,
     ModularRepresentation,
     RelationViolation,
     TOrderNotFound,
     _order_powers,
     _prime_factors,
+    _root_of_unity,
     build_kappa_power,
     build_p1_permutation,
     build_rho0,
@@ -384,6 +386,41 @@ def test_kappa_builders():
     k2 = build_kappa_power(2)
     assert abs(k2.s_image[0, 0] + 1) <= 1e-12
     assert abs(k2.t_image[0, 0] - cmath.exp(2j * cmath.pi / 6)) <= 1e-12
+    # The sign character is exactly real.
+    k6 = build_kappa_power(6)
+    assert k6.s_image.dtype == k6.t_image.dtype == np.float64
+    assert (k6.s_image[0, 0], k6.t_image[0, 0]) == (-1, -1)
+
+
+@pytest.mark.parametrize("j", range(12))
+def test_kappa_table(j):
+    s, t = _KAPPA_POWERS[j]
+    assert abs(s - (-1j) ** j) <= 1e-15
+    assert abs(t - cmath.exp(2j * math.pi * j / 12)) <= 1e-15
+    # kappa(s)^j is a power of i, and kappa(t)^j one exactly when 3 divides j.
+    assert s == (1, -1j, -1, 1j)[j % 4]
+    assert (t in (1, 1j, -1, -1j)) == (j % 3 == 0)
+    if j % 3 == 0:
+        assert t == (1, 1j, -1, -1j)[j // 3]
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+@settings(max_examples=300, deadline=None)
+def test_root_of_unity_matches_exp(p, q):
+    z = _root_of_unity(p, q)
+    assert abs(z - cmath.exp(2j * math.pi * (p % q) / q)) <= 1e-15
+    if 4 * p % q == 0:
+        assert z == (1, 1j, -1, -1j)[4 * (p % q) // q]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_kappa_power(3),
+    lambda: build_kappa_power(6),
+    lambda: build_kappa_power(9),
+    lambda: tensor_kappa(build_p1_permutation(5), 3),
+], ids=["kappa^3", "kappa^6", "kappa^9", "p1(5)*k^3"])
+def test_quarter_turn_characters_hold_exactly(build):
+    assert validate(build()).max_residual == 0.0
 
 
 @pytest.mark.parametrize("n,degree", [(2, 3), (3, 4), (4, 6), (5, 6), (6, 12), (7, 8)])
