@@ -43,7 +43,7 @@ def _atom(token: str) -> ModularRepresentation:
     m = _KAPPA.match(token)
     if m:
         j = int(m.group(1))
-        if not 0 <= j <= 11:
+        if not 1 <= j <= 11:
             raise CatalogError(f"character power out of range in {token!r}")
         return build_kappa_power(j)
     m = _P1.match(token)

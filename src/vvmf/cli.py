@@ -7,7 +7,9 @@ carry a trailing ``+``.
 
 Exit codes: 0 on success, 1 on usage or file format problems, 2 when a
 representation fails validation or a requested computation cannot be
-completed.
+completed, and 141 (the status of a process ended by SIGPIPE) when
+standard output is closed before everything is written, as by
+``vvmf dims ... | head -1``; that case prints nothing on standard error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ from .linalg import Settings
 from .modrep import ModularRepresentation, ValidationReport, validate
 from .series import CUSP, HOLOMORPHIC, duality_report, generator_profile
 
-_USAGE_ERRORS = (repfile.ParseError, catalog.CatalogError, OSError)
+
+class _UnreadableFile(Exception):
+    """A representation file could not be opened or read."""
+
+
+_USAGE_ERRORS = (repfile.ParseError, catalog.CatalogError, _UnreadableFile)
+# 128 + SIGPIPE, as a shell reports a process that the signal ended.
+_BROKEN_PIPE_STATUS = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,7 +48,10 @@ def _load_source(source: str, settings: Settings) -> tuple[ModularRepresentation
     if source.startswith("catalog:"):
         rep = catalog.resolve(source[len("catalog:"):])
     else:
-        rep = repfile.parse_rep(source)
+        try:
+            rep = repfile.parse_rep(source)
+        except OSError as err:
+            raise _UnreadableFile(err) from err
     return rep, validate(rep, settings)
 
 
@@ -234,7 +246,14 @@ def main(argv=None) -> int:
         print(f"vvmf: error: {err}", file=sys.stderr)
         return 1
     try:
-        return args.func(args, settings)
+        status = args.func(args, settings)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader has gone.  Python flushes standard output once more at
+        # exit, so point it at the null device to keep that flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _BROKEN_PIPE_STATUS
     except _USAGE_ERRORS as err:
         print(f"vvmf: error: {err}", file=sys.stderr)
         return 1

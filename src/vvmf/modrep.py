@@ -194,16 +194,114 @@ def _order_powers(t: Matrix, n: int, primes: list[int]) -> tuple[list[Matrix], M
     return divisor_powers, mat_pow(divisor_powers[0], primes[0]) if primes else base
 
 
+# The cycles of a monomial t: each one's entries in cycle order, and their product.
+_Cycles = list[tuple[np.ndarray, complex]]
+
+
+def _monomial_cycles(t: Matrix) -> _Cycles | None:
+    """The cycles of a monomial t, or None when t is not monomial.
+
+    t is monomial when each row and each column holds exactly one entry
+    != 0, with no tolerance.  Then t sends e_j to t[i, j] e_i for that
+    one i, and a cycle j -> i -> ... is given by the entries t[i, j], ...
+    it meets, in that order, and their product.  An empty t is not taken
+    as monomial.
+    """
+    # With d entries != 0 in all, a row or column holds exactly one of them
+    # as soon as every row and every column holds one.
+    nonzero = t != 0
+    if (not t.size or np.count_nonzero(nonzero) != len(t)
+            or not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all())):
+        return None
+    image = nonzero.argmax(axis=0).tolist()
+    order, starts = [], []
+    seen = [False] * len(image)
+    for start in range(len(image)):
+        if seen[start]:
+            continue
+        starts.append(len(order))
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            order.append(j)
+            j = image[j]
+    entries = t[[image[j] for j in order], order]
+    products = np.multiply.reduceat(entries, starts).tolist()
+    return [(entries[begin:end], complex(c))
+            for begin, end, c in zip(starts, starts[1:] + [len(order)], products)]
+
+
+def _cycle_eigenvalues(cycles: _Cycles) -> list[tuple[complex, float]]:
+    """(eigenvalue, phase) pairs of the monomial t with these cycles.
+
+    A cycle of length L whose entries multiply to c contributes the L-th
+    roots of c: modulus |c|^(1/L) and phases (arg c / 2 pi + k) / L.
+    """
+    pairs = []
+    for a, c in cycles:
+        length = len(a)
+        modulus = abs(c) ** (1 / length)
+        base = cmath.phase(c) / (2 * math.pi)
+        for k in range(length):
+            x = (base + k) / length
+            pairs.append((cmath.rect(modulus, 2 * math.pi * x), x))
+    return pairs
+
+
+def _cycle_residual(cycles: _Cycles, m: int) -> float:
+    """max |t^m - 1| for the monomial t with these cycles.
+
+    On a cycle of length L whose entries multiply to c, t^m is
+    c^(m/L) times the identity when L divides m.  Otherwise t^m moves
+    every point of the cycle, so its diagonal is 0 there, and its
+    entries are c^(m//L) times products of m % L consecutive entries.
+    """
+    residual = 0.0
+    for a, c in cycles:
+        q, r = divmod(m, len(a))
+        try:
+            if r == 0:
+                residual = max(residual, abs(c ** q - 1))
+            else:
+                moduli = np.abs(np.concatenate([a, a[:r - 1]]))
+                windows = np.lib.stride_tricks.sliding_window_view(moduli, r)
+                residual = max(residual, 1.0, abs(c) ** q * float(windows.prod(axis=1).max()))
+        except OverflowError:
+            return math.inf
+    return residual
+
+
+def _power_residuals(t: Matrix, cycles: _Cycles | None, n: int, primes: list[int],
+                     settings: Settings) -> tuple[float, list[bool]]:
+    """max |t^n - 1|, and for each prime p in primes whether t^(n/p) is the identity.
+
+    A monomial t reads both off its cycles, where t^(n/p) can only be the
+    identity when every cycle length divides n/p; any other t takes
+    matrix powers.
+    """
+    if cycles is None:
+        divisor_powers, t_n = _order_powers(t, n, primes)
+        return (max_abs(t_n - np.eye(len(t))),
+                [is_identity(power, settings) for power in divisor_powers])
+    lengths = {len(a) for a, _ in cycles}
+    return _cycle_residual(cycles, n), [
+        all(n // p % length == 0 for length in lengths)
+        and _cycle_residual(cycles, n // p) <= settings.eps for p in primes]
+
+
 def _t_spectrum(rep: ModularRepresentation,
                 settings: Settings) -> tuple[int, tuple[Fraction, ...]]:
     """Order of the t image and its eigenphases, sorted fractions in [0, 1).
 
-    One eigenvalue solve gives the phases: each eigenvalue must lie
-    within eps of the unit circle, and its phase is rationalised as the
-    first continued-fraction convergent within eps, with denominator at
-    most the order cap.  The order n is the lcm of the denominators and is
-    certified by matrix powers: t^n is the identity, t^(n/p) is not for
-    any prime p dividing n, and the phases reproduce the trace of t.
+    The eigenvalues come from the cycles of t when t is monomial (each
+    row and column holds exactly one entry != 0) and from one eigenvalue
+    solve otherwise.  Each eigenvalue must lie within eps of the unit
+    circle, and its phase is rationalised as the first continued-fraction
+    convergent within eps, with denominator at most the order cap.  The
+    order n is the lcm of the denominators and is certified by powers of
+    t, read off the cycles of a monomial t and taken as matrix powers of
+    any other: t^n is the identity, t^(n/p) is not for any prime p
+    dividing n, and the phases reproduce the trace of t.
     When t^n is not the identity, each phase x with e(n x) off 1 moves to
     its next convergent within eps and under the cap, and n is certified
     again; a phase with none left fails the power check.
@@ -214,15 +312,19 @@ def _t_spectrum(rep: ModularRepresentation,
         return rep.spectra[settings]
     t = rep.t_image
     eps = settings.eps
+    cycles = _monomial_cycles(t)
+    if cycles is None:
+        # A real t with a real spectrum gives float eigenvalues; cmath reads both.
+        eigenvalues = [(lam, cmath.phase(lam) / (2 * math.pi)) for lam in np.linalg.eigvals(t)]
+    else:
+        eigenvalues = _cycle_eigenvalues(cycles)
     xs, pairs, candidates = [], [], []
-    # A real t with a real spectrum gives float eigenvalues; cmath reads both.
-    for lam in np.linalg.eigvals(t):
+    for lam, x in eigenvalues:
         defect = abs(lam) - 1.0
         if not abs(defect) <= eps:
             raise TOrderNotFound(
                 "modulus", f"t eigenvalue {complex(lam):.6g} has |lambda| - 1 = {defect:.3e}, "
                 f"beyond the tolerance {eps:.1e}")
-        x = cmath.phase(lam) / (2 * math.pi)
         convergents = _convergents(x, settings.order_cap, eps)
         pair = next(convergents, None)
         if pair is None:
@@ -233,13 +335,11 @@ def _t_spectrum(rep: ModularRepresentation,
         xs.append(x)
         pairs.append(pair)
         candidates.append(convergents)
-    eye = np.eye(rep.degree)
     while True:
         denominators = {q for _, q in pairs}
         n = math.lcm(*denominators)
         primes = sorted(set().union(*map(_prime_factors, denominators)))
-        divisor_powers, t_n = _order_powers(t, n, primes)
-        residual = max_abs(t_n - eye)
+        residual, divisor_identities = _power_residuals(t, cycles, n, primes, settings)
         if residual <= eps:
             break
         # A phase whose denominator exceeds about eps^(-1/2) can have an
@@ -253,8 +353,8 @@ def _t_spectrum(rep: ModularRepresentation,
                 f"beyond the tolerance {eps:.1e}")
         for i, pair in zip(missing, moved):
             pairs[i] = pair
-    for p, power in zip(primes, divisor_powers):
-        if is_identity(power, settings):
+    for p, identity in zip(primes, divisor_identities):
+        if identity:
             raise TOrderNotFound(
                 "divisor", f"t^{n // p} is already the identity, a proper divisor of the "
                 f"eigenphase order {n}")

@@ -104,6 +104,16 @@ def p1_sum(*moduli):
     return rep
 
 
+def noisy_p1_two():
+    """p1(2) with seeded noise of size 1e-7 on the nonzero entries of t,
+    which leaves t monomial and off the unit circle at tolerance 1e-9."""
+    rep = build_p1_permutation(2)
+    t = rep.t_image.copy()
+    nonzero = t != 0
+    t[nonzero] += 1e-7 * np.random.default_rng(0).standard_normal(nonzero.sum())
+    return ModularRepresentation(rep.s_image, t, "noisy p1(2)")
+
+
 def conjugate(rep, seed, condition=10.0):
     """rep conjugated by a seeded matrix with the given condition number."""
     rng = np.random.default_rng(seed)

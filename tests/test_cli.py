@@ -1,5 +1,9 @@
 import cmath
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,34 @@ def test_twist_power_out_of_range(capsys, factor):
 def test_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
     assert "vvmf: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("absent.json", "No such file or directory"), ("directory", "Is a directory")])
+def test_unreadable_file_is_a_usage_error(tmp_path, capsys, name, reason):
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / name
+    assert main(["dims", str(path), "--from", "0", "--to", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vvmf: error: [Errno")
+    assert reason in captured.err and str(path) in captured.err
+
+
+def test_closed_standard_output_ends_quietly_with_sigpipe_status():
+    # About 140 kB of table, more than a pipe holds, so vvmf is still
+    # writing when the reader closes its end after the first line.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vvmf", "dims", "catalog:p1(7)", "--from", "0", "--to", "6000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"rep p1(7): degree 8\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_validate_file(tmp_path, capsys):

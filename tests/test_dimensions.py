@@ -12,6 +12,7 @@ from helpers import (
     conjugate,
     dim_via_exponent_shift,
     enumerate_closure,
+    noisy_p1_two,
     numerators,
     p1_sum,
     steinberg,
@@ -281,14 +282,6 @@ def test_kappa_table_periodic_structure():
     assert all(by_w[w] == 0 for w in range(2, 13, 2))
 
 
-def noisy_p1_two():
-    rep = build_p1_permutation(2)
-    t = rep.t_image.copy()
-    nonzero = t != 0
-    t[nonzero] += 1e-7 * np.random.default_rng(0).standard_normal(nonzero.sum())
-    return ModularRepresentation(rep.s_image, t, "noisy p1(2)")
-
-
 def test_results_follow_the_settings_passed():
     rep = noisy_p1_two()
     loose = Settings(eps=1e-5)
@@ -363,6 +356,23 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def counting_certificates(monkeypatch):
+    """Wrap modrep._t_spectrum, wherever it is looked up, to log the name
+    of each representation whose t spectrum a call certifies rather than
+    reads from rep.spectra, on either route; return the log."""
+    calls = []
+    original = modrep._t_spectrum
+
+    def wrapper(rep, settings):
+        if settings not in rep.spectra:
+            calls.append(rep.name)
+        return original(rep, settings)
+
+    monkeypatch.setattr(modrep, "_t_spectrum", wrapper)
+    monkeypatch.setattr(vvmf.invariants, "_t_spectrum", wrapper)
+    return calls
+
+
 def whole_analysis(rep):
     validate(rep)
     dim_table(rep, -2, 60)
@@ -374,7 +384,7 @@ def whole_analysis(rep):
     duality_report(rep)
 
 
-@pytest.mark.parametrize("n, twist, eigvals, svds", [
+@pytest.mark.parametrize("n, twist, spectra, svds", [
     # p1(30) is exactly its own contragredient, so its dual shares the
     # analysis: one t spectrum, and one SVD for the h0 null space.
     (30, 0, 1, 1),
@@ -385,12 +395,15 @@ def whole_analysis(rep):
     # validate certified; the dual has its own.
     (16, 3, 2, 17),
 ])
-def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, eigvals, svds):
+def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, spectra, svds):
     rep = tensor_kappa(build_p1_permutation(n), twist)
+    certified = counting_certificates(monkeypatch)
     eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
     svd_calls = counting(monkeypatch, np.linalg, "svd")
     whole_analysis(rep)
-    assert (len(eigvals_calls), len(svd_calls)) == (eigvals, svds)
+    assert (len(certified), len(svd_calls)) == (spectra, svds)
+    # t and the dual's t are monomial, so no spectrum needs an eigenvalue solve.
+    assert eigvals_calls == []
 
 
 def test_h0_takes_no_qr(monkeypatch):
@@ -433,17 +446,19 @@ def test_analysis_builds_each_row_once(monkeypatch, build):
 
 
 def test_real_representation_runs_real_lapack(monkeypatch):
+    certified = counting_certificates(monkeypatch)
     eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
     svd_calls = counting(monkeypatch, np.linalg, "svd")
     whole_analysis(p1_sum(25, 27, 28))
-    # One t spectrum and one h0 count, shared with the dual, which has the
-    # same images.
-    assert (eigvals_calls, svd_calls) == (["float64"], ["float64"])
-    # St(7)'s dual equals it only up to rounding: one of each per side.
-    eigvals_calls.clear()
+    # One t spectrum, read off the cycles of the permutation t, and one h0
+    # count, shared with the dual, which has the same images.
+    assert (len(certified), eigvals_calls, svd_calls) == (1, [], ["float64"])
+    # St(7) has a dense t, and its dual equals it only up to rounding: one
+    # real eigenvalue solve and one real SVD per side.
+    certified.clear()
     svd_calls.clear()
     whole_analysis(steinberg(7))
-    assert (eigvals_calls, svd_calls) == (["float64"] * 2, ["float64"] * 2)
+    assert (len(certified), eigvals_calls, svd_calls) == (2, ["float64"] * 2, ["float64"] * 2)
 
 
 SELF_DUAL = {
@@ -498,11 +513,11 @@ def test_dual_with_other_images_has_its_own_analysis(monkeypatch, build):
     # St(p) equals its contragredient only up to rounding; the others
     # differ outright.
     rep = build()
-    eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
+    certified = counting_certificates(monkeypatch)
     whole_analysis(rep)
     a = Analysis.of(rep)
     assert a.dual.split is not a.split
-    assert len(eigvals_calls) == 2
+    assert certified == [rep.name, "~" + rep.name]
 
 
 def test_shared_dual_takes_the_weight_one_certificate(monkeypatch):
@@ -542,16 +557,16 @@ def test_pure_parity_representation_is_its_own_part(monkeypatch):
 
 def test_failing_t_spectrum_is_not_cached(monkeypatch):
     rep = noisy_p1_two()
-    eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
+    certified = counting_certificates(monkeypatch)
     for attempt in (1, 2):
         with pytest.raises(TOrderNotFound):
-            _t_spectrum(rep, Settings())
-        assert len(eigvals_calls) == attempt
+            modrep._t_spectrum(rep, Settings())
+        assert len(certified) == attempt
     assert rep.spectra == {}
     loose = Settings(eps=1e-5)
-    assert _t_spectrum(rep, loose) is _t_spectrum(rep, loose)
+    assert modrep._t_spectrum(rep, loose) is modrep._t_spectrum(rep, loose)
     assert list(rep.spectra) == [loose]
-    assert len(eigvals_calls) == 3
+    assert len(certified) == 3
 
 
 def test_t_spectrum_is_kept_per_order_cap():

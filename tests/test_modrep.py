@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import enumerate_closure, p1_sum
+import vvmf.modrep as modrep
+from helpers import conjugate, enumerate_closure, noisy_p1_two, p1_sum
 from vvmf.linalg import Settings, is_identity, mat_pow, max_abs
 from vvmf.modrep import (
     ASSERTED_REDUCIBLE,
@@ -15,9 +16,12 @@ from vvmf.modrep import (
     ModularRepresentation,
     RelationViolation,
     TOrderNotFound,
+    _cycle_residual,
+    _monomial_cycles,
     _order_powers,
     _prime_factors,
     _root_of_unity,
+    _t_spectrum,
     build_kappa_power,
     build_p1_permutation,
     build_rho0,
@@ -197,6 +201,87 @@ def count_products(t, n):
     ((30,), 30, 9), ((25, 27, 28), 18900, 26)])
 def test_order_powers_share_the_squarings(moduli, n, products):
     assert count_products(p1_sum(*moduli).t_image, n) == products
+
+
+def test_monomial_t_is_read_from_its_zero_pattern():
+    # Exactly one entry != 0 in each row and column, with no tolerance.
+    assert _monomial_cycles(build_p1_permutation(7).t_image) is not None
+    assert _monomial_cycles(np.diag([1.0, 1e-300])) is not None
+    assert _monomial_cycles(np.array([[1.0, 1e-300], [0.0, 1.0]])) is None
+    assert _monomial_cycles(np.array([[1.0, 1.0], [0.0, 0.0]])) is None
+    assert _monomial_cycles(np.zeros((0, 0))) is None
+    # The cycles of p1(7)'s t: the fixed point (1 : 0) and a 7-cycle.
+    cycles = _monomial_cycles(build_p1_permutation(7).t_image)
+    assert sorted((len(a), c) for a, c in cycles) == [(1, 1), (7, 1)]
+
+
+def test_cycle_residual_is_the_matrix_residual():
+    # A 3-cycle with entries of moduli 2, 1/2 and 3, a 2-cycle and a fixed
+    # point: where a cycle length does not divide m, t^m has a zero diagonal
+    # and entries that are products of m consecutive ones of the cycle.
+    t = np.zeros((6, 6), dtype=np.complex128)
+    t[1, 0], t[2, 1], t[0, 2] = 2, 0.5j, -3
+    t[4, 3], t[3, 4] = 1j, -1j
+    t[5, 5] = ZETA12
+    cycles = _monomial_cycles(t)
+    for m in range(1, 25):
+        expected = max_abs(mat_pow(t, m) - np.eye(6))
+        assert _cycle_residual(cycles, m) == pytest.approx(expected, rel=1e-12), m
+
+
+def relabel(rep, order, phases):
+    """rep conjugated by the monomial unitary sending e_j to e(phases[j]) e_order[j]."""
+    d = rep.degree
+    m = np.zeros((d, d), dtype=np.complex128)
+    m[order, range(d)] = np.exp(2j * np.pi * np.asarray(phases, dtype=float))
+    m_inv = m.conj().T
+    return ModularRepresentation(m @ rep.s_image @ m_inv, m @ rep.t_image @ m_inv, rep.name)
+
+
+# p1(N)*k^j for N in 2..16, and kappa^j where N is 1.
+monomial_terms = st.tuples(st.integers(1, 16), st.integers(0, 11))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(monomial_terms, min_size=1, max_size=3), st.randoms(),
+       st.sampled_from([1, 2, 12, 35]), st.integers(0, 2**16))
+def test_monomial_route_matches_the_dense_route(terms, random, q, seed):
+    # A relabelling by a permutation and a diagonal of q-th roots of unity
+    # keeps t monomial; a unitary conjugate makes it dense.
+    rep = None
+    for n, j in terms:
+        atom = build_kappa_power(j) if n == 1 else tensor_kappa(build_p1_permutation(n), j)
+        rep = atom if rep is None else direct_sum(rep, atom)
+    # Every t of degree one is monomial.
+    assume(rep.degree > 1)
+    order = list(range(rep.degree))
+    random.shuffle(order)
+    rep = relabel(rep, order, [random.randrange(q) / q for _ in order])
+    dense = conjugate(rep, seed, condition=1.0)
+    assert _monomial_cycles(rep.t_image) is not None
+    assert _monomial_cycles(dense.t_image) is None
+    assert _t_spectrum(rep, Settings()) == _t_spectrum(dense, Settings())
+
+
+@pytest.mark.parametrize("build, settings, check", [
+    (lambda: t_only([[1, 0], [0, 1.001]]), Settings(), "modulus"),
+    (lambda: t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]), Settings(), "denominator"),
+    (lambda: t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]), Settings(order_cap=10 ** 12),
+     "power"),
+    (lambda: t_only(np.diag([cmath.exp(2j * cmath.pi * x)
+                             for x in (173 / 693, 1 / 7, 1 / 9, 1 / 11)])),
+     Settings(eps=9e-4), "divisor"),
+    (noisy_p1_two, Settings(eps=1e-9), "modulus"),
+], ids=["diag(1, 1.001)", "e(sqrt2)", "e(sqrt2)-wide-cap", "173/693", "noisy-p1(2)"])
+def test_failing_monomial_t_fails_alike_on_the_dense_route(monkeypatch, build, settings, check):
+    rep = build()
+    assert _monomial_cycles(rep.t_image) is not None
+    with pytest.raises(TOrderNotFound) as monomial:
+        _t_spectrum(rep, settings)
+    monkeypatch.setattr(modrep, "_monomial_cycles", lambda t: None)
+    with pytest.raises(TOrderNotFound) as dense:
+        _t_spectrum(build(), settings)
+    assert monomial.value.check == dense.value.check == check
 
 
 def test_large_eigenphase_denominators_certify():
