@@ -131,9 +131,9 @@ def t_eigenphases(rep: ModularRepresentation,
                   settings: Settings = DEFAULT_SETTINGS) -> tuple[Fraction, ...]:
     """Eigenvalue phases of the t image as exact fractions in [0, 1), sorted.
 
-    They come from one eigenvalue solve, rationalised with denominators
-    up to the order cap of the settings and certified against the order
-    of the image; see modrep for the checks.
+    They come from the cycles of a monomial t or one eigenvalue solve,
+    rationalised with denominators up to the order cap of the settings
+    and certified against the order of the image; see modrep for the checks.
     """
     return _t_spectrum(rep, settings)[1]
 

@@ -194,8 +194,10 @@ def _order_powers(t: Matrix, n: int, primes: list[int]) -> tuple[list[Matrix], M
     return divisor_powers, mat_pow(divisor_powers[0], primes[0]) if primes else base
 
 
-# The cycles of a monomial t: each one's entries in cycle order, and their product.
-_Cycles = list[tuple[np.ndarray, complex]]
+# The cycles of t as (length L, product c) pairs: a cycle's eigenvalues are
+# the L-th roots of c.  A monomial t has one per cycle of its permutation;
+# any other t one of length one per eigenvalue.
+_Cycles = list[tuple[int, complex]]
 
 
 def _monomial_cycles(t: Matrix) -> _Cycles | None:
@@ -203,9 +205,9 @@ def _monomial_cycles(t: Matrix) -> _Cycles | None:
 
     t is monomial when each row and each column holds exactly one entry
     != 0, with no tolerance.  Then t sends e_j to t[i, j] e_i for that
-    one i, and a cycle j -> i -> ... is given by the entries t[i, j], ...
-    it meets, in that order, and their product.  An empty t is not taken
-    as monomial.
+    one i, and a cycle j -> i -> ... has the length of that orbit and the
+    product of the entries t[i, j], ... it meets.  An empty t is not
+    taken as monomial.
     """
     # With d entries != 0 in all, a row or column holds exactly one of them
     # as soon as every row and every column holds one.
@@ -225,86 +227,56 @@ def _monomial_cycles(t: Matrix) -> _Cycles | None:
             seen[j] = True
             order.append(j)
             j = image[j]
-    entries = t[[image[j] for j in order], order]
-    products = np.multiply.reduceat(entries, starts).tolist()
-    return [(entries[begin:end], complex(c))
-            for begin, end, c in zip(starts, starts[1:] + [len(order)], products)]
-
-
-def _cycle_eigenvalues(cycles: _Cycles) -> list[tuple[complex, float]]:
-    """(eigenvalue, phase) pairs of the monomial t with these cycles.
-
-    A cycle of length L whose entries multiply to c contributes the L-th
-    roots of c: modulus |c|^(1/L) and phases (arg c / 2 pi + k) / L.
-    """
-    pairs = []
-    for a, c in cycles:
-        length = len(a)
-        modulus = abs(c) ** (1 / length)
-        base = cmath.phase(c) / (2 * math.pi)
-        for k in range(length):
-            x = (base + k) / length
-            pairs.append((cmath.rect(modulus, 2 * math.pi * x), x))
-    return pairs
-
-
-def _cycle_residual(cycles: _Cycles, m: int) -> float:
-    """max |t^m - 1| for the monomial t with these cycles.
-
-    On a cycle of length L whose entries multiply to c, t^m is
-    c^(m/L) times the identity when L divides m.  Otherwise t^m moves
-    every point of the cycle, so its diagonal is 0 there, and its
-    entries are c^(m//L) times products of m % L consecutive entries.
-    """
-    residual = 0.0
-    for a, c in cycles:
-        q, r = divmod(m, len(a))
-        try:
-            if r == 0:
-                residual = max(residual, abs(c ** q - 1))
-            else:
-                moduli = np.abs(np.concatenate([a, a[:r - 1]]))
-                windows = np.lib.stride_tricks.sliding_window_view(moduli, r)
-                residual = max(residual, 1.0, abs(c) ** q * float(windows.prod(axis=1).max()))
-        except OverflowError:
-            return math.inf
-    return residual
+    products = np.multiply.reduceat(t[[image[j] for j in order], order], starts).tolist()
+    lengths = np.diff(starts + [len(order)]).tolist()
+    return [(length, complex(c)) for length, c in zip(lengths, products)]
 
 
 def _power_residuals(t: Matrix, cycles: _Cycles | None, n: int, primes: list[int],
                      settings: Settings) -> tuple[float, list[bool]]:
     """max |t^n - 1|, and for each prime p in primes whether t^(n/p) is the identity.
 
-    A monomial t reads both off its cycles, where t^(n/p) can only be the
-    identity when every cycle length divides n/p; any other t takes
-    matrix powers.
+    A monomial t reads both off its cycles, each of whose lengths divides
+    n.  On a cycle of length L whose entries multiply to c, t^m is c^(m/L)
+    times the identity when L divides m and moves every point otherwise,
+    so t^(n/p) can only be the identity when every L divides n/p.  Any
+    other t (cycles None) takes matrix powers.
     """
     if cycles is None:
         divisor_powers, t_n = _order_powers(t, n, primes)
         return (max_abs(t_n - np.eye(len(t))),
                 [is_identity(power, settings) for power in divisor_powers])
-    lengths = {len(a) for a, _ in cycles}
-    return _cycle_residual(cycles, n), [
-        all(n // p % length == 0 for length in lengths)
-        and _cycle_residual(cycles, n // p) <= settings.eps for p in primes]
+
+    def residual(m: int) -> float:
+        try:
+            return max(abs(c ** (m // length) - 1) for length, c in cycles)
+        except OverflowError:
+            return math.inf
+
+    return residual(n), [all(n // p % length == 0 for length, _ in cycles)
+                         and residual(n // p) <= settings.eps for p in primes]
 
 
 def _t_spectrum(rep: ModularRepresentation,
                 settings: Settings) -> tuple[int, tuple[Fraction, ...]]:
     """Order of the t image and its eigenphases, sorted fractions in [0, 1).
 
-    The eigenvalues come from the cycles of t when t is monomial (each
-    row and column holds exactly one entry != 0) and from one eigenvalue
-    solve otherwise.  Each eigenvalue must lie within eps of the unit
-    circle, and its phase is rationalised as the first continued-fraction
-    convergent within eps, with denominator at most the order cap.  The
-    order n is the lcm of the denominators and is certified by powers of
-    t, read off the cycles of a monomial t and taken as matrix powers of
-    any other: t^n is the identity, t^(n/p) is not for any prime p
-    dividing n, and the phases reproduce the trace of t.
-    When t^n is not the identity, each phase x with e(n x) off 1 moves to
-    its next convergent within eps and under the cap, and n is certified
-    again; a phase with none left fails the power check.
+    The spectrum is read from cycles (L, c), each of which stands for the
+    L-th roots of c: the cycles of t when t is monomial (each row and
+    column holds exactly one entry != 0), and one of length one per
+    eigenvalue of one eigenvalue solve otherwise.  |c|^(1/L) must lie
+    within eps of 1, and y = arg c / 2 pi is rationalised as the first
+    continued-fraction convergent a/b within L eps with bL at most the
+    order cap, so each phase (a/b + k)/L lies within eps of its
+    eigenvalue's.  Their reduced denominators divide bL and one of them
+    is bL, since gcd(a, b) = 1.  The order n is the lcm of the bL and is
+    certified by powers of t, read off the cycles of a monomial t and
+    taken as matrix powers of any other: t^n is the identity, t^(n/p) is
+    not for any prime p dividing n, and the phases reproduce the trace
+    of t.
+    When t^n is not the identity, each cycle with e((n/L) y) off 1 moves
+    to its next convergent within L eps and under the cap, and n is
+    certified again; a cycle with none left fails the power check.
     The result is kept on the representation, by settings; a failure is
     not, and raises again on every call.
     """
@@ -312,52 +284,56 @@ def _t_spectrum(rep: ModularRepresentation,
         return rep.spectra[settings]
     t = rep.t_image
     eps = settings.eps
-    cycles = _monomial_cycles(t)
-    if cycles is None:
-        # A real t with a real spectrum gives float eigenvalues; cmath reads both.
-        eigenvalues = [(lam, cmath.phase(lam) / (2 * math.pi)) for lam in np.linalg.eigvals(t)]
-    else:
-        eigenvalues = _cycle_eigenvalues(cycles)
-    xs, pairs, candidates = [], [], []
-    for lam, x in eigenvalues:
-        defect = abs(lam) - 1.0
-        if not abs(defect) <= eps:
+    monomial = _monomial_cycles(t)
+    # A real t with a real spectrum gives float eigenvalues; complex() reads both.
+    cycles = monomial or [(1, complex(lam)) for lam in np.linalg.eigvals(t)]
+    ys, snapped, candidates = [], [], []
+    for length, c in cycles:
+        modulus = abs(c) ** (1 / length)
+        y = cmath.phase(c) / (2 * math.pi)
+        if not abs(modulus - 1.0) <= eps:
             raise TOrderNotFound(
-                "modulus", f"t eigenvalue {complex(lam):.6g} has |lambda| - 1 = {defect:.3e}, "
-                f"beyond the tolerance {eps:.1e}")
-        convergents = _convergents(x, settings.order_cap, eps)
+                "modulus", f"t eigenvalue {cmath.rect(modulus, 2 * math.pi * y / length):.6g} "
+                f"has |lambda| - 1 = {modulus - 1.0:.3e}, beyond the tolerance {eps:.1e}")
+        convergents = _convergents(y, settings.order_cap // length, length * eps)
         pair = next(convergents, None)
         if pair is None:
             raise TOrderNotFound(
                 "denominator",
-                f"t eigenphase {x % 1:.12g} has no denominator up to the order cap "
+                f"t eigenphase {y / length % 1:.12g} has no denominator up to the order cap "
                 f"{settings.order_cap} within {eps:.1e}")
-        xs.append(x)
-        pairs.append(pair)
+        ys.append(y)
+        snapped.append(pair)
         candidates.append(convergents)
     while True:
-        denominators = {q for _, q in pairs}
+        denominators = {b * length for (length, _), (_, b) in zip(cycles, snapped)}
         n = math.lcm(*denominators)
         primes = sorted(set().union(*map(_prime_factors, denominators)))
-        residual, divisor_identities = _power_residuals(t, cycles, n, primes, settings)
+        residual, divisor_identities = _power_residuals(t, monomial, n, primes, settings)
         if residual <= eps:
             break
         # A phase whose denominator exceeds about eps^(-1/2) can have an
-        # earlier convergent within eps: move each phase that n does not
-        # bring back to 1 on to its next convergent, and certify again.
-        missing = [i for i, x in enumerate(xs) if _misses_one(x, n, eps)]
+        # earlier convergent within eps: move each cycle whose phases n
+        # does not bring back to 1 on to its next convergent, and certify
+        # again.  e(n (y + k)/L) is e((n/L) y) for every k.
+        missing = [i for i, ((length, _), y) in enumerate(zip(cycles, ys))
+                   if _misses_one(y, n // length, eps)]
         moved = [next(candidates[i], None) for i in missing]
         if not missing or None in moved:
             raise TOrderNotFound(
                 "power", f"t^{n} differs from the identity by {residual:.3e}, "
                 f"beyond the tolerance {eps:.1e}")
         for i, pair in zip(missing, moved):
-            pairs[i] = pair
+            snapped[i] = pair
     for p, identity in zip(primes, divisor_identities):
         if identity:
             raise TOrderNotFound(
                 "divisor", f"t^{n // p} is already the identity, a proper divisor of the "
                 f"eigenphase order {n}")
+    # The phases of a cycle, (a + k b)/(b L) for k < L, in lowest terms.
+    pairs = [((a + k * b) // g, b * length // g)
+             for (length, _), (a, b) in zip(cycles, snapped)
+             for k in range(length) for g in [math.gcd(a + k * b, length)]]
     # Distinct phases with denominators up to the cap differ by far more
     # than float resolution, so the float keys order them exactly.
     pairs.sort(key=lambda pq: pq[0] / pq[1])

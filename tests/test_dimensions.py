@@ -610,3 +610,19 @@ def test_analysis_decides_parity_once_per_representation(monkeypatch, build, dec
     count(vvmf.invariants, "parity")
     whole_analysis(rep)
     assert calls == {"_parity_of_square": decisions, "parity": 0}
+
+
+@pytest.mark.parametrize("n, j, eps", [
+    (11, 1, 1e-4), (17, 2, 1e-4), (23, 2, 1e-4), (25, 10, 1e-4), (27, 1, 1e-4), (29, 1, 1e-5)])
+@pytest.mark.parametrize("dual", [False, True], ids=["rep", "dual"])
+def test_loose_tolerance_certifies_twisted_permutations(n, j, eps, dual):
+    # Each phase snapped on its own found small-denominator convergents
+    # within a loose eps that failed the power or divisor check; one
+    # convergent per cycle finds the true order.
+    rep = tensor_kappa(build_p1_permutation(n), j)
+    if dual:
+        rep = contragredient(rep)
+    loose = Settings(eps=eps)
+    assert modrep.find_t_order(rep, loose) == np.lcm(n, 12 // np.gcd(j, 12))
+    assert dim_table(rep, -2, 30, loose) == dim_table(rep, -2, 30)
+    assert duality_report(rep, settings=loose).ok

@@ -16,9 +16,9 @@ from vvmf.modrep import (
     ModularRepresentation,
     RelationViolation,
     TOrderNotFound,
-    _cycle_residual,
     _monomial_cycles,
     _order_powers,
+    _power_residuals,
     _prime_factors,
     _root_of_unity,
     _t_spectrum,
@@ -210,23 +210,47 @@ def test_monomial_t_is_read_from_its_zero_pattern():
     assert _monomial_cycles(np.array([[1.0, 1e-300], [0.0, 1.0]])) is None
     assert _monomial_cycles(np.array([[1.0, 1.0], [0.0, 0.0]])) is None
     assert _monomial_cycles(np.zeros((0, 0))) is None
-    # The cycles of p1(7)'s t: the fixed point (1 : 0) and a 7-cycle.
-    cycles = _monomial_cycles(build_p1_permutation(7).t_image)
-    assert sorted((len(a), c) for a, c in cycles) == [(1, 1), (7, 1)]
+    # The cycles of p1(7)'s t, as (length, product): the fixed point
+    # (1 : 0) and a 7-cycle.
+    assert sorted(_monomial_cycles(build_p1_permutation(7).t_image)) == [(1, 1), (7, 1)]
 
 
 def test_cycle_residual_is_the_matrix_residual():
     # A 3-cycle with entries of moduli 2, 1/2 and 3, a 2-cycle and a fixed
-    # point: where a cycle length does not divide m, t^m has a zero diagonal
-    # and entries that are products of m consecutive ones of the cycle.
-    t = np.zeros((6, 6), dtype=np.complex128)
-    t[1, 0], t[2, 1], t[0, 2] = 2, 0.5j, -3
-    t[4, 3], t[3, 4] = 1j, -1j
-    t[5, 5] = ZETA12
-    cycles = _monomial_cycles(t)
-    for m in range(1, 25):
-        expected = max_abs(mat_pow(t, m) - np.eye(6))
-        assert _cycle_residual(cycles, m) == pytest.approx(expected, rel=1e-12), m
+    # point; then the same pattern with products 1, 1 and e(1/12), of
+    # order 12.  n is a multiple of every cycle length, as the eigenphase
+    # order is, so only a power that fixes every cycle reaches the cycles.
+    weighted = np.zeros((6, 6), dtype=np.complex128)
+    weighted[1, 0], weighted[2, 1], weighted[0, 2] = 2, 0.5j, -3
+    weighted[4, 3], weighted[3, 4] = 1j, -1j
+    weighted[5, 5] = ZETA12
+    unitary = weighted.copy()
+    unitary[1, 0], unitary[2, 1], unitary[0, 2] = 1, 1j, -1j
+    identities = []
+    for t in (weighted, unitary):
+        for n in (6, 12, 24, 36):
+            primes = sorted(_prime_factors(n))
+            residual, flags = _power_residuals(t, _monomial_cycles(t), n, primes, Settings())
+            expected, expected_flags = _power_residuals(t, None, n, primes, Settings())
+            assert residual == pytest.approx(expected, rel=1e-12, abs=1e-12), n
+            assert flags == expected_flags, n
+            identities += flags
+    # t^12 is the identity for the unitary t, at n = 24 and at n = 36.
+    assert sum(identities) == 2
+
+
+def test_cycle_phases_share_the_order_cap():
+    # A 4-cycle whose entries multiply to e(1/3) has the phases
+    # (1/3 + k)/4: its convergent 1/3 must keep 3 * 4 under the cap.
+    t = np.zeros((4, 4), dtype=np.complex128)
+    t[1, 0], t[2, 1], t[3, 2], t[0, 3] = 1, 1, 1, cmath.exp(2j * cmath.pi / 3)
+    order, phases = _t_spectrum(t_only(t), Settings(order_cap=12))
+    assert order == 12
+    assert [str(x) for x in phases] == ["1/12", "1/3", "7/12", "5/6"]
+    assert find_t_order(t_only(t), Settings(order_cap=12)) == 12
+    with pytest.raises(TOrderNotFound) as exc:
+        find_t_order(t_only(t), Settings(order_cap=11))
+    assert exc.value.check == "denominator"
 
 
 def relabel(rep, order, phases):
@@ -244,8 +268,8 @@ monomial_terms = st.tuples(st.integers(1, 16), st.integers(0, 11))
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.lists(monomial_terms, min_size=1, max_size=3), st.randoms(),
-       st.sampled_from([1, 2, 12, 35]), st.integers(0, 2**16))
-def test_monomial_route_matches_the_dense_route(terms, random, q, seed):
+       st.sampled_from([1, 2, 12, 35]), st.integers(0, 2**16), st.sampled_from([1e-9, 1e-12]))
+def test_monomial_route_matches_the_dense_route(terms, random, q, seed, eps):
     # A relabelling by a permutation and a diagonal of q-th roots of unity
     # keeps t monomial; a unitary conjugate makes it dense.
     rep = None
@@ -260,7 +284,7 @@ def test_monomial_route_matches_the_dense_route(terms, random, q, seed):
     dense = conjugate(rep, seed, condition=1.0)
     assert _monomial_cycles(rep.t_image) is not None
     assert _monomial_cycles(dense.t_image) is None
-    assert _t_spectrum(rep, Settings()) == _t_spectrum(dense, Settings())
+    assert _t_spectrum(rep, Settings(eps=eps)) == _t_spectrum(dense, Settings(eps=eps))
 
 
 @pytest.mark.parametrize("build, settings, check", [
