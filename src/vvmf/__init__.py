@@ -17,13 +17,9 @@ from .dimensions import (
     dim_table,
 )
 from .invariants import (
-    ExponentData,
     PartInvariants,
     Signature,
-    floor_trace,
-    floor_trace_complement,
     part_invariants,
-    signature,
     t_eigenphases,
 )
 from .linalg import (
@@ -38,7 +34,6 @@ from .linalg import (
 from .modrep import (
     ModularRepresentation,
     ParityDecomposition,
-    ParityError,
     ProjectorDefect,
     RelationViolation,
     TOrderNotFound,
@@ -49,7 +44,6 @@ from .modrep import (
     commutant_dimension,
     contragredient,
     direct_sum,
-    parity,
     parity_split,
     tensor_kappa,
     validate,

@@ -64,8 +64,8 @@ def _part_info(part, inv):
     info = {
         "degree": part.degree,
         "signature" if inv.parity == 1 else "partner_signature": asdict(inv.sig),
-        "t_phases": [str(x) for x in inv.exp.phases],
-        "trace_lambda": str(inv.exp.trace_lambda),
+        "t_phases": [str(x) for x in inv.phases],
+        "trace_lambda": str(inv.sig.trace_lambda),
         "lambda_plus": inv.lambda_plus,
         "lambda_minus": inv.lambda_minus,
         "h0": inv.h0,

@@ -2,16 +2,16 @@
 
 Two kinds of data are extracted from a purely even representation: the
 eigenvalue multiplicities of the torsion generator images (the
-signature) and the multiset of eigenvalue phases of the t image
-together with an exact trace (the exponent data).  A purely odd
-representation is read through its even partner.  Everything else in
-the package is arithmetic on these integers and rationals.
+signature, which also fixes the exact trace of the logarithm of the t
+image) and the multiset of eigenvalue phases of the t image.  A purely
+odd representation is read through its even partner.  Everything else
+in the package is arithmetic on these integers and rationals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +21,7 @@ from .modrep import (
     _KAPPA_POWERS,
     ModularRepresentation,
     ParityDecomposition,
-    ParityError,
     _t_spectrum,
-    parity,
     st_inverse_image,
 )
 
@@ -62,71 +60,6 @@ class Signature:
         return Fraction(self.d) - Fraction(self.alpha, 2) - Fraction(self.beta1 + 2 * self.beta2, 3)
 
 
-@dataclass(frozen=True)
-class ExponentData:
-    """Eigenphase multiset of the t image plus the exact log trace.
-
-    phases are fractions in [0, 1), one per dimension, sorted.  The sum
-    of the floors of the shifted log eigenvalues depends only on this
-    data, which is why the log matrix itself is never materialized.
-    """
-
-    phases: tuple[Fraction, ...]
-    trace_lambda: Fraction
-    # The phases over their common denominator with the log trace, and the
-    # log trace minus the phase sum over it: the integers every floor
-    # trace reads, derived once.
-    _denominator: int = field(init=False, repr=False, compare=False)
-    _numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _gap: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = math.lcm(self.trace_lambda.denominator, *(p.denominator for p in self.phases))
-        numerators = tuple(p.numerator * (m // p.denominator) for p in self.phases)
-        assert all(0 <= x < m for x in numerators)
-        assert list(numerators) == sorted(numerators)
-        object.__setattr__(self, "_denominator", m)
-        object.__setattr__(self, "_numerators", numerators)
-        trace = self.trace_lambda.numerator * (m // self.trace_lambda.denominator)
-        object.__setattr__(self, "_gap", trace - sum(numerators))
-
-    @property
-    def degree(self) -> int:
-        return len(self.phases)
-
-    def integer_offset(self) -> int:
-        """Difference between the log trace and the phase sum.
-
-        The log eigenvalues are the phases shifted by integers, so this
-        is an integer whenever signature and phases belong to the same
-        representation.  A fractional value means corrupted input.
-        """
-        if self._gap % self._denominator:
-            raise SnapFailure(f"log trace differs from phase sum by the non-integer "
-                              f"{Fraction(self._gap, self._denominator)}")
-        return self._gap // self._denominator
-
-
-def floor_trace(exp: ExponentData, shift=0) -> int:
-    """Sum of floor(log eigenvalue + shift) over all eigenvalues.
-
-    Exact integer arithmetic over the common denominator m of the phases:
-    with shift = a/b, floor(x/m + a/b) = (b x + a m) // (b m).  The floors
-    only see the fractional phases, and the integer parts contribute the
-    integer offset.
-    """
-    s, m = Fraction(shift), exp._denominator
-    b, am, bm = s.denominator, s.numerator * m, s.denominator * m
-    return exp.integer_offset() + sum((b * x + am) // bm for x in exp._numerators)
-
-
-def floor_trace_complement(exp: ExponentData, shift=1) -> int:
-    """Sum of floor(shift - log eigenvalue) over all eigenvalues."""
-    s, m = Fraction(shift), exp._denominator
-    b, am, bm = s.denominator, s.numerator * m, s.denominator * m
-    return -exp.integer_offset() + sum((am - b * x) // bm for x in exp._numerators)
-
-
 def t_eigenphases(rep: ModularRepresentation,
                   settings: Settings = DEFAULT_SETTINGS) -> tuple[Fraction, ...]:
     """Eigenvalue phases of the t image as exact fractions in [0, 1), sorted.
@@ -136,14 +69,6 @@ def t_eigenphases(rep: ModularRepresentation,
     and certified against the order of the image; see modrep for the checks.
     """
     return _t_spectrum(rep, settings)[1]
-
-
-def signature(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> Signature:
-    """Signature of a purely even representation, recovered from traces."""
-    if parity(rep, settings) != 1:
-        raise ParityError("signature needs a purely even representation")
-    return _signature_from_traces(rep.degree, complex(np.trace(rep.s_image)),
-                                  complex(np.trace(st_inverse_image(rep))), settings)
 
 
 def _signature_from_traces(d: int, tr_s: complex, tr_u: complex,
@@ -162,16 +87,18 @@ class PartInvariants:
     """Everything the dimension formulas consume for one parity part.
 
     An odd part is read off its even partner, the tensor with the
-    inverse character: sig and exp belong to the partner, and its floor
-    traces are taken at the shifts 1/12 and 11/12 because the character
-    moves every eigenphase by one twelfth.  The partner is never built:
-    its traces and phases are the part's, moved by the character.  h0,
-    the dimension of the invariant vectors, is None for an odd part.
+    inverse character: sig and phases (the t eigenphases, sorted in
+    [0, 1)) belong to the partner, and lambda+ and lambda- are taken at
+    the shift 1/12 because the character moves every eigenphase by one
+    twelfth.  The partner is never built: its traces and phases are the
+    part's, moved by the character.  The exact trace of log t is
+    sig.trace_lambda.  h0, the dimension of the invariant vectors, is
+    None for an odd part.
     """
 
     parity: int
     sig: Signature
-    exp: ExponentData
+    phases: tuple[Fraction, ...]
     lambda_plus: int
     lambda_minus: int
     h0: int | None
@@ -201,11 +128,33 @@ def part_invariants(split: ParityDecomposition, odd: bool,
         phases = tuple(sorted((x - shift) % 1 for x in phases))
     sig = _signature_from_traces(part.degree, tr_s, tr_u, settings)
     h0 = None if odd else _h0(part, u, sig.alpha, settings)
-    exp = ExponentData(phases, sig.trace_lambda)
+    lambda_plus, lambda_minus = _lambdas(phases, sig.trace_lambda, shift)
     d, a, b1, b2 = sig.d, sig.alpha, sig.beta1, sig.beta2
-    return PartInvariants(-1 if odd else 1, sig, exp, floor_trace(exp, shift),
-                          -floor_trace_complement(exp, 1 - shift), h0,
+    return PartInvariants(-1 if odd else 1, sig, phases, lambda_plus, lambda_minus, h0,
                           (0, a + b1 + b2 - d, b2, a, b1 + b2, a + b2))
+
+
+def _lambdas(phases: tuple[Fraction, ...], trace_lambda: Fraction,
+             shift: Fraction) -> tuple[int, int]:
+    """lambda+ and lambda-: the sums of floor(x + shift) and of ceil(x + shift) - 1
+    over the log eigenvalues x of the t image.
+
+    The log eigenvalues are the phases moved by integers, whose sum is the
+    log trace less the phase sum.  That is an integer whenever signature
+    and phases belong to the same representation; a fractional value
+    means corrupted input.  Exact integer arithmetic over the common
+    denominator m: with y = m (phase + shift), the floor is y // m and
+    the ceiling less one is (y - 1) // m.
+    """
+    m = math.lcm(trace_lambda.denominator, shift.denominator, *(p.denominator for p in phases))
+    xs = [p.numerator * (m // p.denominator) for p in phases]
+    gap = trace_lambda.numerator * (m // trace_lambda.denominator) - sum(xs)
+    if gap % m:
+        raise SnapFailure(f"log trace differs from phase sum by the non-integer "
+                          f"{Fraction(gap, m)}")
+    offset, a = gap // m, shift.numerator * (m // shift.denominator)
+    return (offset + sum((x + a) // m for x in xs),
+            offset + sum((x + a - 1) // m for x in xs))
 
 
 def _h0(rep: ModularRepresentation, u: np.ndarray, alpha: int, settings: Settings) -> int:

@@ -67,9 +67,10 @@ class TOrderNotFound(ValueError):
     """The t image has no certified finite order.
 
     check names the test that failed: "modulus" (an eigenvalue off the
-    unit circle), "denominator" (an eigenphase with no denominator up to
-    the order cap), "power" (t^n is not the identity) or "divisor"
-    (t^(n/p) already is).  The message gives the numbers.
+    unit circle), "denominator" (an eigenphase, or a cycle of them, with
+    no denominator up to the order cap), "power" (t^n is not the
+    identity) or "divisor" (t^(n/p) already is).  The message gives the
+    numbers, and the cycle length of a cycle longer than one.
     """
 
     def __init__(self, check: str, message: str):
@@ -79,10 +80,6 @@ class TOrderNotFound(ValueError):
 
 class ProjectorDefect(ValueError):
     """The parity projectors failed to split the space cleanly."""
-
-
-class ParityError(ValueError):
-    """The representation does not have the parity the operation needs."""
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -298,10 +295,11 @@ def _t_spectrum(rep: ModularRepresentation,
         convergents = _convergents(y, settings.order_cap // length, length * eps)
         pair = next(convergents, None)
         if pair is None:
-            raise TOrderNotFound(
-                "denominator",
-                f"t eigenphase {y / length % 1:.12g} has no denominator up to the order cap "
-                f"{settings.order_cap} within {eps:.1e}")
+            what = (f"t eigenphase {y % 1:.12g} has no denominator up to" if length == 1 else
+                    f"t cycle of length {length} has eigenphases (y + k)/{length} with "
+                    f"y = {y % 1:.12g}, which need a denominator above")
+            raise TOrderNotFound("denominator", f"{what} the order cap {settings.order_cap} "
+                                 f"within {eps:.1e}")
         ys.append(y)
         snapped.append(pair)
         candidates.append(convergents)
@@ -382,11 +380,6 @@ def _parity_of_square(s2: Matrix, settings: Settings) -> int:
     if is_identity(-s2, settings):
         return -1
     return 0
-
-
-def parity(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> int:
-    """+1 if s^2 acts as +1, -1 if as -1, 0 when both parities occur."""
-    return _parity_of_square(rep.s_image @ rep.s_image, settings)
 
 
 def st_inverse_image(rep: ModularRepresentation) -> Matrix:

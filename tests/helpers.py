@@ -8,20 +8,14 @@ from fractions import Fraction
 import numpy as np
 
 from vvmf.dimensions import Analysis, Weight1Indeterminate
-from vvmf.invariants import (
-    ExponentData,
-    Signature,
-    floor_trace,
-    floor_trace_complement,
-    signature,
-    t_eigenphases,
-)
+from vvmf.invariants import Signature, part_invariants
 from vvmf.linalg import DEFAULT_SETTINGS, SnapFailure, nullity
 from vvmf.modrep import (
     ModularRepresentation,
     build_p1_permutation,
     contragredient,
     direct_sum,
+    parity_split,
     tensor_kappa,
 )
 
@@ -30,14 +24,17 @@ def dim_via_exponent_shift(rep, k):
     """Second dimension route for an even irreducible representation.
 
     Returns (holomorphic, cusp) dimensions of weight-k forms for the
-    k-th character twist, read directly off the floor traces at shift
-    k/12.  Exactness needs irreducibility, which the caller vouches for;
-    signature raises ParityError unless rep is purely even.
+    k-th character twist, read directly off the floor sums at shift
+    k/12, taken one Fraction per eigenvalue.  Exactness needs
+    irreducibility, which the caller vouches for; rep must be purely
+    even, or ValueError is raised.
     """
-    exp = ExponentData(t_eigenphases(rep), signature(rep).trace_lambda)
-    holo = max(0, floor_trace(exp, Fraction(k, 12)))
-    cusp = max(0, -floor_trace_complement(exp, 1 - Fraction(k, 12)))
-    return holo, cusp
+    split = parity_split(rep)
+    if split.odd_part.degree:
+        raise ValueError(f"{rep.name} is not purely even")
+    inv = part_invariants(split, False)
+    holo, cusp = fraction_lambdas(inv.phases, inv.sig.trace_lambda, Fraction(k, 12))
+    return max(0, holo), max(0, cusp)
 
 
 _TWIST_TABLE = (
@@ -65,8 +62,10 @@ def signature_of_twist(sig, k):
 def partner_invariants(part):
     """Signature and eigenphases of the even partner of an odd part, built
     as a representation: the part tensored with the inverse character."""
-    partner = tensor_kappa(part, -1)
-    return signature(partner), t_eigenphases(partner)
+    split = parity_split(tensor_kappa(part, -1))
+    assert not split.odd_part.degree, f"{part.name} has a partner that is not purely even"
+    inv = part_invariants(split, False)
+    return inv.sig, inv.phases
 
 
 def stacked_h0(rep, settings=DEFAULT_SETTINGS):
@@ -76,24 +75,20 @@ def stacked_h0(rep, settings=DEFAULT_SETTINGS):
     return nullity(np.vstack([rep.s_image - eye, rep.t_image - eye]), settings)
 
 
-def fraction_offset(exp):
+def fraction_offset(phases, trace_lambda):
     """Log trace minus phase sum, one Fraction per term, or SnapFailure."""
-    gap = exp.trace_lambda - sum(exp.phases, Fraction(0))
+    gap = trace_lambda - sum(phases, Fraction(0))
     if gap.denominator != 1:
         raise SnapFailure(f"log trace differs from phase sum by the non-integer {gap}")
     return int(gap)
 
 
-def fraction_floor_trace(exp, shift):
-    """floor_trace with one Fraction per eigenvalue."""
-    s = Fraction(shift)
-    return fraction_offset(exp) + sum(math.floor(x + s) for x in exp.phases)
-
-
-def fraction_floor_trace_complement(exp, shift):
-    """floor_trace_complement with one Fraction per eigenvalue."""
-    s = Fraction(shift)
-    return -fraction_offset(exp) + sum(math.floor(s - x) for x in exp.phases)
+def fraction_lambdas(phases, trace_lambda, shift):
+    """lambda+ and lambda- with one Fraction per eigenvalue: the sums of
+    floor(x + shift) and of -floor(1 - shift - x) over the log eigenvalues x."""
+    s, offset = Fraction(shift), fraction_offset(phases, trace_lambda)
+    return (offset + sum(math.floor(x + s) for x in phases),
+            offset - sum(math.floor(1 - s - x) for x in phases))
 
 
 def p1_sum(*moduli):

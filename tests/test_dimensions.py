@@ -34,7 +34,6 @@ from vvmf.invariants import part_invariants
 from vvmf.linalg import Settings, snap_integer
 from vvmf.modrep import (
     ModularRepresentation,
-    ParityError,
     TOrderNotFound,
     _t_spectrum,
     build_kappa_power,
@@ -260,7 +259,7 @@ def test_two_path_consistency(catalog_reps, std2):
 
 
 def test_exponent_shift_needs_even():
-    with pytest.raises(ParityError):
+    with pytest.raises(ValueError, match="not purely even"):
         dim_via_exponent_shift(build_kappa_power(1), 4)
 
 
@@ -297,7 +296,7 @@ def test_odd_part_reads_its_partner_phases_under_a_low_order_cap():
     capped = Settings(order_cap=4)
     assert validate(rep, capped).t_order == 4
     inv = part_invariants(parity_split(rep, capped), True, capped)
-    assert [str(x) for x in inv.exp.phases] == ["1/6"]
+    assert [str(x) for x in inv.phases] == ["1/6"]
     assert [(w, dim_holomorphic(rep, w, capped).value, dim_cusp(rep, w, capped).value)
             for w in range(1, 6)] == [(1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 0, 0), (5, 0, 0)]
 
@@ -591,25 +590,18 @@ def test_t_spectrum_is_kept_per_order_cap():
 def test_analysis_decides_parity_once_per_representation(monkeypatch, build, decisions):
     # One decision each for the representation and its dual unless they
     # share the analysis, made in the parity split; the parts and the odd
-    # part's partner are not tested again, and the public parity test is
-    # not on the analysis path.
+    # part's partner are not tested again.
     rep = build()
-    calls = {"_parity_of_square": 0, "parity": 0}
+    calls = []
+    original = modrep._parity_of_square
 
-    def count(module, name):
-        original = getattr(module, name)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    count(modrep, "_parity_of_square")
-    # invariants holds its own reference to parity, for signature.
-    count(modrep, "parity")
-    count(vvmf.invariants, "parity")
+    monkeypatch.setattr(modrep, "_parity_of_square", counting)
     whole_analysis(rep)
-    assert calls == {"_parity_of_square": decisions, "parity": 0}
+    assert len(calls) == decisions
 
 
 @pytest.mark.parametrize("n, j, eps", [

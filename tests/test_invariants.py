@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     conjugate,
-    fraction_floor_trace,
-    fraction_floor_trace_complement,
+    fraction_lambdas,
     fraction_offset,
     gamma_sequence_check,
     p1_sum,
@@ -19,19 +18,10 @@ from helpers import (
     steinberg,
 )
 from vvmf.catalog import catalog_names, resolve
-from vvmf.invariants import (
-    ExponentData,
-    Signature,
-    floor_trace,
-    floor_trace_complement,
-    part_invariants,
-    signature,
-    t_eigenphases,
-)
+from vvmf.invariants import Signature, _lambdas, part_invariants, t_eigenphases
 from vvmf.linalg import SnapFailure
 from vvmf.modrep import (
     ModularRepresentation,
-    ParityError,
     build_kappa_power,
     build_p1_permutation,
     build_rho0,
@@ -112,26 +102,24 @@ def test_t_eigenphases_match_cycle_type(moduli, seed, j):
     assert find_t_order(rep) == math.lcm(*lengths, 12 // math.gcd(j, 12))
 
 
+def even_signature(rep):
+    """Signature of a purely even representation, read off its even part."""
+    return part_invariants(parity_split(rep), False).sig
+
+
 def test_signature_examples(std2):
-    assert signature(build_rho0()) == Signature(1, 0, 0, 0)
-    assert signature(build_kappa_power(2)) == Signature(1, 1, 1, 0)
-    assert signature(build_kappa_power(4)) == Signature(1, 0, 0, 1)
-    assert signature(build_p1_permutation(2)) == Signature(3, 1, 1, 1)
-    assert signature(build_p1_permutation(3)) == Signature(4, 2, 1, 1)
-    assert signature(std2) == Signature(2, 1, 1, 1)
-
-
-def test_signature_needs_even_parity():
-    with pytest.raises(ParityError):
-        signature(build_kappa_power(1))
-    with pytest.raises(ParityError):
-        signature(direct_sum(build_rho0(), build_kappa_power(1)))
+    assert even_signature(build_rho0()) == Signature(1, 0, 0, 0)
+    assert even_signature(build_kappa_power(2)) == Signature(1, 1, 1, 0)
+    assert even_signature(build_kappa_power(4)) == Signature(1, 0, 0, 1)
+    assert even_signature(build_p1_permutation(2)) == Signature(3, 1, 1, 1)
+    assert even_signature(build_p1_permutation(3)) == Signature(4, 2, 1, 1)
+    assert even_signature(std2) == Signature(2, 1, 1, 1)
 
 
 def test_signature_additivity():
     a, b = build_p1_permutation(2), build_kappa_power(2)
-    sig = signature(direct_sum(a, b))
-    sa, sb = signature(a), signature(b)
+    sig = even_signature(direct_sum(a, b))
+    sa, sb = even_signature(a), even_signature(b)
     assert (sig.d, sig.alpha, sig.beta1, sig.beta2) == (
         sa.d + sb.d, sa.alpha + sb.alpha, sa.beta1 + sb.beta1, sa.beta2 + sb.beta2)
 
@@ -146,11 +134,11 @@ def test_signature_range_checks():
 
 
 def test_trace_lambda_values():
-    assert signature(build_rho0()).trace_lambda == 1
-    assert signature(build_kappa_power(2)).trace_lambda == F(1, 6)
-    assert signature(build_kappa_power(4)).trace_lambda == F(1, 3)
-    assert signature(build_p1_permutation(2)).trace_lambda == F(3, 2)
-    assert signature(build_p1_permutation(3)).trace_lambda == 2
+    assert even_signature(build_rho0()).trace_lambda == 1
+    assert even_signature(build_kappa_power(2)).trace_lambda == F(1, 6)
+    assert even_signature(build_kappa_power(4)).trace_lambda == F(1, 3)
+    assert even_signature(build_p1_permutation(2)).trace_lambda == F(3, 2)
+    assert even_signature(build_p1_permutation(3)).trace_lambda == 2
 
 
 def test_signature_of_twist_rows():
@@ -166,32 +154,38 @@ def test_signature_of_twist_matches_tensor(std2):
     reps = [build_rho0(), build_kappa_power(2), build_kappa_power(4),
             build_p1_permutation(2), build_p1_permutation(3), std2]
     for rep in reps:
-        sig = signature(rep)
+        sig = even_signature(rep)
         for k in range(6):
-            twisted = signature(tensor_kappa(rep, -2 * k))
+            twisted = even_signature(tensor_kappa(rep, -2 * k))
             assert twisted == signature_of_twist(sig, k), (rep.name, k)
 
 
+def lambdas_at(rep, shift):
+    inv = part_invariants(parity_split(rep), False)
+    return _lambdas(inv.phases, inv.sig.trace_lambda, shift)
+
+
 def test_integer_offset():
-    assert part_invariants(parity_split(build_rho0()), False).exp.integer_offset() == 1
-    assert part_invariants(parity_split(build_kappa_power(10)), False).exp.integer_offset() == -1
-    assert part_invariants(parity_split(build_p1_permutation(3)), False).exp.integer_offset() == 1
-    with pytest.raises(SnapFailure):
-        ExponentData((F(1, 2),), F(1, 3)).integer_offset()
+    # At the shift 0 every phase in [0, 1) floors to 0, so lambda+ is
+    # the log trace less the phase sum.
+    assert lambdas_at(build_rho0(), F(0))[0] == 1
+    assert lambdas_at(build_kappa_power(10), F(0))[0] == -1
+    assert lambdas_at(build_p1_permutation(3), F(0))[0] == 1
+    with pytest.raises(SnapFailure, match="non-integer"):
+        _lambdas((F(1, 2),), F(1, 3), F(0))
 
 
 def test_floor_trace_examples():
-    assert floor_trace(part_invariants(parity_split(build_rho0()), False).exp, 0) == 1
-    assert floor_trace(part_invariants(parity_split(build_kappa_power(2)), False).exp, 0) == 0
+    assert lambdas_at(build_rho0(), F(0)) == (1, 0)
+    assert lambdas_at(build_kappa_power(2), F(0)) == (0, 0)
 
 
 def test_floor_trace_integer_shift():
     for rep in (build_rho0(), build_kappa_power(4), build_p1_permutation(2)):
-        exp = part_invariants(parity_split(rep), False).exp
-        d = exp.degree
+        d = rep.degree
         for s in (F(0), F(1, 12), F(5, 6)):
-            assert floor_trace(exp, s + 1) == floor_trace(exp, s) + d
-            assert floor_trace_complement(exp, s + 1) == floor_trace_complement(exp, s) + d
+            plus, minus = lambdas_at(rep, s)
+            assert lambdas_at(rep, s + 1) == (plus + d, minus + d)
 
 
 phases = st.integers(1, 5000).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: F(p, q)))
@@ -200,35 +194,31 @@ phases = st.integers(1, 5000).flatmap(lambda q: st.integers(0, q - 1).map(lambda
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.lists(phases, max_size=24).map(sorted), st.integers(-40, 40), st.integers(2, 5000))
 def test_integer_floor_traces_match_fractions(phase_list, offset, bad_denominator):
-    exp = ExponentData(tuple(phase_list), sum(phase_list, F(0)) + offset)
-    assert exp.integer_offset() == fraction_offset(exp) == offset
+    phase_list = tuple(phase_list)
+    trace_lambda = sum(phase_list, F(0)) + offset
+    assert fraction_offset(phase_list, trace_lambda) == offset
     for shift in (F(0), F(1, 12), F(11, 12), F(1)):
-        assert floor_trace(exp, shift) == fraction_floor_trace(exp, shift)
-        assert floor_trace_complement(exp, shift) == fraction_floor_trace_complement(exp, shift)
-    off = ExponentData(exp.phases, exp.trace_lambda + F(1, bad_denominator))
-    for derive in (ExponentData.integer_offset, fraction_offset,
-                   lambda e: floor_trace(e, F(1, 12)),
-                   lambda e: floor_trace_complement(e, F(11, 12))):
+        assert (_lambdas(phase_list, trace_lambda, shift)
+                == fraction_lambdas(phase_list, trace_lambda, shift))
+    off = trace_lambda + F(1, bad_denominator)
+    for derive in (lambda: fraction_offset(phase_list, off),
+                   lambda: _lambdas(phase_list, off, F(0)),
+                   lambda: _lambdas(phase_list, off, F(1, 12))):
         with pytest.raises(SnapFailure, match="non-integer"):
-            derive(off)
-
-
-def negated(exp):
-    # Data of the negated logarithm, phases flipped mod 1.  Not the dual's
-    # exponent data in general: the dual canonicalizes its logarithm
-    # differently.
-    flipped = tuple(sorted(F(0) if x == 0 else 1 - x for x in exp.phases))
-    return ExponentData(flipped, -exp.trace_lambda)
+            derive()
 
 
 def test_negated_data_gives_complement():
+    # Negating the logarithm flips the phases mod 1 and the log trace;
+    # lambda- at the shift 0 is then minus lambda+ at the shift 1.  Not
+    # the dual's data in general: the dual canonicalizes its logarithm
+    # differently.
     for rep in (build_rho0(), build_kappa_power(2), build_p1_permutation(2),
                 build_p1_permutation(3)):
-        exp = part_invariants(parity_split(rep), False).exp
-        assert floor_trace_complement(exp, 1) == floor_trace(negated(exp), 1)
-        neg = negated(exp)
-        assert neg.trace_lambda == -exp.trace_lambda
-        assert neg.degree == exp.degree
+        inv = part_invariants(parity_split(rep), False)
+        flipped = tuple(sorted(F(0) if x == 0 else 1 - x for x in inv.phases))
+        assert (_lambdas(inv.phases, inv.sig.trace_lambda, F(0))[1]
+                == -_lambdas(flipped, -inv.sig.trace_lambda, F(1))[0])
 
 
 def test_even_invariants_frozen_values(std2):
@@ -293,7 +283,7 @@ def test_odd_invariants_kappa():
 
 def test_odd_invariants_kappa_cubed():
     inv = part_invariants(parity_split(build_kappa_power(3)), True)
-    assert inv.sig == signature(build_kappa_power(2))
+    assert inv.sig == even_signature(build_kappa_power(2))
     assert inv.lambda_plus == 0
 
 
@@ -313,7 +303,7 @@ def test_part_invariants_need_a_pure_part():
     assert part_invariants(split, False).parity == 1
     assert part_invariants(split, True).parity == -1
     # kappa^1 has the phase 1/12, and its even partner the phase 0.
-    assert part_invariants(split, True).exp.phases == (0,)
+    assert part_invariants(split, True).phases == (0,)
     assert part_invariants(parity_split(build_kappa_power(1)), True).parity == -1
     assert part_invariants(parity_split(build_kappa_power(2)), False).parity == 1
 
@@ -321,14 +311,14 @@ def test_part_invariants_need_a_pure_part():
 def test_phase_zero_count(catalog_reps):
     for part in even_parts(catalog_reps):
         inv = part_invariants(parity_split(part), False)
-        zeros = sum(1 for x in inv.exp.phases if x == 0)
+        zeros = sum(1 for x in inv.phases if x == 0)
         assert inv.lambda_plus - inv.lambda_minus == zeros, part.name
 
 
 def test_dot_lambda_boundary_phase_count(catalog_reps):
     for part in odd_parts(catalog_reps):
         inv = part_invariants(parity_split(part), True)
-        boundary = sum(1 for x in inv.exp.phases if x == F(11, 12))
+        boundary = sum(1 for x in inv.phases if x == F(11, 12))
         assert inv.lambda_plus - inv.lambda_minus == boundary, part.name
 
 
@@ -397,7 +387,7 @@ def test_odd_part_reads_its_partner_off_its_traces(build):
     split = parity_split(build())
     assert split.odd_part.degree
     inv = part_invariants(split, True)
-    assert (inv.sig, inv.exp.phases) == partner_invariants(split.odd_part)
+    assert (inv.sig, inv.phases) == partner_invariants(split.odd_part)
 
 
 @pytest.mark.parametrize("expr", ["p1(7)*k^1", "p1(5)+p1(7)*k^1", "kappa^1+kappa^11"])

@@ -28,7 +28,6 @@ from vvmf.modrep import (
     contragredient,
     direct_sum,
     find_t_order,
-    parity,
     parity_split,
     st_inverse_image,
     tensor_kappa,
@@ -308,6 +307,27 @@ def test_failing_monomial_t_fails_alike_on_the_dense_route(monkeypatch, build, s
     assert monomial.value.check == dense.value.check == check
 
 
+@pytest.mark.parametrize("dual", [False, True], ids=["p1(25)*k^5", "~p1(25)*k^5"])
+def test_denominator_failure_names_the_cycle(dual):
+    # A 25-cycle with product e(+-5/12) has the phases (12 k +- 5)/300:
+    # its k = 0 root 1/60 fits the cap 60, but the cycle needs 300.
+    rep = tensor_kappa(build_p1_permutation(25), 5)
+    rep = contragredient(rep) if dual else rep
+    with pytest.raises(TOrderNotFound) as failure:
+        find_t_order(rep, Settings(order_cap=60))
+    assert failure.value.check == "denominator"
+    y = "0.583333333333" if dual else "0.416666666667"
+    assert str(failure.value) == (
+        f"t cycle of length 25 has eigenphases (y + k)/25 with y = {y}, which need a "
+        "denominator above the order cap 60 within 1.0e-09")
+
+
+def test_dense_denominator_failure_names_the_eigenphase():
+    with pytest.raises(TOrderNotFound, match=r"^t eigenphase 0\.414213562373 has no "
+                       r"denominator up to the order cap 4096 within 1\.0e-09$"):
+        find_t_order(t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]))
+
+
 def test_large_eigenphase_denominators_certify():
     # The first convergent within eps of k/99991 often has a smaller
     # denominator; the power check sends each such phase on to the next.
@@ -372,9 +392,13 @@ def test_closure_sizes():
 
 
 def test_parity_values():
-    assert parity(build_rho0()) == 1
-    assert parity(build_kappa_power(1)) == -1
-    assert parity(direct_sum(build_rho0(), build_kappa_power(1))) == 0
+    def degrees(rep):
+        split = parity_split(rep)
+        return split.even_part.degree, split.odd_part.degree
+
+    assert degrees(build_rho0()) == (1, 0)
+    assert degrees(build_kappa_power(1)) == (0, 1)
+    assert degrees(direct_sum(build_rho0(), build_kappa_power(1))) == (1, 1)
 
 
 def test_parity_split_pure_even():
@@ -563,4 +587,4 @@ def test_catalog_reps_validate(catalog_reps):
         split = parity_split(rep)
         for sign, part in ((1, split.even_part), (-1, split.odd_part)):
             if part.degree:
-                assert parity(part) == sign
+                assert is_identity(sign * (part.s_image @ part.s_image))

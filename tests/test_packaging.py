@@ -1,9 +1,12 @@
-"""The test extra of pyproject.toml declares every package the test suites import."""
+"""The test extra of pyproject.toml declares every package the test suites import,
+and the package exports exactly the public names listed here."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -34,3 +37,33 @@ def test_third_party_imports_are_declared():
     third_party = imported - set(sys.stdlib_module_names) - local
     assert {"numpy", "pytest", "hypothesis"} <= third_party
     assert sorted(third_party - declared) == []
+
+
+# Every public name of the package; adding or removing one is a deliberate
+# change of this list.
+PUBLIC_NAMES = [
+    "Analysis", "CatalogError", "DEFAULT_SETTINGS", "DimResult", "DualityReport",
+    "GeneratorProfile", "ModularRepresentation", "ParityDecomposition", "ParseError",
+    "PartInvariants", "ProjectorDefect", "RelationViolation", "Settings", "Signature",
+    "SnapFailure", "TOrderNotFound", "ValidationReport", "Weight1Indeterminate",
+    "build_kappa_power", "build_p1_permutation", "build_rho0", "catalog_names",
+    "certify_irreducible", "commutant_dimension", "contragredient", "dim_cusp",
+    "dim_holomorphic", "dim_table", "direct_sum", "duality_report", "generator_profile",
+    "is_identity", "mat_pow", "nullspace", "parity_split", "parse_rep", "part_invariants",
+    "resolve", "snap_integer", "t_eigenphases", "tensor_kappa", "validate",
+]
+
+
+def test_public_names_are_pinned():
+    import vvmf
+
+    init = ROOT / "src" / "vvmf" / "__init__.py"
+    exported = {alias.asname or alias.name: node.module
+                for node in ast.parse(init.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(exported) == PUBLIC_NAMES
+    public = sorted(name for name, value in vars(vvmf).items()
+                    if not name.startswith("_") and not isinstance(value, ModuleType))
+    assert public == PUBLIC_NAMES
+    for name, module in exported.items():
+        assert getattr(vvmf, name) is getattr(importlib.import_module(f"vvmf.{module}"), name)
