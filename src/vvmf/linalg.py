@@ -69,36 +69,26 @@ def max_abs(a: Matrix) -> float:
 
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
-    """Non-negative matrix power by repeated squaring, as a new array."""
-    return mat_powers(a, [n])[0]
+    """a^n for n >= 0 by square and multiply, as an array other than a.
 
-
-def mat_powers(a: Matrix, exponents: list[int]) -> list[Matrix]:
-    """a^e for each non-negative exponent e, as arrays other than a.
-
-    The powers share one chain of squarings of a, up to the top bit of
-    the largest exponent, and each is the product of the squarings its
-    bits select, lowest first: the same products, in the same order, as
-    a power taken alone.
+    a^n is the product of the squarings a^(2^k) that the bits of n
+    select, lowest first: bit_length(n) + popcount(n) - 2 products for
+    n >= 1.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if min(exponents, default=0) < 0:
+    if n < 0:
         raise ValueError("exponent must be non-negative")
-    squares = [a]
-    for _ in range(max(exponents, default=0).bit_length() - 1):
-        squares.append(squares[-1] @ squares[-1])
-    powers = []
-    for e in exponents:
-        power = None
-        for square in squares:
-            if e & 1:
-                power = square if power is None else power @ square
-            e >>= 1
-        if power is None:
-            power = np.eye(a.shape[0], dtype=a.dtype)
-        powers.append(a.copy() if power is a else power)
-    return powers
+    power, square = None, a
+    while n:
+        if n & 1:
+            power = square if power is None else power @ square
+        n >>= 1
+        if n:
+            square = square @ square
+    if power is None:
+        return np.eye(a.shape[0], dtype=a.dtype)
+    return a.copy() if power is a else power
 
 
 def is_identity(a: Matrix, settings: Settings = DEFAULT_SETTINGS) -> bool:

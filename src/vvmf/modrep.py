@@ -30,7 +30,6 @@ from .linalg import (
     as_matrix,
     is_identity,
     mat_pow,
-    mat_powers,
     max_abs,
     nullity,
     nullspace,
@@ -178,19 +177,6 @@ def _prime_factors(n: int) -> set[int]:
     return primes
 
 
-def _order_powers(t: Matrix, n: int, primes: list[int]) -> tuple[list[Matrix], Matrix]:
-    """t^(n/p) for each of the primes p dividing n, ascending, and t^n.
-
-    Each t^(n/p) is a power of one base, t^(n/r) with r the product of
-    the primes, and all of them are taken from one chain of squarings of
-    that base; t^n is the smallest prime's power of its t^(n/p).
-    """
-    radical = math.prod(primes)
-    base = mat_pow(t, n // radical)
-    divisor_powers = mat_powers(base, [radical // p for p in primes])
-    return divisor_powers, mat_pow(divisor_powers[0], primes[0]) if primes else base
-
-
 # The cycles of t as (length L, product c) pairs: a cycle's eigenvalues are
 # the L-th roots of c.  A monomial t has one per cycle of its permutation;
 # any other t one of length one per eigenvalue.
@@ -229,29 +215,27 @@ def _monomial_cycles(t: Matrix) -> _Cycles | None:
     return [(length, complex(c)) for length, c in zip(lengths, products)]
 
 
-def _power_residuals(t: Matrix, cycles: _Cycles | None, n: int, primes: list[int],
-                     settings: Settings) -> tuple[float, list[bool]]:
-    """max |t^n - 1|, and for each prime p in primes whether t^(n/p) is the identity.
+def _cycle_residual(cycles: _Cycles, m: int) -> float:
+    """max |c^(m/L) - 1| over the cycles (L, c), each L dividing m; inf on overflow.
 
-    A monomial t reads both off its cycles, each of whose lengths divides
-    n.  On a cycle of length L whose entries multiply to c, t^m is c^(m/L)
-    times the identity when L divides m and moves every point otherwise,
-    so t^(n/p) can only be the identity when every L divides n/p.  Any
-    other t (cycles None) takes matrix powers.
+    On a cycle of length L whose entries multiply to c, t^m is c^(m/L)
+    times the identity, so for a monomial t this is max |t^m - 1|.
     """
-    if cycles is None:
-        divisor_powers, t_n = _order_powers(t, n, primes)
-        return (max_abs(t_n - np.eye(len(t))),
-                [is_identity(power, settings) for power in divisor_powers])
+    try:
+        return max(abs(c ** (m // length) - 1) for length, c in cycles)
+    except OverflowError:
+        return math.inf
 
-    def residual(m: int) -> float:
-        try:
-            return max(abs(c ** (m // length) - 1) for length, c in cycles)
-        except OverflowError:
-            return math.inf
 
-    return residual(n), [all(n // p % length == 0 for length, _ in cycles)
-                         and residual(n // p) <= settings.eps for p in primes]
+def _power_is_identity(cycles: _Cycles, m: int, eps: float) -> bool:
+    """Whether t^m is the identity within eps, for a t with t^n = 1 and m dividing n.
+
+    Such a t is diagonalisable, so t^m is the identity exactly when every
+    eigenvalue is an m-th root of 1.  The eigenvalues of a cycle (L, c)
+    are the L-th roots of c, which all are exactly when L divides m and
+    c^(m/L) = 1.
+    """
+    return all(m % length == 0 for length, _ in cycles) and _cycle_residual(cycles, m) <= eps
 
 
 def _t_spectrum(rep: ModularRepresentation,
@@ -267,10 +251,10 @@ def _t_spectrum(rep: ModularRepresentation,
     order cap, so each phase (a/b + k)/L lies within eps of its
     eigenvalue's.  Their reduced denominators divide bL and one of them
     is bL, since gcd(a, b) = 1.  The order n is the lcm of the bL and is
-    certified by powers of t, read off the cycles of a monomial t and
-    taken as matrix powers of any other: t^n is the identity, t^(n/p) is
-    not for any prime p dividing n, and the phases reproduce the trace
-    of t.
+    certified in three checks.  t^n is the identity: read off the cycles
+    of a monomial t, and one matrix power of any other.  t^(n/p) is not,
+    for any prime p dividing n: once t^n is the identity, this is read
+    off the cycles on both routes.  The phases reproduce the trace of t.
     When t^n is not the identity, each cycle with e((n/L) y) off 1 moves
     to its next convergent within L eps and under the cap, and n is
     certified again; a cycle with none left fails the power check.
@@ -306,8 +290,12 @@ def _t_spectrum(rep: ModularRepresentation,
     while True:
         denominators = {b * length for (length, _), (_, b) in zip(cycles, snapped)}
         n = math.lcm(*denominators)
-        primes = sorted(set().union(*map(_prime_factors, denominators)))
-        residual, divisor_identities = _power_residuals(t, monomial, n, primes, settings)
+        if monomial:
+            residual = _cycle_residual(cycles, n)
+        else:
+            # A t^n that overflows leaves an inf or NaN residual, which fails the check.
+            with np.errstate(all="ignore"):
+                residual = max_abs(mat_pow(t, n) - np.eye(len(t)))
         if residual <= eps:
             break
         # A phase whose denominator exceeds about eps^(-1/2) can have an
@@ -318,13 +306,13 @@ def _t_spectrum(rep: ModularRepresentation,
                    if _misses_one(y, n // length, eps)]
         moved = [next(candidates[i], None) for i in missing]
         if not missing or None in moved:
-            raise TOrderNotFound(
-                "power", f"t^{n} differs from the identity by {residual:.3e}, "
-                f"beyond the tolerance {eps:.1e}")
+            what = (f"differs from the identity by {residual:.3e}, beyond"
+                    if math.isfinite(residual) else "overflows, so it is not the identity within")
+            raise TOrderNotFound("power", f"t^{n} {what} the tolerance {eps:.1e}")
         for i, pair in zip(missing, moved):
             snapped[i] = pair
-    for p, identity in zip(primes, divisor_identities):
-        if identity:
+    for p in sorted(set().union(*map(_prime_factors, denominators))):
+        if _power_is_identity(cycles, n // p, eps):
             raise TOrderNotFound(
                 "divisor", f"t^{n // p} is already the identity, a proper divisor of the "
                 f"eigenphase order {n}")

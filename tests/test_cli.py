@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import NON_FINITE_FILES, complex_repfile
+from helpers import NON_FINITE_FILES, complex_repfile, conjugate
 from vvmf import modrep
 from vvmf.cli import main
 from vvmf.modrep import build_p1_permutation, find_t_order
@@ -160,6 +160,23 @@ def test_validate_overflowing_file(tmp_path, capsys):
     assert main(["validate", write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "RelationViolation" in err and "s^4 = 1" in err
+
+
+def test_validate_overflowing_t_power_prints_one_line(tmp_path):
+    # Under tolerance 1e-5 the eigenphases of this unitary conjugate snap to
+    # an order of about 2e19, and t to that power overflows: the process
+    # reports the failed check and no floating point warning.
+    rep = conjugate(modrep.tensor_kappa(build_p1_permutation(29), 1), 2, condition=1.0)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vvmf", "--tolerance", "1e-5", "validate",
+         write(tmp_path, complex_repfile(rep))],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("vvmf: TOrderNotFound: t^"), proc.stderr
+    assert "overflows" in lines[0]
 
 
 @pytest.mark.parametrize("content, needle", [

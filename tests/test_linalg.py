@@ -91,6 +91,21 @@ def test_mat_pow_matches_repeated_products(d, n, seed):
     assert not np.shares_memory(result, a)
 
 
+@pytest.mark.parametrize("n, products", [(1, 0), (30, 7), (18900, 20)])
+def test_mat_pow_product_count(n, products):
+    # bit_length(n) - 1 squarings and popcount(n) - 1 further products.
+    ufuncs = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            ufuncs.append(ufunc)
+            plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs).view(Counted)
+
+    mat_pow(np.eye(2).view(Counted), n)
+    assert ufuncs == [np.matmul] * products
+
+
 def test_is_identity():
     assert is_identity(np.eye(3, dtype=complex))
     bumped = np.eye(3, dtype=complex)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from vvmf.modrep import (
     ModularRepresentation,
     RelationViolation,
     TOrderNotFound,
+    _cycle_residual,
     _monomial_cycles,
-    _order_powers,
-    _power_residuals,
+    _power_is_identity,
     _prime_factors,
     _root_of_unity,
     _t_spectrum,
@@ -164,42 +166,37 @@ def test_t_order_proper_divisor_refused():
     assert find_t_order(rep) == 693
 
 
-@pytest.mark.parametrize("moduli, n", [
-    ((30,), 30), ((8, 9, 5), 360), ((16, 27, 5), 2160), ((25, 27, 28), 18900)])
-def test_order_powers_match_single_powers(moduli, n):
-    # Permutation matrices multiply exactly, so sharing the squarings must
-    # give every power bit for bit.
-    t = p1_sum(*moduli).t_image
-    primes = sorted(_prime_factors(n))
-    divisor_powers, t_n = _order_powers(t, n, primes)
-    assert len(divisor_powers) == len(primes)
-    for p, power in zip(primes, divisor_powers):
-        assert np.array_equal(power, mat_pow(t, n // p)), p
-        assert not is_identity(power)
-    assert np.array_equal(t_n, mat_pow(t, n))
-    assert np.array_equal(t_n, np.eye(len(t)))
+def test_dense_certificate_takes_one_matrix_power(monkeypatch):
+    # t^30 is the identity and t^15, t^10, t^6 are not: one power of t, and
+    # the divisors read off its eigenvalues.
+    rep = conjugate(build_p1_permutation(30), 0)
+    exponents = []
+
+    def counting(a, n):
+        exponents.append(n)
+        return mat_pow(a, n)
+
+    monkeypatch.setattr(modrep, "mat_pow", counting)
+    assert find_t_order(rep) == 30
+    assert exponents == [30]
 
 
-def count_products(t, n):
-    """Matrix products _order_powers takes for a t of order n."""
-    ufuncs = []
-
-    class Counted(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            ufuncs.append(ufunc)
-            plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
-            return getattr(ufunc, method)(*plain, **kwargs).view(Counted)
-
-    _order_powers(np.asarray(t).view(Counted), n, sorted(_prime_factors(n)))
-    assert set(ufuncs) <= {np.matmul}
-    return len(ufuncs)
-
-
-@pytest.mark.parametrize("moduli, n, products", [
-    # Separate squarings for each t^(n/p) took 14 and 41.
-    ((30,), 30, 9), ((25, 27, 28), 18900, 26)])
-def test_order_powers_share_the_squarings(moduli, n, products):
-    assert count_products(p1_sum(*moduli).t_image, n) == products
+def test_overflowing_power_fails_without_a_warning():
+    # Under eps 1e-5 the eigenvalues of these unitary conjugates snap to
+    # spurious convergents, with orders of 1e10 and more; at seeds 2 and 7
+    # t^n overflows.
+    checks = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(10):
+            rep = conjugate(tensor_kappa(build_p1_permutation(29), 1), seed, condition=1.0)
+            with pytest.raises(TOrderNotFound) as exc:
+                find_t_order(rep, Settings(eps=1e-5))
+            checks[exc.value.check] += 1
+            message = str(exc.value)
+            assert ("overflows, so it is not the identity" in message) == (seed in (2, 7)), seed
+            assert "nan" not in message and "inf" not in message
+    assert checks == {"power": 7, "divisor": 3}
 
 
 def test_monomial_t_is_read_from_its_zero_pattern():
@@ -225,14 +222,20 @@ def test_cycle_residual_is_the_matrix_residual():
     weighted[5, 5] = ZETA12
     unitary = weighted.copy()
     unitary[1, 0], unitary[2, 1], unitary[0, 2] = 1, 1j, -1j
+    # The dense route reads the same quantities off one cycle of length one
+    # per eigenvalue.
     identities = []
     for t in (weighted, unitary):
+        routes = (_monomial_cycles(t), [(1, complex(lam)) for lam in np.linalg.eigvals(t)])
         for n in (6, 12, 24, 36):
             primes = sorted(_prime_factors(n))
-            residual, flags = _power_residuals(t, _monomial_cycles(t), n, primes, Settings())
-            expected, expected_flags = _power_residuals(t, None, n, primes, Settings())
-            assert residual == pytest.approx(expected, rel=1e-12, abs=1e-12), n
-            assert flags == expected_flags, n
+            expected = max_abs(mat_pow(t, n) - np.eye(6))
+            flags = [is_identity(mat_pow(t, n // p)) for p in primes]
+            for cycles in routes:
+                assert _cycle_residual(cycles, n) == pytest.approx(expected, rel=1e-12,
+                                                                   abs=1e-12), n
+                assert [_power_is_identity(cycles, n // p, Settings().eps)
+                        for p in primes] == flags, n
             identities += flags
     # t^12 is the identity for the unitary t, at n = 24 and at n = 36.
     assert sum(identities) == 2
