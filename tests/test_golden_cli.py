@@ -1,8 +1,7 @@
 """Golden outputs of the command line on a fixed set of commands.
 
-Each of six subcommands runs with --json on every catalog name and on
-five direct sums, and four of them (info, generators, generators --cusp
-and duality) also run without it.  The six also run with --json on four
+Each of six subcommands runs with and without --json on every catalog
+name and on five direct sums.  The six also run with --json on four
 representation files, and validate --json on six files that must fail
 to load.  The files are written to a temporary directory that is the
 working directory of every command, so the commands name them by file
@@ -37,8 +36,6 @@ SUMS = ("kappa^1+kappa^11", "rho0+kappa^2", "p1(5)+p1(7)*k^2", "~p1(6)*k^5+kappa
 SUBCOMMANDS = (["dims", "--from", "-2", "--to", "24"], ["generators"], ["generators", "--cusp"],
                ["duality"], ["info"], ["validate"])
 
-PLAIN_SUBCOMMANDS = (["info"], ["generators"], ["generators", "--cusp"], ["duality"])
-
 VALID_FILES = ("p1-9.json", "p1-9-k4.json", "kappa-1-5.json", "conj-p1-11.json")
 
 BAD_FILES = ("schema-broken.json", *(f"{label}.json" for label in NON_FINITE_FILES))
@@ -63,7 +60,7 @@ def commands():
     sources = [f"catalog:{name}" for name in (*catalog_names(), *SUMS)]
     json_commands = [[sub[0], source, *sub[1:], "--json"]
                      for source in (*sources, *VALID_FILES) for sub in SUBCOMMANDS]
-    plain_commands = [[sub[0], source, *sub[1:]] for source in sources for sub in PLAIN_SUBCOMMANDS]
+    plain_commands = [[sub[0], source, *sub[1:]] for source in sources for sub in SUBCOMMANDS]
     bad_file_commands = [["validate", name, "--json"] for name in BAD_FILES]
     return json_commands + plain_commands + bad_file_commands
 
