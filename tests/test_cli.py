@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from helpers import NON_FINITE_FILES, complex_repfile, conjugate
-from vvmf import modrep
+from vvmf import cli, modrep
 from vvmf.cli import main
 from vvmf.modrep import build_p1_permutation, find_t_order
+from vvmf.series import DualityReport, IdentityCheck
 
 KAPPA_FILE = {
     "name": "kappa",
@@ -334,41 +335,31 @@ def test_duality_json(capsys):
     assert all(c["counterexamples"] == [] for c in doc["checks"] if c["status"] == "pass")
 
 
-def test_env_tolerance_applied(tmp_path, monkeypatch, capsys):
-    path = write(tmp_path, NOISY_FILE)
-    assert main(["validate", path]) == 2
-    assert "RelationViolation" in capsys.readouterr().err
+def test_environment_sets_no_defaults(tmp_path, monkeypatch, capsys):
+    # Settings come from the flags alone: variables that once set the
+    # tolerance and the order cap change nothing.
     monkeypatch.setenv("VVMF_TOLERANCE", "1e-5")
-    assert main(["validate", path]) == 0
+    monkeypatch.setenv("VVMF_ORDER_CAP", "5")
+    assert main(["validate", write(tmp_path, NOISY_FILE)]) == 2
+    assert "RelationViolation" in capsys.readouterr().err
+    assert main(["validate", "catalog:kappa^1"]) == 0
     assert "relations ok, t order 12" in capsys.readouterr().out
-
-
-def test_env_tolerance_rejected(monkeypatch, capsys):
-    monkeypatch.setenv("VVMF_TOLERANCE", "0.5")
-    assert main(["catalog", "list"]) == 1
-    assert "vvmf: error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("variable,value", [("VVMF_TOLERANCE", "abc"), ("VVMF_ORDER_CAP", "1.5")])
-def test_env_values_are_usage_errors(monkeypatch, capsys, variable, value):
-    monkeypatch.setenv(variable, value)
-    with pytest.raises(SystemExit) as exc:
-        main(["dims", "catalog:p1(2)", "--from", "0", "--to", "2"])
-    assert exc.value.code == 1
-    assert "vvmf: error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("variable", ["VVMF_TOLERANCE", "VVMF_ORDER_CAP"])
-def test_env_zero_is_range_checked_and_empty_is_unset(monkeypatch, capsys, variable):
-    argv = ["dims", "catalog:p1(2)", "--from", "0", "--to", "2"]
-    monkeypatch.setenv(variable, "0")
-    assert main(argv) == 1
-    assert "vvmf: error:" in capsys.readouterr().err
-    monkeypatch.setenv(variable, "")
-    assert main(argv) == 0
 
 
 def test_tolerance_flag_rejected(capsys):
     assert main(["--tolerance", "-1", "dims", "catalog:rho0",
                  "--from", "0", "--to", "0"]) == 1
     assert "vvmf: error:" in capsys.readouterr().err
+
+
+def test_failed_duality_check_lists_its_counterexamples(monkeypatch, capsys):
+    report = DualityReport("r", "~r", 2, (IdentityCheck("even-weight-sum", "fail", ((1, 4),)),
+                                          IdentityCheck("generator-mirror-holo", "fail", (3, 5))))
+    monkeypatch.setattr(cli, "duality_report", lambda *args: report)
+    assert main(["duality", "catalog:rho0"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["even-weight-sum", "fail", "counterexamples:", "[(1,", "4)]"]
+    assert lines[2].split() == ["generator-mirror-holo", "fail", "counterexamples:", "[3,", "5]"]
+    assert main(["duality", "catalog:rho0", "--json"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["counterexamples"] for c in checks] == [[[1, 4]], [3, 5]]
