@@ -199,6 +199,53 @@ def enumerate_closure(rep, cap):
     return list(seen.values())
 
 
+def orbit_commutant(rep, tol=1e-9):
+    """Commutant dimension of a monomial representation, counted exactly.
+
+    Each generator g maps e_x to a(g, x) e_gx, so x commutes with g when
+    X[gx, gy] = a(g, x) / a(g, y) * X[x, y].  A weighted union-find joins
+    the d^2 index pairs under S and T; each entry is a known multiple of
+    its component's root entry.  A component contributes 1 when the weights
+    around each of its cycles multiply to 1, and 0 otherwise, since then
+    its entries must vanish.  Raises ValueError on a generator that is not
+    monomial.
+    """
+    d = rep.degree
+    parent = list(range(d * d))
+    weight = [1.0] * (d * d)  # X[p] = weight[p] * X[parent[p]]
+    consistent = [True] * (d * d)
+
+    def find(p):
+        path = []
+        while parent[p] != p:
+            path.append(p)
+            p = parent[p]
+        for q in reversed(path):
+            if parent[q] != p:
+                weight[q] *= weight[parent[q]]
+                parent[q] = p
+        return p
+
+    for g in (rep.s_image, rep.t_image):
+        if not (np.count_nonzero(np.abs(g) > tol, axis=0) == 1).all():
+            raise ValueError(f"{rep.name} is not monomial")
+        image = np.argmax(np.abs(g), axis=0)
+        a = g[image, np.arange(d)]
+        for x in range(d):
+            for y in range(d):
+                u, v = image[x] * d + image[y], x * d + y
+                ru, rv = find(u), find(v)
+                # X[u] = a(g, x) / a(g, y) * X[v], read at the two roots; a
+                # root's weight stays 1.
+                c = a[x] / a[y] * weight[v] / weight[u]
+                if ru == rv:
+                    consistent[ru] &= abs(c - 1) <= tol
+                else:
+                    parent[ru], weight[ru] = rv, c
+                    consistent[rv] &= consistent[ru]
+    return sum(1 for p in range(d * d) if parent[p] == p and consistent[p])
+
+
 def gamma_sequence_check(inv, kmax):
     """Verify the two three-term recurrences of the gamma sequence."""
     g = inv.gamma

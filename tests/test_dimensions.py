@@ -14,6 +14,7 @@ from helpers import (
     enumerate_closure,
     noisy_p1_two,
     numerators,
+    orbit_commutant,
     p1_sum,
     steinberg,
     vector_permutation,
@@ -159,6 +160,26 @@ def test_commutant_dimension_is_the_character_norm(rep):
     group = enumerate_closure(rep, 5000)
     norm = sum(abs(complex(np.trace(g))) ** 2 for g in group) / len(group)
     assert commutant_dimension(rep) == snap_integer(norm)
+
+
+ORBIT_CASES = (
+    [pytest.param(resolve(expr), dim, id=expr) for expr, dim in (
+        ("kappa^1+kappa^11", 2), ("kappa^3+kappa^5+kappa^7", 3), ("p1(5)+p1(7)", 6),
+        ("p1(7)*k^1", 2))]
+    + [pytest.param(tensor_kappa(build_p1_permutation(n), j), dim, id=f"p1({n})*k^{j}")
+       for n, j, dim in ((12, 9, 6), (16, 3, 6), (9, 6, 4), (30, 1, 8))]
+)
+
+
+@pytest.mark.parametrize("rep, dim", ORBIT_CASES)
+def test_orbit_count_is_the_commutant_dimension(rep, dim):
+    # p1(30)*k^1 has degree 72, beyond the reach of enumerate_closure.
+    assert orbit_commutant(rep) == commutant_dimension(rep) == dim
+
+
+def test_orbit_count_needs_a_monomial_representation():
+    with pytest.raises(ValueError, match="not monomial"):
+        orbit_commutant(steinberg(5))
 
 
 def test_weight_one_exact_beyond_group_enumeration():

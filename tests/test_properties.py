@@ -9,7 +9,10 @@ exactly real representation, analysed in real arithmetic, agrees with a
 unitary conjugate of it, analysed in complex arithmetic.  A sum of
 permutation representations, conjugated by a permutation matrix, is
 still exactly its own contragredient: its dual shares its analysis and
-must give what a separately analysed dual gives.
+must give what a separately analysed dual gives.  A monomial sum,
+relabelled by a permutation and a diagonal of roots of unity, is still
+monomial, and the orbit count of its commutant equals the library's
+commutant dimension.
 """
 
 import numpy as np
@@ -17,13 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conjugate, numerators, p1_sum, separate_dual, steinberg
+from helpers import conjugate, numerators, orbit_commutant, p1_sum, separate_dual, steinberg
 from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import Analysis, Weight1Indeterminate, dim_table
 from vvmf.modrep import (
     ModularRepresentation,
     build_p1_permutation,
     build_rho0,
+    commutant_dimension,
     contragredient,
     direct_sum,
     tensor_kappa,
@@ -156,3 +160,20 @@ def test_permuted_self_dual_sums_share_their_dual(names, random):
     assert rows(shared.dual) == rows(separate.dual)
     assert numerators(shared.dual) == numerators(separate.dual)
     assert dim_table(rep, -2, 30) == dim_table(plain, -2, 30)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.lists(terms, min_size=1, max_size=3), st.integers(0, 2**16))
+def test_orbit_count_survives_a_monomial_relabelling(term_list, seed):
+    # A twist by kappa^j is a scalar and leaves every cycle's weight alone;
+    # a diagonal of unequal roots of unity changes the weights of single
+    # entries, and only their products around a cycle must stay put.
+    plain = build(term_list)
+    d = plain.degree
+    rng = np.random.default_rng(seed)
+    m = np.zeros((d, d), dtype=np.complex128)
+    m[rng.permutation(d), np.arange(d)] = np.exp(2j * np.pi * rng.integers(0, 60, d) / 60)
+    m_inv = m.conj().T
+    rep = ModularRepresentation(m @ plain.s_image @ m_inv, m @ plain.t_image @ m_inv, "relabelled")
+    assert orbit_commutant(rep) == orbit_commutant(plain) == commutant_dimension(plain)
+    assert commutant_dimension(rep) == commutant_dimension(plain)
