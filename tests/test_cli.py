@@ -336,8 +336,7 @@ def test_duality_json(capsys):
 
 
 def test_environment_sets_no_defaults(tmp_path, monkeypatch, capsys):
-    # Settings come from the flags alone: variables that once set the
-    # tolerance and the order cap change nothing.
+    # Settings come from the flags alone, so these variables change nothing.
     monkeypatch.setenv("VVMF_TOLERANCE", "1e-5")
     monkeypatch.setenv("VVMF_ORDER_CAP", "5")
     assert main(["validate", write(tmp_path, NOISY_FILE)]) == 2
