@@ -1,11 +1,11 @@
 """Integer invariants controlling all dimension formulas.
 
-Two kinds of data are extracted from a purely even representation: the
-eigenvalue multiplicities of the torsion generator images (the
-signature, which also fixes the exact trace of the logarithm of the t
-image) and the multiset of eigenvalue phases of the t image.  A purely
-odd representation is read through its even partner.  Everything else
-in the package is arithmetic on these integers and rationals.
+Two kinds of data are extracted from each parity part: the eigenvalue
+multiplicities of the torsion generator images (the signature, which
+also fixes the exact trace of the logarithm of the t image) and the t
+eigenphases, whole numbers of n-ths of the t order n; lambda+ is the
+part's own log trace less its phase sum.  An odd part is read through
+its even partner.  Everything else is arithmetic on these numbers.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ def t_eigenphases(rep: ModularRepresentation,
     rationalised with denominators up to the order cap of the settings
     and certified against the order of the image; see modrep for the checks.
     """
-    return _t_spectrum(rep, settings)[1]
+    n, numerators = _t_spectrum(rep, settings)
+    return tuple(Fraction(a, n) for a in numerators)
 
 
 def _signature_from_traces(d: int, tr_s: complex, tr_u: complex,
@@ -88,12 +89,12 @@ class PartInvariants:
 
     An odd part is read off its even partner, the tensor with the
     inverse character: sig and phases (the t eigenphases, sorted in
-    [0, 1)) belong to the partner, and lambda+ and lambda- are taken at
-    the shift 1/12 because the character moves every eigenphase by one
-    twelfth.  The partner is never built: its traces and phases are the
-    part's, moved by the character.  The exact trace of log t is
-    sig.trace_lambda.  h0, the dimension of the invariant vectors, is
-    None for an odd part.
+    [0, 1)) belong to the partner, which is never built: its traces and
+    phases are the part's, moved by the character.  sig.trace_lambda is
+    the exact trace of the partner's log t, and the part's own is d/12
+    more.  lambda+ and lambda- are the sums of floor(x) and of ceil(x) - 1
+    over the part's own log eigenvalues x.  h0, the dimension of the
+    invariant vectors, is None for an odd part.
     """
 
     parity: int
@@ -116,45 +117,39 @@ def part_invariants(split: ParityDecomposition, odd: bool,
     The split has settled the part's parity, so it is not tested again.
     """
     part = split.odd_part if odd else split.even_part
-    phases = t_eigenphases(part, settings)
+    n, numerators = _t_spectrum(part, settings)
     u = st_inverse_image(part)
     tr_s, tr_u = complex(np.trace(part.s_image)), complex(np.trace(u))
-    shift = Fraction(1 if odd else 0, 12)
     if odd:
         # The even partner's s, u = (t s)^2 and t are the part's times
         # kappa^-1(s), (kappa^-1(s) kappa^-1(t))^2 and e(-1/12); only traces are read.
         ks, kt = _KAPPA_POWERS[11]
         tr_s, tr_u = ks * tr_s, (ks * kt) ** 2 * tr_u
-        phases = tuple(sorted((x - shift) % 1 for x in phases))
     sig = _signature_from_traces(part.degree, tr_s, tr_u, settings)
     h0 = None if odd else _h0(part, u, sig.alpha, settings)
-    lambda_plus, lambda_minus = _lambdas(phases, sig.trace_lambda, shift)
     d, a, b1, b2 = sig.d, sig.alpha, sig.beta1, sig.beta2
+    lambda_plus, lambda_minus = _lambdas(n, numerators, sig.trace_lambda + Fraction(odd * d, 12))
+    # The partner's phases, m/n - 1/12 mod 1 for an odd part, in 12n-ths.
+    phases = tuple(Fraction(x, 12 * n) for x in sorted((12 * m - odd * n) % (12 * n)
+                                                       for m in numerators))
     return PartInvariants(-1 if odd else 1, sig, phases, lambda_plus, lambda_minus, h0,
                           (0, a + b1 + b2 - d, b2, a, b1 + b2, a + b2))
 
 
-def _lambdas(phases: tuple[Fraction, ...], trace_lambda: Fraction,
-             shift: Fraction) -> tuple[int, int]:
-    """lambda+ and lambda-: the sums of floor(x + shift) and of ceil(x + shift) - 1
-    over the log eigenvalues x of the t image.
+def _lambdas(n: int, numerators: tuple[int, ...], log_trace: Fraction) -> tuple[int, int]:
+    """lambda+ and lambda-: the sums of floor(x) and of ceil(x) - 1 over the
+    log eigenvalues x of the t image, whose phases are the numerators over
+    n in [0, 1) and whose sum is log_trace.
 
-    The log eigenvalues are the phases moved by integers, whose sum is the
-    log trace less the phase sum.  That is an integer whenever signature
-    and phases belong to the same representation; a fractional value
-    means corrupted input.  Exact integer arithmetic over the common
-    denominator m: with y = m (phase + shift), the floor is y // m and
-    the ceiling less one is (y - 1) // m.
+    Each x is its phase plus an integer, so floor(x) is x less its phase,
+    and ceil(x) - 1 is one less again where the phase is 0.  The log trace
+    less the phase sum is an integer whenever both belong to the same
+    representation; a fractional value means corrupted input.
     """
-    m = math.lcm(trace_lambda.denominator, shift.denominator, *(p.denominator for p in phases))
-    xs = [p.numerator * (m // p.denominator) for p in phases]
-    gap = trace_lambda.numerator * (m // trace_lambda.denominator) - sum(xs)
-    if gap % m:
-        raise SnapFailure(f"log trace differs from phase sum by the non-integer "
-                          f"{Fraction(gap, m)}")
-    offset, a = gap // m, shift.numerator * (m // shift.denominator)
-    return (offset + sum((x + a) // m for x in xs),
-            offset + sum((x + a - 1) // m for x in xs))
+    lambda_plus = log_trace - Fraction(sum(numerators), n)
+    if lambda_plus.denominator != 1:
+        raise SnapFailure(f"log trace differs from phase sum by the non-integer {lambda_plus}")
+    return int(lambda_plus), int(lambda_plus) - numerators.count(0)
 
 
 def _h0(rep: ModularRepresentation, u: np.ndarray, alpha: int, settings: Settings) -> int:

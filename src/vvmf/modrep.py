@@ -18,7 +18,6 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -238,9 +237,8 @@ def _power_is_identity(cycles: _Cycles, m: int, eps: float) -> bool:
     return all(m % length == 0 for length, _ in cycles) and _cycle_residual(cycles, m) <= eps
 
 
-def _t_spectrum(rep: ModularRepresentation,
-                settings: Settings) -> tuple[int, tuple[Fraction, ...]]:
-    """Order of the t image and its eigenphases, sorted fractions in [0, 1).
+def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tuple[int, ...]]:
+    """Order n of the t image and its eigenphases a/n, as n and the sorted integers a in [0, n).
 
     The spectrum is read from cycles (L, c), each of which stands for the
     L-th roots of c: the cycles of t when t is monomial (each row and
@@ -250,9 +248,10 @@ def _t_spectrum(rep: ModularRepresentation,
     continued-fraction convergent a/b within L eps with bL at most the
     order cap, so each phase (a/b + k)/L lies within eps of its
     eigenvalue's.  Their reduced denominators divide bL and one of them
-    is bL, since gcd(a, b) = 1.  The order n is the lcm of the bL and is
-    certified in three checks.  t^n is the identity: read off the cycles
-    of a monomial t, and one matrix power of any other.  t^(n/p) is not,
+    is bL, since gcd(a, b) = 1.  The order n is the lcm of the bL, so each
+    phase is (a + k b)(n/bL) n-ths, and n is certified in three checks.
+    t^n is the identity: read off the cycles of a monomial t, and one
+    matrix power of any other.  t^(n/p) is not,
     for any prime p dividing n: once t^n is the identity, this is read
     off the cycles on both routes.  The phases reproduce the trace of t.
     When t^n is not the identity, each cycle with e((n/L) y) off 1 moves
@@ -316,19 +315,15 @@ def _t_spectrum(rep: ModularRepresentation,
             raise TOrderNotFound(
                 "divisor", f"t^{n // p} is already the identity, a proper divisor of the "
                 f"eigenphase order {n}")
-    # The phases of a cycle, (a + k b)/(b L) for k < L, in lowest terms.
-    pairs = [((a + k * b) // g, b * length // g)
-             for (length, _), (a, b) in zip(cycles, snapped)
-             for k in range(length) for g in [math.gcd(a + k * b, length)]]
-    # Distinct phases with denominators up to the cap differ by far more
-    # than float resolution, so the float keys order them exactly.
-    pairs.sort(key=lambda pq: pq[0] / pq[1])
-    roots = np.exp(2j * np.pi * np.array([p / q for p, q in pairs]))
+    # The phases of a cycle are (a + k b)/(b L) for k < L, and bL divides n.
+    numerators = sorted((a + k * b) * (n // (b * length))
+                        for (length, _), (a, b) in zip(cycles, snapped) for k in range(length))
+    # Python floats, since a numpy integer array of n above 2^63 holds objects.
+    roots = np.exp(2j * np.pi * np.array([a / n for a in numerators]))
     gap = abs(complex(np.sum(roots)) - complex(np.trace(t)))
     if not gap <= eps * rep.degree:
         raise SnapFailure(f"t eigenphases miss the trace of t by {gap:.3e}")
-    fractions = {pair: Fraction(*pair) for pair in set(pairs)}
-    spectrum = rep.spectra[settings] = (n, tuple(fractions[pair] for pair in pairs))
+    spectrum = rep.spectra[settings] = (n, tuple(numerators))
     return spectrum
 
 
@@ -439,9 +434,9 @@ def commutant_dimension(rep: ModularRepresentation,
     d = rep.degree
     eye = np.eye(d)
     # The phases come sorted, so the counter lists them in that order.
-    multiplicity = Counter(_t_spectrum(rep, settings)[1])
-    spaces = [nullspace(rep.t_image - _root_of_unity(x.numerator, x.denominator) * eye, settings)
-              for x in multiplicity]
+    n, numerators = _t_spectrum(rep, settings)
+    multiplicity = Counter(numerators)
+    spaces = [nullspace(rep.t_image - _root_of_unity(a, n) * eye, settings) for a in multiplicity]
     sizes = [v.shape[1] for v in spaces]
     if sizes != list(multiplicity.values()):
         raise SnapFailure(f"t eigenspaces have dimensions {sizes}, the eigenphase "

@@ -199,21 +199,31 @@ def enumerate_closure(rep, cap):
     return list(seen.values())
 
 
-def orbit_commutant(rep, tol=1e-9):
-    """Commutant dimension of a monomial representation, counted exactly.
+def _monomial_moves(rep, tol):
+    """Each generator g of a monomial rep as (image, a): g maps e_x to
+    a[x] e_image[x].  Raises ValueError on a generator that is not monomial."""
+    moves = []
+    for g in (rep.s_image, rep.t_image):
+        if not (np.count_nonzero(np.abs(g) > tol, axis=0) == 1).all():
+            raise ValueError(f"{rep.name} is not monomial")
+        image = np.argmax(np.abs(g), axis=0)
+        moves.append((image.tolist(), g[image, np.arange(rep.degree)].tolist()))
+    return moves
 
-    Each generator g maps e_x to a(g, x) e_gx, so x commutes with g when
-    X[gx, gy] = a(g, x) / a(g, y) * X[x, y].  A weighted union-find joins
-    the d^2 index pairs under S and T; each entry is a known multiple of
-    its component's root entry.  A component contributes 1 when the weights
-    around each of its cycles multiply to 1, and 0 otherwise, since then
-    its entries must vanish.  Raises ValueError on a generator that is not
-    monomial.
+
+def _trivial_holonomy_orbits(size, links, tol):
+    """Count the components of a weighted union-find on size points with
+    no holonomy.
+
+    Each link (p, q, c) asks for the value at q to be c times the value at
+    p.  Each point's value is a known multiple of its component's root
+    value; a component counts 1 when the weights around each of its
+    cycles multiply to 1, and 0 otherwise, since then its values must
+    vanish.
     """
-    d = rep.degree
-    parent = list(range(d * d))
-    weight = [1.0] * (d * d)  # X[p] = weight[p] * X[parent[p]]
-    consistent = [True] * (d * d)
+    parent = list(range(size))
+    weight = [1.0] * size  # value[p] = weight[p] * value[parent[p]]
+    consistent = [True] * size
 
     def find(p):
         path = []
@@ -226,24 +236,43 @@ def orbit_commutant(rep, tol=1e-9):
                 parent[q] = p
         return p
 
-    for g in (rep.s_image, rep.t_image):
-        if not (np.count_nonzero(np.abs(g) > tol, axis=0) == 1).all():
-            raise ValueError(f"{rep.name} is not monomial")
-        image = np.argmax(np.abs(g), axis=0)
-        a = g[image, np.arange(d)]
-        for x in range(d):
-            for y in range(d):
-                u, v = image[x] * d + image[y], x * d + y
-                ru, rv = find(u), find(v)
-                # X[u] = a(g, x) / a(g, y) * X[v], read at the two roots; a
-                # root's weight stays 1.
-                c = a[x] / a[y] * weight[v] / weight[u]
-                if ru == rv:
-                    consistent[ru] &= abs(c - 1) <= tol
-                else:
-                    parent[ru], weight[ru] = rv, c
-                    consistent[rv] &= consistent[ru]
-    return sum(1 for p in range(d * d) if parent[p] == p and consistent[p])
+    for p, q, c in links:
+        rq, rp = find(q), find(p)
+        # value[q] = c * value[p], read at the two roots; a root's weight stays 1.
+        c = c * weight[p] / weight[q]
+        if rq == rp:
+            consistent[rq] &= abs(c - 1) <= tol
+        else:
+            parent[rq], weight[rq] = rp, c
+            consistent[rp] &= consistent[rq]
+    return sum(1 for p in range(size) if parent[p] == p and consistent[p])
+
+
+def orbit_commutant(rep, tol=1e-9):
+    """Commutant dimension of a monomial representation, counted exactly.
+
+    Each generator g maps e_x to a(g, x) e_gx, so x commutes with g when
+    X[gx, gy] = a(g, x) / a(g, y) * X[x, y]: one component per orbit of
+    the image on the d^2 index pairs, counted when it has no holonomy.
+    Raises ValueError on a generator that is not monomial.
+    """
+    d = rep.degree
+    return _trivial_holonomy_orbits(d * d, [
+        (x * d + y, image[x] * d + image[y], a[x] / a[y])
+        for image, a in _monomial_moves(rep, tol) for x in range(d) for y in range(d)], tol)
+
+
+def orbit_h0(rep, tol=1e-9):
+    """Dimension of the vectors fixed by s and t of a monomial
+    representation, counted exactly.
+
+    g v = v reads v[gx] = a(g, x) v[x]: one component per orbit of the
+    image on the d basis points, counted when it has no holonomy.
+    Raises ValueError on a generator that is not monomial.
+    """
+    return _trivial_holonomy_orbits(rep.degree, [
+        (x, image[x], a[x]) for image, a in _monomial_moves(rep, tol)
+        for x in range(rep.degree)], tol)
 
 
 def gamma_sequence_check(inv, kmax):

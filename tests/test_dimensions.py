@@ -1,6 +1,5 @@
 import gc
 import weakref
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from helpers import (
     noisy_p1_two,
     numerators,
     orbit_commutant,
+    orbit_h0,
     p1_sum,
     steinberg,
     vector_permutation,
@@ -178,8 +178,31 @@ def test_orbit_count_is_the_commutant_dimension(rep, dim):
 
 
 def test_orbit_count_needs_a_monomial_representation():
-    with pytest.raises(ValueError, match="not monomial"):
-        orbit_commutant(steinberg(5))
+    for count in (orbit_commutant, orbit_h0):
+        with pytest.raises(ValueError, match="not monomial"):
+            count(steinberg(5))
+
+
+def library_h0(rep):
+    """h0 of the even part of rep, or 0 when it has none."""
+    a = Analysis.of(rep)
+    return a.invariants(False).h0 if a.split.even_part.degree else 0
+
+
+@pytest.mark.parametrize("expr, h0", [
+    ("p1(5)+p1(7)", 2), ("kappa^2+p1(3)*k^4", 0), ("kappa^1+p1(3)", 1),
+    ("p1(4)+kappa^6+rho0", 2)])
+def test_orbit_h0_of_sums(expr, h0):
+    rep = resolve(expr)
+    assert orbit_h0(rep) == library_h0(rep) == h0
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_orbit_h0_is_h0_on_twisted_p1(n):
+    # An invariant vector is even, so an odd twist has none.
+    for j in range(12):
+        rep = tensor_kappa(build_p1_permutation(n), j)
+        assert orbit_h0(rep) == library_h0(rep), rep.name
 
 
 def test_weight_one_exact_beyond_group_enumeration():
@@ -594,7 +617,7 @@ def test_t_spectrum_is_kept_per_order_cap():
     # and neither may reuse the spectrum certified under another cap.
     rep = build_kappa_power(3)
     wide, narrow = Settings(), Settings(order_cap=4)
-    assert _t_spectrum(rep, wide) == _t_spectrum(rep, narrow) == (4, (Fraction(1, 4),))
+    assert _t_spectrum(rep, wide) == _t_spectrum(rep, narrow) == (4, (1,))
     assert list(rep.spectra) == [wide, narrow]
     with pytest.raises(TOrderNotFound):
         _t_spectrum(rep, Settings(order_cap=3))

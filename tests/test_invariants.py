@@ -160,9 +160,20 @@ def test_signature_of_twist_matches_tensor(std2):
             assert twisted == signature_of_twist(sig, k), (rep.name, k)
 
 
+def integer_lambdas(phases, log_trace):
+    """_lambdas of phases given as fractions in [0, 1), over their common denominator."""
+    n = math.lcm(1, *(x.denominator for x in phases))
+    return _lambdas(n, tuple(int(x * n) for x in phases), log_trace)
+
+
 def lambdas_at(rep, shift):
+    """lambda+ and lambda- of an even rep at a shift, by _lambdas on the
+    phases moved by the shift, and by the floor sums of the oracle."""
     inv = part_invariants(parity_split(rep), False)
-    return _lambdas(inv.phases, inv.sig.trace_lambda, shift)
+    moved = tuple((x + shift) % 1 for x in inv.phases)
+    lambdas = integer_lambdas(moved, inv.sig.trace_lambda + rep.degree * shift)
+    assert lambdas == fraction_lambdas(inv.phases, inv.sig.trace_lambda, shift), rep.name
+    return lambdas
 
 
 def test_integer_offset():
@@ -172,7 +183,7 @@ def test_integer_offset():
     assert lambdas_at(build_kappa_power(10), F(0))[0] == -1
     assert lambdas_at(build_p1_permutation(3), F(0))[0] == 1
     with pytest.raises(SnapFailure, match="non-integer"):
-        _lambdas((F(1, 2),), F(1, 3), F(0))
+        _lambdas(2, (1,), F(1, 3))
 
 
 def test_floor_trace_examples():
@@ -194,31 +205,35 @@ phases = st.integers(1, 5000).flatmap(lambda q: st.integers(0, q - 1).map(lambda
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.lists(phases, max_size=24).map(sorted), st.integers(-40, 40), st.integers(2, 5000))
 def test_integer_floor_traces_match_fractions(phase_list, offset, bad_denominator):
+    # An odd part's log eigenvalues are its partner's x' moved by 1/12,
+    # so the floor sums of x' + shift are the lambdas of the own phases
+    # (x' + shift) mod 1 with the log trace moved by d shift.
     phase_list = tuple(phase_list)
+    d = len(phase_list)
     trace_lambda = sum(phase_list, F(0)) + offset
     assert fraction_offset(phase_list, trace_lambda) == offset
     for shift in (F(0), F(1, 12), F(11, 12), F(1)):
-        assert (_lambdas(phase_list, trace_lambda, shift)
+        own = tuple(sorted((x + shift) % 1 for x in phase_list))
+        assert (integer_lambdas(own, trace_lambda + d * shift)
                 == fraction_lambdas(phase_list, trace_lambda, shift))
-    off = trace_lambda + F(1, bad_denominator)
-    for derive in (lambda: fraction_offset(phase_list, off),
-                   lambda: _lambdas(phase_list, off, F(0)),
-                   lambda: _lambdas(phase_list, off, F(1, 12))):
+        off = trace_lambda + d * shift + F(1, bad_denominator)
         with pytest.raises(SnapFailure, match="non-integer"):
-            derive()
+            integer_lambdas(own, off)
+    with pytest.raises(SnapFailure, match="non-integer"):
+        fraction_offset(phase_list, trace_lambda + F(1, bad_denominator))
 
 
 def test_negated_data_gives_complement():
     # Negating the logarithm flips the phases mod 1 and the log trace;
-    # lambda- at the shift 0 is then minus lambda+ at the shift 1.  Not
-    # the dual's data in general: the dual canonicalizes its logarithm
-    # differently.
+    # lambda- is then minus lambda+ of the log eigenvalues 1 - x, whose
+    # log trace is d less the trace.  Not the dual's data in general:
+    # the dual canonicalizes its logarithm differently.
     for rep in (build_rho0(), build_kappa_power(2), build_p1_permutation(2),
                 build_p1_permutation(3)):
         inv = part_invariants(parity_split(rep), False)
         flipped = tuple(sorted(F(0) if x == 0 else 1 - x for x in inv.phases))
-        assert (_lambdas(inv.phases, inv.sig.trace_lambda, F(0))[1]
-                == -_lambdas(flipped, -inv.sig.trace_lambda, F(1))[0])
+        assert (integer_lambdas(inv.phases, inv.sig.trace_lambda)[1]
+                == -integer_lambdas(flipped, rep.degree - inv.sig.trace_lambda)[0])
 
 
 def test_even_invariants_frozen_values(std2):
@@ -236,6 +251,46 @@ def test_even_invariants_frozen_values(std2):
         assert inv.lambda_minus == lam_minus, rep.name
         assert inv.h0 == h0, rep.name
         assert inv.gamma_base == base, rep.name
+
+
+# t eigenphases, then (phases, lambda+, lambda-, h0) of the even and the
+# odd part, or None for an empty part, as the Fraction route of the
+# library gave them: odd parts, whose phases are the partner's, a dual, a
+# mixed sum and dense conjugates.
+PINNED_SPECTRA = [
+    ("~p1(4)*k^3", lambda: contragredient(tensor_kappa(build_p1_permutation(4), 3)),
+     "0 1/4 1/2 3/4 3/4 3/4", None, ("1/6 5/12 2/3 2/3 2/3 11/12", 0, -1, None)),
+    ("p1(6)*k^7", lambda: tensor_kappa(build_p1_permutation(6), 7),
+     "1/12 1/12 1/4 1/4 5/12 7/12 7/12 7/12 7/12 3/4 11/12 11/12",
+     None, ("0 0 1/6 1/6 1/3 1/2 1/2 1/2 1/2 2/3 5/6 5/6", 0, 0, None)),
+    ("p1(5)+p1(7)*k^1", lambda: resolve("p1(5)+p1(7)*k^1"),
+     "0 0 1/12 1/12 1/5 19/84 31/84 2/5 43/84 3/5 55/84 67/84 4/5 79/84",
+     ("0 0 1/5 2/5 3/5 4/5", 1, -1, 1), ("0 0 1/7 2/7 3/7 4/7 5/7 6/7", 1, 1, None)),
+    ("p1(3)+kappa^1", lambda: resolve("p1(3)+kappa^1"),
+     "0 0 1/12 1/3 2/3", ("0 0 1/3 2/3", 1, -1, 1), ("0", 1, 1, None)),
+    ("p1(5)*k^1 conj", lambda: conjugate(tensor_kappa(build_p1_permutation(5), 1), 1),
+     "1/12 1/12 17/60 29/60 41/60 53/60", None, ("0 0 1/5 2/5 3/5 4/5", 1, 1, None)),
+    ("St(5) conj", lambda: conjugate(steinberg(5), 2),
+     "0 1/5 2/5 3/5 4/5", ("0 1/5 2/5 3/5 4/5", 0, -1, 0), None),
+    ("kappa^1+kappa^11 conj", lambda: conjugate(resolve("kappa^1+kappa^11"), 11),
+     "1/12 11/12", None, ("0 5/6", 0, 0, None)),
+]
+
+
+@pytest.mark.parametrize("build, phases, even, odd", [case[1:] for case in PINNED_SPECTRA],
+                         ids=[case[0] for case in PINNED_SPECTRA])
+def test_pinned_spectra_and_lambdas(build, phases, even, odd):
+    rep = build()
+    assert " ".join(map(str, t_eigenphases(rep))) == phases
+    split = parity_split(rep)
+    for flag, expected in ((False, even), (True, odd)):
+        if expected is None:
+            assert not (split.odd_part if flag else split.even_part).degree
+            continue
+        inv = part_invariants(split, flag)
+        assert all(type(x) is Fraction for x in inv.phases)
+        assert (" ".join(map(str, inv.phases)), inv.lambda_plus, inv.lambda_minus,
+                inv.h0) == expected
 
 
 # Every catalog name, sums and twists, and p1 sums and even twists like

@@ -11,8 +11,9 @@ permutation representations, conjugated by a permutation matrix, is
 still exactly its own contragredient: its dual shares its analysis and
 must give what a separately analysed dual gives.  A monomial sum,
 relabelled by a permutation and a diagonal of roots of unity, is still
-monomial, and the orbit count of its commutant equals the library's
-commutant dimension.
+monomial, and the orbit counts of its commutant and its invariant
+vectors equal the library's commutant dimension and h0.  Generator
+weights sum to twelve times the sum of the T eigenphases.
 """
 
 import numpy as np
@@ -20,9 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conjugate, numerators, orbit_commutant, p1_sum, separate_dual, steinberg
+from helpers import (
+    conjugate,
+    numerators,
+    orbit_commutant,
+    orbit_h0,
+    p1_sum,
+    separate_dual,
+    steinberg,
+)
 from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import Analysis, Weight1Indeterminate, dim_table
+from vvmf.invariants import t_eigenphases
 from vvmf.modrep import (
     ModularRepresentation,
     build_p1_permutation,
@@ -162,18 +172,64 @@ def test_permuted_self_dual_sums_share_their_dual(names, random):
     assert dim_table(rep, -2, 30) == dim_table(plain, -2, 30)
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(st.lists(terms, min_size=1, max_size=3), st.integers(0, 2**16))
-def test_orbit_count_survives_a_monomial_relabelling(term_list, seed):
-    # A twist by kappa^j is a scalar and leaves every cycle's weight alone;
-    # a diagonal of unequal roots of unity changes the weights of single
-    # entries, and only their products around a cycle must stay put.
-    plain = build(term_list)
+def relabel(plain, seed):
+    """plain conjugated by a seeded permutation times a diagonal of 60th roots of unity.
+
+    A twist by kappa^j is a scalar and leaves every cycle's weight alone;
+    a diagonal of unequal roots of unity changes the weights of single
+    entries, and only their products around a cycle must stay put.
+    """
     d = plain.degree
     rng = np.random.default_rng(seed)
     m = np.zeros((d, d), dtype=np.complex128)
     m[rng.permutation(d), np.arange(d)] = np.exp(2j * np.pi * rng.integers(0, 60, d) / 60)
     m_inv = m.conj().T
-    rep = ModularRepresentation(m @ plain.s_image @ m_inv, m @ plain.t_image @ m_inv, "relabelled")
+    return ModularRepresentation(m @ plain.s_image @ m_inv, m @ plain.t_image @ m_inv,
+                                 "relabelled")
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.lists(terms, min_size=1, max_size=3), st.integers(0, 2**16))
+def test_orbit_count_survives_a_monomial_relabelling(term_list, seed):
+    plain = build(term_list)
+    rep = relabel(plain, seed)
     assert orbit_commutant(rep) == orbit_commutant(plain) == commutant_dimension(plain)
     assert commutant_dimension(rep) == commutant_dimension(plain)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(terms, min_size=1, max_size=3), st.integers(0, 2**16))
+def test_orbit_h0_survives_a_monomial_relabelling(term_list, seed):
+    plain = build(term_list)
+    rep = relabel(plain, seed)
+    h0 = part_values(plain, False)[2]
+    assert orbit_h0(rep) == orbit_h0(plain) == h0 == part_values(rep, False)[2]
+
+
+# Every family with an exact profile: the characters, p1(N) with even
+# twists, sums, and the dense route through St(p) and conjugates.  The
+# odd twists of p1(N) are left out: their weight one is a lower bound.
+WEIGHT_SUM_REPS = {
+    **{f"kappa^{j}": lambda j=j: resolve(f"kappa^{j}") for j in range(1, 12)},
+    **{f"p1({n})*k^{j}": lambda n=n, j=j: tensor_kappa(build_p1_permutation(n), j)
+       for n in range(2, 31) for j in range(0, 12, 2)},
+    **{expr: lambda expr=expr: resolve(expr)
+       for expr in ("p1(5)+p1(7)", "kappa^2+p1(3)*k^4", "kappa^1+p1(3)")},
+    **{f"St({p})*k^{j}": lambda p=p, j=j: tensor_kappa(steinberg(p), j)
+       for p, j in ((5, 0), (7, 0), (5, 1), (7, 3), (11, 2))},
+    **{f"{expr} conj": lambda expr=expr: conjugate(resolve(expr), 3)
+       for expr in ("p1(7)", "p1(5)*k^4", "kappa^1+p1(3)")},
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_SUM_REPS)
+def test_generator_weights_sum_to_the_phase_sum(name):
+    # Sum of w * count = 12 * (sum of the T eigenphases in [0, 1)) for the
+    # holomorphic module, and in (0, 1] for the cusp module.  Blind to
+    # weight one: a shift of M_1 moves weights 1, 5, 7 and 11 by +c, -c,
+    # -c and +c.
+    rep = WEIGHT_SUM_REPS[name]()
+    phases = t_eigenphases(rep)
+    holo, cusp = (generator_profile(rep, kind).counts for kind in (HOLOMORPHIC, CUSP))
+    assert sum(w * c for w, c in holo.items()) == 12 * sum(phases)
+    assert sum(w * c for w, c in cusp.items()) == 12 * sum(x or 1 for x in phases)
