@@ -27,7 +27,6 @@ from .linalg import (
     Settings,
     SnapFailure,
     is_identity,
-    mat_pow,
     nullspace,
     snap_integer,
 )

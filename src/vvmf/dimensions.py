@@ -82,7 +82,6 @@ class Analysis:
         self._invariants: dict[bool, PartInvariants] = {}
         self._numerators: dict[bool, tuple[int, ...]] = {}
         self._rows: dict[tuple[int, bool], DimResult] = {}
-        self._mirror: Analysis | None = None
 
     @classmethod
     def of(cls, rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> Analysis:
@@ -100,8 +99,6 @@ class Analysis:
 
     @cached_property
     def weight1_exact(self) -> bool:
-        if self._mirror is not None:
-            return self._mirror.weight1_exact
         return certify_irreducible(self.split.odd_part, self.settings)
 
     @cached_property
@@ -123,7 +120,7 @@ class Analysis:
             dual.rep = rep
         else:
             dual = Analysis.of(rep, self.settings)
-        dual._mirror = self
+        dual.weight1_exact = self.weight1_exact
         return dual
 
     def dim(self, w: int, cusp: bool = False) -> DimResult:

@@ -1,13 +1,15 @@
-"""Dense real or complex matrix helpers with tolerance-guarded integer snapping.
+"""The package's own rules for dense real or complex matrices.
 
-Everything the package ultimately reports (multiplicities, dimensions,
-generator counts) is an integer; floating point enters only through the
-matrix images of the two group generators.  Every float-to-integer
-conversion goes through ``snap_integer`` so numerical corruption becomes
-a hard error instead of a silently wrong table.  A matrix whose entries
-are all exactly real is kept in float64, so that every factorisation and
-product on it runs in real arithmetic; complex scalars upcast it where
-they enter.
+Three rules live here; numpy does the arithmetic.  The storage rule: a
+matrix whose entries are all exactly real is kept in float64, so that
+every factorisation and product on it runs in real arithmetic; complex
+scalars upcast it where they enter.  The rank rule: a singular value
+counts as zero below a threshold scaled by the largest one.  The
+snapping rule: everything the package ultimately reports (multiplicities,
+dimensions, generator counts) is an integer, floating point enters only
+through the matrix images of the two group generators, and every
+float-to-integer conversion goes through ``snap_integer``, so numerical
+corruption becomes a hard error instead of a silently wrong table.
 """
 
 from __future__ import annotations
@@ -68,39 +70,10 @@ def max_abs(a: Matrix) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def mat_pow(a: Matrix, n: int) -> Matrix:
-    """a^n for n >= 0 by square and multiply, as an array other than a.
-
-    a^n is the product of the squarings a^(2^k) that the bits of n
-    select, lowest first: bit_length(n) + popcount(n) - 2 products for
-    n >= 1.
-    """
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    power, square = None, a
-    while n:
-        if n & 1:
-            power = square if power is None else power @ square
-        n >>= 1
-        if n:
-            square = square @ square
-    if power is None:
-        return np.eye(a.shape[0], dtype=a.dtype)
-    return a.copy() if power is a else power
-
-
 def is_identity(a: Matrix, settings: Settings = DEFAULT_SETTINGS) -> bool:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return max_abs(a - np.eye(a.shape[0])) <= settings.eps
-
-
-def _rank_reduce(a: Matrix) -> Matrix:
-    """a itself, or for a tall matrix its square triangular QR factor,
-    which has the same null space and singular values."""
-    return np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a
 
 
 def _rank(sigma: np.ndarray, settings: Settings) -> int:
@@ -124,7 +97,7 @@ def nullspace(a: Matrix, settings: Settings = DEFAULT_SETTINGS) -> Matrix:
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=a.dtype)
-    _, sigma, vh = np.linalg.svd(_rank_reduce(a), full_matrices=rows < cols)
+    _, sigma, vh = np.linalg.svd(a, full_matrices=rows < cols)
     return vh[_rank(sigma, settings):].conj().T
 
 
@@ -136,7 +109,7 @@ def nullity(a: Matrix, settings: Settings = DEFAULT_SETTINGS) -> int:
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return cols
-    return cols - _rank(np.linalg.svd(_rank_reduce(a), compute_uv=False), settings)
+    return cols - _rank(np.linalg.svd(a, compute_uv=False), settings)
 
 
 def snap_integer(x: float, settings: Settings = DEFAULT_SETTINGS) -> int:

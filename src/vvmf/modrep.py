@@ -28,7 +28,6 @@ from .linalg import (
     SnapFailure,
     as_matrix,
     is_identity,
-    mat_pow,
     max_abs,
     nullity,
     nullspace,
@@ -294,7 +293,7 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
         else:
             # A t^n that overflows leaves an inf or NaN residual, which fails the check.
             with np.errstate(all="ignore"):
-                residual = max_abs(mat_pow(t, n) - np.eye(len(t)))
+                residual = max_abs(np.linalg.matrix_power(t, n) - np.eye(len(t)))
         if residual <= eps:
             break
         # A phase whose denominator exceeds about eps^(-1/2) can have an
@@ -487,7 +486,7 @@ def contragredient(rep: ModularRepresentation) -> ModularRepresentation:
     The relations give s^-1 = s^3 and t^-1 = s t s t s^-1, so the
     inverses need no t order.
     """
-    s_inv = mat_pow(rep.s_image, 3)
+    s_inv = np.linalg.matrix_power(rep.s_image, 3)
     t_inv = rep.s_image @ rep.t_image @ rep.s_image @ rep.t_image @ s_inv
     return ModularRepresentation(s_inv.T, t_inv.T, f"~{rep.name}", rep.irreducible_assertion)
 

@@ -133,13 +133,8 @@ def steinberg(p):
                                  f"St({p})")
 
 
-def vector_permutation(n):
-    """SL2(Z) permuting the nonzero row vectors of (Z/n)^2 from the right.
-
-    A permutation representation, so exactly its own contragredient, and
-    for n > 2 one with both parity parts: -1 swaps v and -v.
-    """
-    points = [(c, d) for c in range(n) for d in range(n) if (c, d) != (0, 0)]
+def _right_action(points, n, name):
+    """SL2(Z) permuting the row vectors points of (Z/n)^2 from the right."""
     index = {p: i for i, p in enumerate(points)}
 
     def image(g):
@@ -148,7 +143,29 @@ def vector_permutation(n):
             m[index[(c * g[0][0] + d * g[1][0]) % n, (c * g[0][1] + d * g[1][1]) % n], i] = 1
         return m
 
-    return ModularRepresentation(image(((0, -1), (1, 0))), image(((1, 1), (0, 1))), f"vec({n})")
+    return ModularRepresentation(image(((0, -1), (1, 0))), image(((1, 1), (0, 1))), name)
+
+
+def vector_permutation(n):
+    """SL2(Z) permuting the nonzero row vectors of (Z/n)^2 from the right.
+
+    A permutation representation, so exactly its own contragredient, and
+    for n > 2 one with both parity parts: -1 swaps v and -v.
+    """
+    return _right_action([(c, d) for c in range(n) for d in range(n) if (c, d) != (0, 0)],
+                         n, f"vec({n})")
+
+
+def gamma1(n):
+    """SL2(Z) permuting the primitive row vectors (c, d) of (Z/n)^2,
+    gcd(c, d, n) = 1, from the right.
+
+    These are the bottom rows of SL2(Z) mod n, so this is the permutation
+    representation on the cosets of Gamma1(n), and its forms of weight k
+    are those of Gamma1(n).  For prime n it is vector_permutation(n).
+    """
+    return _right_action([(c, d) for c in range(n) for d in range(n)
+                          if math.gcd(c, d, n) == 1], n, f"G1({n})")
 
 
 def separate_dual(rep):
@@ -157,7 +174,7 @@ def separate_dual(rep):
     its contragredient; the dual still takes the weight-one certificate."""
     a = Analysis.of(ModularRepresentation(rep.s_image, rep.t_image, rep.name))
     a.dual = Analysis.of(contragredient(a.rep), a.settings)
-    a.dual._mirror = a
+    a.dual.weight1_exact = a.weight1_exact
     return a
 
 

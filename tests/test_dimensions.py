@@ -1,5 +1,7 @@
 import gc
+import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from helpers import (
     conjugate,
     dim_via_exponent_shift,
     enumerate_closure,
+    gamma1,
     noisy_p1_two,
     numerators,
     orbit_commutant,
@@ -203,6 +206,63 @@ def test_orbit_h0_is_h0_on_twisted_p1(n):
     for j in range(12):
         rep = tensor_kappa(build_p1_permutation(n), j)
         assert orbit_h0(rep) == library_h0(rep), rep.name
+
+
+def gamma1_textbook(n):
+    """(eps_inf, g, M, S) for Gamma1(n), n >= 5, where M(k) and S(k) are
+    dim M_k and dim S_k for k >= 2 (Diamond and Shurman, sections 3.5 to
+    3.9): no elliptic points, and every cusp regular."""
+
+    def phi(m):
+        return sum(1 for x in range(1, m + 1) if math.gcd(x, m) == 1)
+
+    primes = [p for p in range(2, n + 1) if n % p == 0 and phi(p) == p - 1]
+    eps_inf = Fraction(sum(phi(d) * phi(n // d) for d in range(1, n + 1) if n % d == 0), 2)
+    mu = Fraction(n * n, 2) * math.prod(1 - Fraction(1, p * p) for p in primes)
+    g = 1 + mu / 12 - eps_inf / 2
+
+    def holomorphic(k):
+        return (k - 1) * (g - 1) + Fraction(k, 2) * eps_inf
+
+    def cusp(k):
+        return g if k == 2 else (k - 1) * (g - 1) + (Fraction(k, 2) - 1) * eps_inf
+
+    return eps_inf, g, holomorphic, cusp
+
+
+def test_gamma1_textbook_values():
+    # X1(n) has genus 0 up to n = 10 and at n = 12, genus 1 at 11, 14 and
+    # 15, and genus 2 at 13 and 16; a prime p gives p - 1 cusps.
+    assert [gamma1_textbook(n)[1] for n in range(5, 17)] == [0] * 6 + [1, 0, 2, 1, 1, 2]
+    assert [gamma1_textbook(p)[0] for p in (5, 7, 11, 13)] == [4, 6, 10, 12]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_gamma1_of_a_prime_is_the_vector_permutation(p):
+    rep, vec = gamma1(p), vector_permutation(p)
+    assert np.array_equal(rep.s_image, vec.s_image)
+    assert np.array_equal(rep.t_image, vec.t_image)
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_gamma1_dimensions(n):
+    eps_inf, _, holomorphic, cusp = gamma1_textbook(n)
+    rep = gamma1(n)
+    for k in range(2, 13):
+        for row, value in ((dim_holomorphic(rep, k), holomorphic(k)), (dim_cusp(rep, k), cusp(k))):
+            assert (row.value, row.status) == (value, EXACT), k
+    # The odd part is reducible, so weight one is a lower bound; dim M_1 is
+    # eps_inf / 2 plus the weight-one cusp forms, and these vanish for n < 23.
+    for row, most in ((dim_holomorphic(rep, 1), eps_inf / 2), (dim_cusp(rep, 1), 0)):
+        assert row.status == LOWER_BOUND and 0 <= row.value <= most
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_orbit_counts_on_gamma1(n):
+    # The commutant of gamma1(9) already takes most of a second.
+    rep = gamma1(n)
+    assert orbit_commutant(rep) == commutant_dimension(rep)
+    assert orbit_h0(rep) == library_h0(rep) == 1
 
 
 def test_weight_one_exact_beyond_group_enumeration():
@@ -449,11 +509,19 @@ def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, spectra, s
     assert eigvals_calls == []
 
 
-def test_h0_takes_no_qr(monkeypatch):
+@pytest.mark.parametrize("build", [
+    lambda: build_p1_permutation(30),
+    lambda: tensor_kappa(build_p1_permutation(16), 3),
+    lambda: tensor_kappa(steinberg(7), 3),
+], ids=["p1(30)", "p1(16)*k^3", "St(7)*k^3"])
+def test_h0_takes_no_qr(monkeypatch, build):
     # h0 is the null space of a square d x d product; the stacked 2d x d
-    # matrix it replaced took a QR first, for p1(30) and for its dual.
+    # matrix it replaced took a QR first, for p1(30) and for its dual.  The
+    # tall commutant system (576 x 60 for p1(16)*k^3) goes to the SVD as it
+    # is, since LAPACK's gesdd reduces a tall matrix by QR itself.
+    rep = build()
     qr_calls = counting(monkeypatch, np.linalg, "qr")
-    whole_analysis(build_p1_permutation(30))
+    whole_analysis(rep)
     assert qr_calls == []
 
 

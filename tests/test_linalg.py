@@ -10,7 +10,6 @@ from vvmf.linalg import (
     SnapFailure,
     as_matrix,
     is_identity,
-    mat_pow,
     max_abs,
     nullity,
     nullspace,
@@ -48,62 +47,6 @@ def test_as_matrix_shapes():
         as_matrix([1, 2, 3])
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0], [0, 1]])
-
-
-def test_mat_pow_basics():
-    m = np.array([[2, 1], [0, 1]], dtype=complex)
-    assert np.array_equal(mat_pow(m, 0), np.eye(2))
-    assert np.array_equal(mat_pow(m, 1), m)
-    with pytest.raises(ValueError):
-        mat_pow(m, -1)
-    with pytest.raises(ValueError):
-        mat_pow(np.ones((2, 3)), 2)
-
-
-def test_mat_pow_sixth_root_of_unity():
-    zeta6 = np.exp(2j * np.pi / 6)
-    m = np.diag([zeta6, zeta6**5])
-    assert is_identity(mat_pow(m, 6))
-
-
-@pytest.mark.parametrize("m,n", [(0, 5), (3, 4), (17, 13), (31, 33), (1, 63)])
-def test_mat_pow_additive_exponents(m, n):
-    rng = np.random.default_rng(11)
-    a = np.diag(np.exp(2j * np.pi * rng.integers(0, 8, size=4) / 8))
-    lhs = mat_pow(a, m + n)
-    rhs = mat_pow(a, m) @ mat_pow(a, n)
-    assert max_abs(lhs - rhs) <= 10 * DEFAULT_EPS
-
-
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 64), st.integers(0, 2**32 - 1))
-def test_mat_pow_matches_repeated_products(d, n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    # Unit spectral norm keeps every power, and its rounding, of order one.
-    a /= np.linalg.norm(a, 2)
-    a.setflags(write=False)
-    expected = np.eye(d, dtype=complex)
-    for _ in range(n):
-        expected = expected @ a
-    result = mat_pow(a, n)
-    assert max_abs(result - expected) <= 1e-12
-    assert not np.shares_memory(result, a)
-
-
-@pytest.mark.parametrize("n, products", [(1, 0), (30, 7), (18900, 20)])
-def test_mat_pow_product_count(n, products):
-    # bit_length(n) - 1 squarings and popcount(n) - 1 further products.
-    ufuncs = []
-
-    class Counted(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            ufuncs.append(ufunc)
-            plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
-            return getattr(ufunc, method)(*plain, **kwargs).view(Counted)
-
-    mat_pow(np.eye(2).view(Counted), n)
-    assert ufuncs == [np.matmul] * products
 
 
 def test_is_identity():

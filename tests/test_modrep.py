@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import vvmf.modrep as modrep
 from helpers import conjugate, enumerate_closure, noisy_p1_two, p1_sum
-from vvmf.linalg import Settings, is_identity, mat_pow, max_abs
+from vvmf.linalg import Settings, is_identity, max_abs
 from vvmf.modrep import (
     ASSERTED_REDUCIBLE,
     UNKNOWN,
@@ -171,14 +171,41 @@ def test_dense_certificate_takes_one_matrix_power(monkeypatch):
     # the divisors read off its eigenvalues.
     rep = conjugate(build_p1_permutation(30), 0)
     exponents = []
+    matrix_power = np.linalg.matrix_power
 
     def counting(a, n):
         exponents.append(n)
-        return mat_pow(a, n)
+        return matrix_power(a, n)
 
-    monkeypatch.setattr(modrep, "mat_pow", counting)
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
     assert find_t_order(rep) == 30
     assert exponents == [30]
+
+
+@pytest.mark.parametrize("n, products", [(1, 0), (30, 7), (18900, 20)])
+def test_dense_certificate_product_count(monkeypatch, n, products):
+    # t^n by square and multiply: bit_length(n) - 1 squarings and
+    # popcount(n) - 1 further products.
+    phases = {1: [0, 0], 30: [1 / 2, 1 / 3, 1 / 5], 18900: [1 / 4, 1 / 27, 1 / 25, 1 / 7]}[n]
+    rep = conjugate(t_only(np.diag([cmath.exp(2j * cmath.pi * x) for x in phases])), 3,
+                    condition=1.0)
+    exponents, ufuncs = [], []
+    matrix_power = np.linalg.matrix_power
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            ufuncs.append(ufunc)
+            plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs).view(Counted)
+
+    def counting(a, k):
+        exponents.append(k)
+        return matrix_power(a.view(Counted), k).view(np.ndarray)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    assert find_t_order(rep) == n
+    assert exponents == [n]
+    assert ufuncs == [np.matmul] * products
 
 
 def test_overflowing_power_fails_without_a_warning():
@@ -229,8 +256,8 @@ def test_cycle_residual_is_the_matrix_residual():
         routes = (_monomial_cycles(t), [(1, complex(lam)) for lam in np.linalg.eigvals(t)])
         for n in (6, 12, 24, 36):
             primes = sorted(_prime_factors(n))
-            expected = max_abs(mat_pow(t, n) - np.eye(6))
-            flags = [is_identity(mat_pow(t, n // p)) for p in primes]
+            expected = max_abs(np.linalg.matrix_power(t, n) - np.eye(6))
+            flags = [is_identity(np.linalg.matrix_power(t, n // p)) for p in primes]
             for cycles in routes:
                 assert _cycle_residual(cycles, n) == pytest.approx(expected, rel=1e-12,
                                                                    abs=1e-12), n
@@ -579,7 +606,7 @@ def test_p1_modulus_bounds():
 
 def test_st_inverse_has_order_three_on_even_rep():
     u = st_inverse_image(build_p1_permutation(2))
-    assert is_identity(mat_pow(u, 3))
+    assert is_identity(np.linalg.matrix_power(u, 3))
 
 
 def test_catalog_reps_validate(catalog_reps):

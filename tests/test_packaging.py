@@ -49,7 +49,7 @@ PUBLIC_NAMES = [
     "build_kappa_power", "build_p1_permutation", "build_rho0", "catalog_names",
     "certify_irreducible", "commutant_dimension", "contragredient", "dim_cusp",
     "dim_holomorphic", "dim_table", "direct_sum", "duality_report", "generator_profile",
-    "is_identity", "mat_pow", "nullspace", "parity_split", "parse_rep", "part_invariants",
+    "is_identity", "nullspace", "parity_split", "parse_rep", "part_invariants",
     "resolve", "snap_integer", "t_eigenphases", "tensor_kappa", "validate",
 ]
 
