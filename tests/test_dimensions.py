@@ -257,9 +257,8 @@ def test_gamma1_dimensions(n):
         assert row.status == LOWER_BOUND and 0 <= row.value <= most
 
 
-@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("n", range(5, 11))
 def test_orbit_counts_on_gamma1(n):
-    # The commutant of gamma1(9) already takes most of a second.
     rep = gamma1(n)
     assert orbit_commutant(rep) == commutant_dimension(rep)
     assert orbit_h0(rep) == library_h0(rep) == 1
@@ -517,12 +516,30 @@ def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, spectra, s
 def test_h0_takes_no_qr(monkeypatch, build):
     # h0 is the null space of a square d x d product; the stacked 2d x d
     # matrix it replaced took a QR first, for p1(30) and for its dual.  The
-    # tall commutant system (576 x 60 for p1(16)*k^3) goes to the SVD as it
-    # is, since LAPACK's gesdd reduces a tall matrix by QR itself.
+    # commutant is the null space of a square N x N matrix as well.
     rep = build()
     qr_calls = counting(monkeypatch, np.linalg, "qr")
     whole_analysis(rep)
     assert qr_calls == []
+
+
+@pytest.mark.parametrize("build, size, dimension", [
+    (lambda: tensor_kappa(build_p1_permutation(16), 3), 60, 6),
+    (lambda: tensor_kappa(steinberg(7), 3), 7, 1),
+], ids=["p1(16)*k^3", "St(7)*k^3"])
+def test_commutant_is_the_null_space_of_one_square_matrix(monkeypatch, build, size, dimension):
+    # One N x N matrix, N the sum of the squared t multiplicities.
+    rep = build()
+    shapes = []
+    nullity = modrep.nullity
+
+    def recording(a, settings):
+        shapes.append(a.shape)
+        return nullity(a, settings)
+
+    monkeypatch.setattr(modrep, "nullity", recording)
+    assert commutant_dimension(rep) == dimension
+    assert shapes == [(size, size)]
 
 
 @pytest.mark.parametrize("build", [

@@ -154,16 +154,17 @@ def test_unipotent_t_has_no_order():
     assert "t^1 differs from the identity by 1.000e+00" in str(exc.value)
 
 
-def test_t_order_proper_divisor_refused():
+def test_t_order_spurious_multiple_is_reduced(monkeypatch):
     # Under eps 9e-4 the phase 173/693 rationalises to 1/4, so the phases
-    # give n = lcm(4, 7, 9, 11) = 2772, but t^1386 is already 1.
+    # give n = lcm(4, 7, 9, 11) = 2772, but t^1386 and t^693 are already 1:
+    # both routes divide n down to 693 and read 173/693 back.
     phases = [173 / 693, 1 / 7, 1 / 9, 1 / 11]
     rep = t_only(np.diag([cmath.exp(2j * cmath.pi * x) for x in phases]))
-    with pytest.raises(TOrderNotFound) as exc:
-        find_t_order(rep, Settings(eps=9e-4))
-    assert exc.value.check == "divisor"
-    assert "t^1386 is already the identity" in str(exc.value)
-    assert find_t_order(rep) == 693
+    exact = _t_spectrum(rep, Settings())
+    assert exact == (693, (63, 77, 99, 173))
+    assert _t_spectrum(rep, Settings(eps=9e-4)) == exact
+    monkeypatch.setattr(modrep, "_monomial_cycles", lambda t: None)
+    assert _t_spectrum(t_only(rep.t_image), Settings(eps=9e-4)) == exact
 
 
 def test_dense_certificate_takes_one_matrix_power(monkeypatch):
@@ -211,19 +212,21 @@ def test_dense_certificate_product_count(monkeypatch, n, products):
 def test_overflowing_power_fails_without_a_warning():
     # Under eps 1e-5 the eigenvalues of these unitary conjugates snap to
     # spurious convergents, with orders of 1e10 and more; at seeds 2 and 7
-    # t^n overflows.
+    # t^n overflows.  Where t^n is the identity, n reduces to the true
+    # order 348.
     checks = Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in range(10):
             rep = conjugate(tensor_kappa(build_p1_permutation(29), 1), seed, condition=1.0)
-            with pytest.raises(TOrderNotFound) as exc:
-                find_t_order(rep, Settings(eps=1e-5))
-            checks[exc.value.check] += 1
-            message = str(exc.value)
-            assert ("overflows, so it is not the identity" in message) == (seed in (2, 7)), seed
-            assert "nan" not in message and "inf" not in message
-    assert checks == {"power": 7, "divisor": 3}
+            try:
+                checks[find_t_order(rep, Settings(eps=1e-5))] += 1
+            except TOrderNotFound as exc:
+                checks[exc.check] += 1
+                message = str(exc)
+                assert ("overflows, so it is not the identity" in message) == (seed in (2, 7))
+                assert "nan" not in message and "inf" not in message
+    assert checks == {"power": 7, 348: 3}
 
 
 def test_monomial_t_is_read_from_its_zero_pattern():
@@ -320,11 +323,8 @@ def test_monomial_route_matches_the_dense_route(terms, random, q, seed, eps):
     (lambda: t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]), Settings(), "denominator"),
     (lambda: t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]), Settings(order_cap=10 ** 12),
      "power"),
-    (lambda: t_only(np.diag([cmath.exp(2j * cmath.pi * x)
-                             for x in (173 / 693, 1 / 7, 1 / 9, 1 / 11)])),
-     Settings(eps=9e-4), "divisor"),
     (noisy_p1_two, Settings(eps=1e-9), "modulus"),
-], ids=["diag(1, 1.001)", "e(sqrt2)", "e(sqrt2)-wide-cap", "173/693", "noisy-p1(2)"])
+], ids=["diag(1, 1.001)", "e(sqrt2)", "e(sqrt2)-wide-cap", "noisy-p1(2)"])
 def test_failing_monomial_t_fails_alike_on_the_dense_route(monkeypatch, build, settings, check):
     rep = build()
     assert _monomial_cycles(rep.t_image) is not None
