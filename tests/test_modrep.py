@@ -154,17 +154,21 @@ def test_unipotent_t_has_no_order():
     assert "t^1 differs from the identity by 1.000e+00" in str(exc.value)
 
 
-def test_t_order_spurious_multiple_is_reduced(monkeypatch):
+def spurious_multiple():
     # Under eps 9e-4 the phase 173/693 rationalises to 1/4, so the phases
-    # give n = lcm(4, 7, 9, 11) = 2772, but t^1386 and t^693 are already 1:
-    # both routes divide n down to 693 and read 173/693 back.
+    # give n = lcm(4, 7, 9, 11) = 2772, but t^1386 and t^693 are already 1.
     phases = [173 / 693, 1 / 7, 1 / 9, 1 / 11]
-    rep = t_only(np.diag([cmath.exp(2j * cmath.pi * x) for x in phases]))
+    return t_only(np.diag([cmath.exp(2j * cmath.pi * x) for x in phases]))
+
+
+def test_t_order_proper_divisor_refused():
+    # 2772 is refused as the order: it is divided down to 693, and the
+    # numerators are read back over 693.
+    rep = spurious_multiple()
     exact = _t_spectrum(rep, Settings())
     assert exact == (693, (63, 77, 99, 173))
     assert _t_spectrum(rep, Settings(eps=9e-4)) == exact
-    monkeypatch.setattr(modrep, "_monomial_cycles", lambda t: None)
-    assert _t_spectrum(t_only(rep.t_image), Settings(eps=9e-4)) == exact
+    assert find_t_order(rep, Settings(eps=9e-4)) == 693
 
 
 def test_dense_certificate_takes_one_matrix_power(monkeypatch):
@@ -318,22 +322,29 @@ def test_monomial_route_matches_the_dense_route(terms, random, q, seed, eps):
     assert _t_spectrum(rep, Settings(eps=eps)) == _t_spectrum(dense, Settings(eps=eps))
 
 
-@pytest.mark.parametrize("build, settings, check", [
+def spectrum_or_check(rep, settings):
+    try:
+        return _t_spectrum(rep, settings)
+    except TOrderNotFound as failure:
+        return failure.check
+
+
+@pytest.mark.parametrize("build, settings, outcome", [
     (lambda: t_only([[1, 0], [0, 1.001]]), Settings(), "modulus"),
     (lambda: t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]), Settings(), "denominator"),
     (lambda: t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]), Settings(order_cap=10 ** 12),
      "power"),
+    # Once a failure of the divisor check; both routes now reduce 2772 to 693.
+    (spurious_multiple, Settings(eps=9e-4), (693, (63, 77, 99, 173))),
     (noisy_p1_two, Settings(eps=1e-9), "modulus"),
-], ids=["diag(1, 1.001)", "e(sqrt2)", "e(sqrt2)-wide-cap", "noisy-p1(2)"])
-def test_failing_monomial_t_fails_alike_on_the_dense_route(monkeypatch, build, settings, check):
+], ids=["diag(1, 1.001)", "e(sqrt2)", "e(sqrt2)-wide-cap", "173/693", "noisy-p1(2)"])
+def test_failing_monomial_t_fails_alike_on_the_dense_route(monkeypatch, build, settings, outcome):
+    # outcome is the check that fails, or the spectrum both routes certify.
     rep = build()
     assert _monomial_cycles(rep.t_image) is not None
-    with pytest.raises(TOrderNotFound) as monomial:
-        _t_spectrum(rep, settings)
+    monomial = spectrum_or_check(rep, settings)
     monkeypatch.setattr(modrep, "_monomial_cycles", lambda t: None)
-    with pytest.raises(TOrderNotFound) as dense:
-        _t_spectrum(build(), settings)
-    assert monomial.value.check == dense.value.check == check
+    assert monomial == spectrum_or_check(build(), settings) == outcome
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["p1(25)*k^5", "~p1(25)*k^5"])
