@@ -181,14 +181,13 @@ def _prime_factors(n: int) -> set[int]:
 _Cycles = list[tuple[int, complex]]
 
 
-def _monomial_cycles(t: Matrix) -> _Cycles | None:
-    """The cycles of a monomial t, or None when t is not monomial.
+def _cycle_walk(t: Matrix) -> tuple | None:
+    """(order, starts, entries, cycles) of a monomial t, or None when t is not monomial.
 
     t is monomial when each row and each column holds exactly one entry
-    != 0, with no tolerance.  Then t sends e_j to t[i, j] e_i for that
-    one i, and a cycle j -> i -> ... has the length of that orbit and the
-    product of the entries t[i, j], ... it meets.  An empty t is not
-    taken as monomial.
+    != 0, with no tolerance; an empty t is not.  order lists every index
+    cycle by cycle, cycle k begins at starts[k], t sends e_order[p] to
+    entries[p] times the next e_j of its cycle, and cycles holds its (L, c).
     """
     # With d entries != 0 in all, a row or column holds exactly one of them
     # as soon as every row and every column holds one.
@@ -208,9 +207,22 @@ def _monomial_cycles(t: Matrix) -> _Cycles | None:
             seen[j] = True
             order.append(j)
             j = image[j]
-    products = np.multiply.reduceat(t[[image[j] for j in order], order], starts).tolist()
+    entries = t[[image[j] for j in order], order]
+    products = np.multiply.reduceat(entries, starts).tolist()
     lengths = np.diff(starts + [len(order)]).tolist()
-    return [(length, complex(c)) for length, c in zip(lengths, products)]
+    return order, starts, entries, [(length, complex(c)) for length, c in zip(lengths, products)]
+
+
+def _monomial_cycles(t: Matrix) -> _Cycles | None:
+    """The cycles of a monomial t, or None when t is not monomial (see _cycle_walk)."""
+    walk = _cycle_walk(t)
+    return None if walk is None else walk[3]
+
+
+def _cycle_numerators(cycles: _Cycles, n: int) -> list[int]:
+    """Numerators of the phases (arg c / 2 pi + k)/L, k = 0..L-1, of each cycle, over n."""
+    return [(k * (n // length) + round(n * (cmath.phase(c) / (2 * math.pi)) / length)) % n
+            for length, c in cycles for k in range(length)]
 
 
 def _cycle_residual(cycles: _Cycles, m: int) -> float:
@@ -310,9 +322,7 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
     for p in sorted(set().union(*map(_prime_factors, denominators))):
         while n % p == 0 and _power_is_identity(cycles, n // p, eps):
             n //= p
-    # L divides n, and t^n = 1 puts n y / L near a whole number.
-    numerators = sorted((k * (n // length) + round(n * y / length)) % n
-                        for (length, _), y in zip(cycles, ys) for k in range(length))
+    numerators = sorted(_cycle_numerators(cycles, n))
     # Python floats, since a numpy integer array of n above 2^63 holds objects.
     roots = np.exp(2j * np.pi * np.array([a / n for a in numerators]))
     gap = abs(complex(np.sum(roots)) - complex(np.trace(t)))
@@ -415,16 +425,46 @@ def parity_split(rep: ModularRepresentation,
     return ParityDecomposition(parts[0], parts[1], bases[0], bases[1])
 
 
+def _cycle_basis(walk: tuple, n: int, numerators: tuple[int, ...]) -> Matrix:
+    """Unit eigenvectors of a monomial t, as columns ordered by their numerators.
+
+    A cycle j_0 -> ... -> j_(L-1) whose entries have the partial products
+    pi_m (pi_0 = 1) gives, for each of its L numerators a, the eigenvector
+    sum_m pi_m e(-a m/n) e_(j_m) / |pi|; distinct cycles have disjoint
+    supports, so each phase block is orthonormal.  Numerators that miss
+    the certified ones raise SnapFailure.
+    """
+    order, starts, entries, cycles = walk
+    d = len(order)
+    lengths = np.diff(starts + [d])
+    first = np.repeat(starts, lengths)
+    partial = np.cumprod(np.concatenate(([1], entries[:-1])))
+    partial = partial / partial[first]
+    partial /= np.repeat(np.sqrt(np.add.reduceat(abs(partial) ** 2, starts)), lengths)
+    walked = _cycle_numerators(cycles, n)
+    columns = np.argsort(walked, kind="stable")
+    if [walked[c] for c in columns] != list(numerators):
+        raise SnapFailure("the phases of the cycles of t miss its certified eigenphases")
+    # Column q in walk order is the eigenvector of phase walked[q] on q's
+    # cycle; the cycle of p begins at first[p], so e_order[p] is e_(j_m) for m = p - first[p].
+    row, col = np.nonzero(first[:, None] == first[None, :])
+    phase = np.array([a / n for a in walked])[col] * (row - first[row])
+    basis = np.zeros((d, d), dtype=np.complex128)
+    basis[np.take(order, row), col] = partial[row] * np.exp(-2j * np.pi * phase)
+    return basis[:, columns]
+
+
 def commutant_dimension(rep: ModularRepresentation,
                         settings: Settings = DEFAULT_SETTINGS) -> int:
     """Dimension of the space of matrices x with s x = x s and t x = x t.
 
     For a finite image this is the character norm, the sum of the
     squared multiplicities of the irreducible constituents, so it is 1
-    exactly when the representation is irreducible (Schur's lemma).
-    Written in a basis of t eigenvectors grouped by eigenvalue, x
-    commutes with t exactly when it is block diagonal.  With E keeping
-    the diagonal blocks, the commutant is the fixed space of
+    exactly when the representation is irreducible (Schur's lemma).  In a
+    basis of t eigenvectors grouped by eigenvalue, read off the cycles of
+    a monomial t and from the null space of t - e(a/n) per phase of any
+    other, x commutes with t exactly when it is block diagonal.  With E
+    keeping the diagonal blocks, the commutant is the fixed space of
     x -> E(s x s^-1), the null space of one N x N matrix, N = sum m_a^2
     over t's multiplicities.  Under the Hermitian form that a finite
     image preserves, s acts isometrically and E is an orthogonal
@@ -432,16 +472,23 @@ def commutant_dimension(rep: ModularRepresentation,
     s x s^-1 to be block diagonal, and then equal to x.  Over 962 inputs
     the least nonzero singular value was 0.54, the largest null 3.9e-14.
     """
-    eye = np.eye(rep.degree)
+    if not rep.degree:  # The zero space has only the zero endomorphism.
+        return 0
     # The phases come sorted, so the counter lists them in that order.
     n, numerators = _t_spectrum(rep, settings)
     multiplicity = Counter(numerators)
-    spaces = [nullspace(rep.t_image - _root_of_unity(a, n) * eye, settings) for a in multiplicity]
-    sizes = [v.shape[1] for v in spaces]
-    if sizes != list(multiplicity.values()):
-        raise SnapFailure(f"t eigenspaces have dimensions {sizes}, the eigenphase "
-                          f"multiplicities are {list(multiplicity.values())}")
-    basis = np.hstack(spaces)
+    sizes = list(multiplicity.values())
+    walk = _cycle_walk(rep.t_image)
+    if walk is None:
+        eye = np.eye(rep.degree)
+        spaces = [nullspace(rep.t_image - _root_of_unity(a, n) * eye, settings)
+                  for a in multiplicity]
+        if [v.shape[1] for v in spaces] != sizes:
+            raise SnapFailure(f"t eigenspaces have dimensions {[v.shape[1] for v in spaces]}, "
+                              f"the eigenphase multiplicities are {sizes}")
+        basis = np.hstack(spaces)
+    else:
+        basis = _cycle_basis(walk, n, numerators)
     s_basis = rep.s_image @ basis
     s = np.linalg.solve(basis, s_basis)
     s_inv = np.linalg.solve(s_basis, basis)

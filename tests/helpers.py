@@ -119,6 +119,14 @@ def conjugate(rep, seed, condition=10.0):
     return ModularRepresentation(m @ rep.s_image @ m_inv, m @ rep.t_image @ m_inv, "conj")
 
 
+def diagonal_conjugate(rep, ratio=50.0):
+    """rep conjugated by diag(geomspace(1, ratio, d)): a monomial t stays
+    monomial, with entries off the unit circle."""
+    scale = np.geomspace(1.0, ratio, rep.degree)
+    return ModularRepresentation(scale[:, None] * rep.s_image / scale,
+                                 scale[:, None] * rep.t_image / scale, f"diag {rep.name}")
+
+
 def steinberg(p):
     """p1(p) on the vectors with coordinate sum zero, irreducible of degree p.
 

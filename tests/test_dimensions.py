@@ -11,6 +11,7 @@ import vvmf.invariants
 import vvmf.modrep as modrep
 from helpers import (
     conjugate,
+    diagonal_conjugate,
     dim_via_exponent_shift,
     enumerate_closure,
     gamma1,
@@ -178,6 +179,43 @@ ORBIT_CASES = (
 def test_orbit_count_is_the_commutant_dimension(rep, dim):
     # p1(30)*k^1 has degree 72, beyond the reach of enumerate_closure.
     assert orbit_commutant(rep) == commutant_dimension(rep) == dim
+
+
+def test_commutant_of_the_zero_representation_is_zero():
+    # p1(7) is purely even, so its odd part is the zero space, whose only
+    # endomorphism is zero.
+    empty = parity_split(build_p1_permutation(7)).odd_part
+    assert empty.degree == 0
+    assert commutant_dimension(empty) == 0
+
+
+@pytest.mark.parametrize("n, j, dim", [(7, 1, 2), (16, 3, 6)])
+def test_commutant_with_a_monomial_t_off_the_unit_circle(n, j, dim):
+    rep = diagonal_conjugate(tensor_kappa(build_p1_permutation(n), j))
+    assert orbit_commutant(rep) == commutant_dimension(rep) == dim
+
+
+def twisted_p1_and_kappa_sums():
+    """p1(2..16)*k^0..11 and the 66 sums kappa^a + kappa^b, a < b, each
+    built afresh, so that no t spectrum is kept from an earlier call."""
+    for n in range(2, 17):
+        for j in range(12):
+            yield tensor_kappa(build_p1_permutation(n), j)
+    for a in range(12):
+        for b in range(a + 1, 12):
+            yield direct_sum(build_kappa_power(a), build_kappa_power(b))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6])
+def test_cycle_route_commutant_matches_the_dense_route(monkeypatch, eps):
+    settings = Settings(eps=eps)
+    cycles = [commutant_dimension(rep, settings) for rep in twisted_p1_and_kappa_sums()]
+    # With no walk, t is taken as dense: its spectrum comes from an
+    # eigenvalue solve and its eigenbasis from one null space per phase.
+    monkeypatch.setattr(modrep, "_cycle_walk", lambda t: None)
+    dense = [commutant_dimension(rep, settings) for rep in twisted_p1_and_kappa_sums()]
+    assert len(cycles) == 246
+    assert cycles == dense
 
 
 def test_orbit_count_needs_a_monomial_representation():
@@ -494,8 +532,9 @@ def whole_analysis(rep):
     # and its own h0.
     (30, 2, 2, 2),
     # The odd part's commutant and its even partner reuse the spectrum
-    # validate certified; the dual has its own.
-    (16, 3, 2, 17),
+    # validate certified; the dual has its own.  The commutant reads its t
+    # eigenbasis off the cycles of t, so its N x N nullity is the one SVD.
+    (16, 3, 2, 1),
 ])
 def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, spectra, svds):
     rep = tensor_kappa(build_p1_permutation(n), twist)

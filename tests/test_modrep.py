@@ -9,8 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vvmf.modrep as modrep
-from helpers import conjugate, enumerate_closure, noisy_p1_two, p1_sum
-from vvmf.linalg import Settings, is_identity, max_abs
+from helpers import (
+    conjugate,
+    diagonal_conjugate,
+    enumerate_closure,
+    noisy_p1_two,
+    p1_sum,
+    vector_permutation,
+)
+from vvmf.linalg import Settings, SnapFailure, is_identity, max_abs
 from vvmf.modrep import (
     ASSERTED_REDUCIBLE,
     UNKNOWN,
@@ -18,7 +25,9 @@ from vvmf.modrep import (
     ModularRepresentation,
     RelationViolation,
     TOrderNotFound,
+    _cycle_basis,
     _cycle_residual,
+    _cycle_walk,
     _monomial_cycles,
     _power_is_identity,
     _prime_factors,
@@ -286,6 +295,52 @@ def test_cycle_phases_share_the_order_cap():
     with pytest.raises(TOrderNotFound) as exc:
         find_t_order(t_only(t), Settings(order_cap=11))
     assert exc.value.check == "denominator"
+
+
+def assert_cycle_basis(rep):
+    """The cycle basis of rep's monomial t: each block of columns, in the
+    order and sizes of the counted sorted numerators, is an orthonormal
+    basis of t vectors with the eigenvalue e(a/n) of its numerator a."""
+    eps = Settings().eps
+    n, numerators = _t_spectrum(rep, Settings())
+    basis = _cycle_basis(_cycle_walk(rep.t_image), n, numerators)
+    assert basis.shape == (rep.degree, rep.degree)
+    start = 0
+    for a, size in Counter(numerators).items():
+        block = basis[:, start:start + size]
+        assert max_abs(rep.t_image @ block - _root_of_unity(a, n) * block) <= eps, (rep.name, a)
+        assert max_abs(block.conj().T @ block - np.eye(size)) <= eps, (rep.name, a)
+        start += size
+    assert start == rep.degree
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_cycle_basis_of_twisted_p1(n):
+    for j in range(12):
+        assert_cycle_basis(tensor_kappa(build_p1_permutation(n), j))
+
+
+def test_cycle_basis_of_kappa_sums_and_vector_permutations():
+    for a in range(12):
+        for b in range(a + 1, 12):
+            assert_cycle_basis(direct_sum(build_kappa_power(a), build_kappa_power(b)))
+    for n in (3, 4, 5):
+        assert_cycle_basis(vector_permutation(n))
+
+
+@pytest.mark.parametrize("n, j", [(7, 1), (16, 3)])
+def test_cycle_basis_normalises_entries_off_the_unit_circle(n, j):
+    rep = diagonal_conjugate(tensor_kappa(build_p1_permutation(n), j))
+    assert not np.allclose(abs(rep.t_image[rep.t_image != 0]), 1)
+    assert_cycle_basis(rep)
+
+
+def test_cycle_basis_refuses_numerators_its_cycles_do_not_give():
+    rep = tensor_kappa(build_p1_permutation(7), 1)
+    n, numerators = _t_spectrum(rep, Settings())
+    walk = _cycle_walk(rep.t_image)
+    with pytest.raises(SnapFailure, match="miss its certified eigenphases"):
+        _cycle_basis(walk, n, tuple(sorted((a + 1) % n for a in numerators)))
 
 
 def relabel(rep, order, phases):
