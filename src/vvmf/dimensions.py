@@ -48,9 +48,6 @@ class DimResult:
     status: str = EXACT
     rule: str = ""
 
-    def __post_init__(self):
-        assert self.value >= 0
-
 
 def certify_irreducible(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> bool:
     """True when the representation is irreducible.
@@ -143,6 +140,14 @@ class Analysis:
             return DimResult(0, EXACT, "negative-weight")
         inv = self.invariants(odd)
         lam = inv.lambda_minus if cusp else inv.lambda_plus
+        kind, name = ("cusp", "lambda-") if cusp else ("holomorphic", "lambda+")
+
+        def formula(value: int, rule: str) -> DimResult:
+            if value < 0:  # Possible only for an image with no invariant positive-definite form.
+                raise SnapFailure(f"{self.rep.name}: weight {w} gives the {kind} dimension "
+                                  f"{value} < 0 by the rule {rule}, with {name} = {lam}")
+            return DimResult(value, EXACT, rule)
+
         if k == 0 and odd:
             if self.weight1_exact:
                 return DimResult(max(0, lam), EXACT, "odd-weight-1-irreducible")
@@ -152,13 +157,13 @@ class Analysis:
         if k == 0:
             return DimResult(inv.h0, EXACT, "weight-0-h0")
         if odd:
-            return DimResult(lam + inv.gamma(k), EXACT, "odd-cusp-k>0" if cusp else "odd-k>0")
+            return formula(lam + inv.gamma(k), "odd-cusp-k>0" if cusp else "odd-k>0")
         if not cusp:
-            return DimResult(lam + inv.gamma(k), EXACT, "even-k>0")
+            return formula(lam + inv.gamma(k), "even-k>0")
         if k == 1:
             # The invariant vectors add to the weight-two cusp forms.
-            return DimResult(lam + inv.gamma(1) + inv.h0, EXACT, "cusp-weight-2")
-        return DimResult(lam + inv.gamma(k), EXACT, "even-cusp-k>1")
+            return formula(lam + inv.gamma(1) + inv.h0, "cusp-weight-2")
+        return formula(lam + inv.gamma(k), "even-cusp-k>1")
 
     def generator_numerator(self, cusp: bool) -> tuple[int, ...]:
         """Coefficients 0..12 of (1-z^4)(1-z^6) times the dimension series.

@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,8 @@ class ModularRepresentation:
     irreducible_assertion: str = UNKNOWN
     # Derived data, which lives and dies with the representation and is not
     # part of its value: the Analysis (dimensions.Analysis.of) and the
-    # certified t spectrum, each per Settings.
+    # certified t spectrum, each per Settings, and the walk of t (_cycle_walk),
+    # whatever the settings.
     analyses: dict = field(default_factory=dict, init=False, repr=False)
     spectra: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -108,6 +110,10 @@ class ModularRepresentation:
     @property
     def degree(self) -> int:
         return self.s_image.shape[0]
+
+    @cached_property
+    def _t_walk(self) -> tuple | None:
+        return _cycle_walk(self.t_image)
 
     def __repr__(self):
         return f"<ModularRepresentation {self.name!r} degree={self.degree}>"
@@ -156,12 +162,6 @@ def _convergents(x: float, order_cap: int, eps: float) -> Iterator[tuple[int, in
             yield p1 % q1, q1
 
 
-def _misses_one(x: float, n: int, eps: float) -> bool:
-    """True when e(n x) is farther than eps from 1; n x is reduced mod 1 exactly."""
-    num, den = x.as_integer_ratio()
-    return not abs(cmath.exp(2j * math.pi * (n * num % den / den)) - 1) <= eps
-
-
 def _prime_factors(n: int) -> set[int]:
     primes = set()
     p = 2
@@ -175,10 +175,14 @@ def _prime_factors(n: int) -> set[int]:
     return primes
 
 
-# The cycles of t as (length L, product c) pairs: a cycle's eigenvalues are
-# the L-th roots of c.  A monomial t has one per cycle of its permutation;
-# any other t one of length one per eigenvalue.
-_Cycles = list[tuple[int, complex]]
+# The cycles of t as (L, |c|, p, q): L-th roots of c, arg c / 2 pi = p/q
+# exactly, for a cycle of length L whose entries multiply to c.  A monomial t
+# has one per cycle of its permutation, any other t one per eigenvalue.
+_Cycles = list[tuple[int, float, int, int]]
+
+
+def _cycle(length: int, c: complex) -> tuple[int, float, int, int]:
+    return length, abs(c), *(cmath.phase(c) / (2 * math.pi)).as_integer_ratio()
 
 
 def _cycle_walk(t: Matrix) -> tuple | None:
@@ -187,7 +191,7 @@ def _cycle_walk(t: Matrix) -> tuple | None:
     t is monomial when each row and each column holds exactly one entry
     != 0, with no tolerance; an empty t is not.  order lists every index
     cycle by cycle, cycle k begins at starts[k], t sends e_order[p] to
-    entries[p] times the next e_j of its cycle, and cycles holds its (L, c).
+    entries[p] times the next e_j of its cycle, and cycles holds its _Cycles.
     """
     # With d entries != 0 in all, a row or column holds exactly one of them
     # as soon as every row and every column holds one.
@@ -210,42 +214,31 @@ def _cycle_walk(t: Matrix) -> tuple | None:
     entries = t[[image[j] for j in order], order]
     products = np.multiply.reduceat(entries, starts).tolist()
     lengths = np.diff(starts + [len(order)]).tolist()
-    return order, starts, entries, [(length, complex(c)) for length, c in zip(lengths, products)]
-
-
-def _monomial_cycles(t: Matrix) -> _Cycles | None:
-    """The cycles of a monomial t, or None when t is not monomial (see _cycle_walk)."""
-    walk = _cycle_walk(t)
-    return None if walk is None else walk[3]
+    return order, starts, entries, [_cycle(length, c) for length, c in zip(lengths, products)]
 
 
 def _cycle_numerators(cycles: _Cycles, n: int) -> list[int]:
-    """Numerators of the phases (arg c / 2 pi + k)/L, k = 0..L-1, of each cycle, over n."""
-    return [(k * (n // length) + round(n * (cmath.phase(c) / (2 * math.pi)) / length)) % n
-            for length, c in cycles for k in range(length)]
+    """Numerators of the phases (p/q + k)/L, k = 0..L-1, of each cycle, over n."""
+    return [(k * (n // length) + round(n * (p / q) / length)) % n
+            for length, _, p, q in cycles for k in range(length)]
 
 
-def _cycle_residual(cycles: _Cycles, m: int) -> float:
-    """max |c^(m/L) - 1| over the cycles (L, c), each L dividing m; inf on overflow.
+def _cycle_misses(cycles: _Cycles, m: int) -> list[float]:
+    """|c^(m/L) - 1| for each cycle: |t^m - 1| on it, or inf where t^m overflows
+    or moves its basis vectors, L not dividing m.
 
-    On a cycle of length L whose entries multiply to c, t^m is c^(m/L)
-    times the identity, so for a monomial t this is max |t^m - 1|.
+    c^(m/L) is |c|^(m/L) e((m/L) p/q), the exponent reduced mod q exactly,
+    so the error of the phase does not grow with m.
     """
-    try:
-        return max(abs(c ** (m // length) - 1) for length, c in cycles)
-    except OverflowError:
-        return math.inf
-
-
-def _power_is_identity(cycles: _Cycles, m: int, eps: float) -> bool:
-    """Whether t^m is the identity within eps, for a t with t^n = 1 and m dividing n.
-
-    Such a t is diagonalisable, so t^m is the identity exactly when every
-    eigenvalue is an m-th root of 1.  The eigenvalues of a cycle (L, c)
-    are the L-th roots of c, which all are exactly when L divides m and
-    c^(m/L) = 1.
-    """
-    return all(m % length == 0 for length, _ in cycles) and _cycle_residual(cycles, m) <= eps
+    misses = []
+    for length, modulus, p, q in cycles:
+        k, rest = divmod(m, length)
+        try:
+            misses.append(math.inf if rest else
+                          abs(modulus ** k * cmath.exp(2j * math.pi * (k * p % q / q)) - 1))
+        except OverflowError:
+            misses.append(math.inf)
+    return misses
 
 
 def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tuple[int, ...]]:
@@ -259,27 +252,26 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
     continued-fraction convergent a/b within L eps with bL at most the
     order cap; the phases (a/b + k)/L have the lcm n of the bL as their
     order.  t^n must be the identity: read off the cycles of a monomial
-    t, and one matrix power of any other.  When it is not, each cycle
-    with e((n/L) y) off 1 moves to its next convergent within L eps and
-    under the cap, and n is certified again; a cycle with none left
-    fails the power check.  A spurious convergent leaves a multiple of
-    the order, so n is then divided by each prime p while t^(n/p) is
-    still the identity, read off the cycles on both routes.  Each phase
-    (y + k)/L is read as the nearest multiple of 1/n, and the phases
-    must reproduce the trace of t.  The result is kept on the
-    representation, by settings; a failure is not, and raises again.
+    t, with the exponent of c^(n/L) reduced exactly, and off one matrix
+    power of any other.  When it is not, each cycle with c^(n/L) off 1
+    moves to its next convergent within L eps and under the cap, and n
+    is certified again; a cycle with none left fails the power check.
+    A spurious convergent leaves a multiple of the order, so n is then
+    divided by each prime p while t^(n/p) is still the identity, read
+    off the cycles on both routes.  Each phase (y + k)/L is read as the
+    nearest multiple of 1/n, and the phases must reproduce the trace of
+    t.  The result is kept on the representation, by settings; a failure
+    is not, and raises again.
     """
     if settings in rep.spectra:
         return rep.spectra[settings]
-    t = rep.t_image
-    eps = settings.eps
-    monomial = _monomial_cycles(t)
+    t, eps, walk = rep.t_image, settings.eps, rep._t_walk
     # A real t with a real spectrum gives float eigenvalues; complex() reads both.
-    cycles = monomial or [(1, complex(lam)) for lam in np.linalg.eigvals(t)]
-    ys, snapped, candidates = [], [], []
-    for length, c in cycles:
-        modulus = abs(c) ** (1 / length)
-        y = cmath.phase(c) / (2 * math.pi)
+    cycles = walk[3] if walk else [_cycle(1, complex(lam)) for lam in np.linalg.eigvals(t)]
+    snapped, candidates = [], []
+    for length, modulus, p, q in cycles:
+        modulus **= 1 / length
+        y = p / q
         if not abs(modulus - 1.0) <= eps:
             raise TOrderNotFound(
                 "modulus", f"t eigenvalue {cmath.rect(modulus, 2 * math.pi * y / length):.6g} "
@@ -292,14 +284,14 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
                     f"y = {y % 1:.12g}, which need a denominator above")
             raise TOrderNotFound("denominator", f"{what} the order cap {settings.order_cap} "
                                  f"within {eps:.1e}")
-        ys.append(y)
         snapped.append(pair)
         candidates.append(convergents)
     while True:
-        denominators = {b * length for (length, _), (_, b) in zip(cycles, snapped)}
+        denominators = {b * cycle[0] for cycle, (_, b) in zip(cycles, snapped)}
         n = math.lcm(*denominators)
-        if monomial:
-            residual = _cycle_residual(cycles, n)
+        misses = _cycle_misses(cycles, n)
+        if walk:
+            residual = max(misses)
         else:
             # A t^n that overflows leaves an inf or NaN residual, which fails the check.
             with np.errstate(all="ignore"):
@@ -307,11 +299,9 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
         if residual <= eps:
             break
         # A phase whose denominator exceeds about eps^(-1/2) can have an
-        # earlier convergent within eps: move each cycle whose phases n
-        # does not bring back to 1 on to its next convergent, and certify
-        # again.  e(n (y + k)/L) is e((n/L) y) for every k.
-        missing = [i for i, ((length, _), y) in enumerate(zip(cycles, ys))
-                   if _misses_one(y, n // length, eps)]
+        # earlier convergent within eps: move each cycle that t^n leaves
+        # off 1 on to its next convergent, and certify again.
+        missing = [i for i, miss in enumerate(misses) if not miss <= eps]
         moved = [next(candidates[i], None) for i in missing]
         if not missing or None in moved:
             what = (f"differs from the identity by {residual:.3e}, beyond"
@@ -319,8 +309,10 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
             raise TOrderNotFound("power", f"t^{n} {what} the tolerance {eps:.1e}")
         for i, pair in zip(missing, moved):
             snapped[i] = pair
+    # t^n = 1 makes t diagonalisable, so t^(n/p) is the identity exactly
+    # when every eigenvalue is an (n/p)-th root of 1: read off the cycles.
     for p in sorted(set().union(*map(_prime_factors, denominators))):
-        while n % p == 0 and _power_is_identity(cycles, n // p, eps):
+        while n % p == 0 and max(_cycle_misses(cycles, n // p)) <= eps:
             n //= p
     numerators = sorted(_cycle_numerators(cycles, n))
     # Python floats, since a numpy integer array of n above 2^63 holds objects.
@@ -478,7 +470,7 @@ def commutant_dimension(rep: ModularRepresentation,
     n, numerators = _t_spectrum(rep, settings)
     multiplicity = Counter(numerators)
     sizes = list(multiplicity.values())
-    walk = _cycle_walk(rep.t_image)
+    walk = rep._t_walk
     if walk is None:
         eye = np.eye(rep.degree)
         spaces = [nullspace(rep.t_image - _root_of_unity(a, n) * eye, settings)

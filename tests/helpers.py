@@ -176,6 +176,135 @@ def gamma1(n):
                           if math.gcd(c, d, n) == 1], n, f"G1({n})")
 
 
+def no_invariant_form():
+    """An even irreducible degree-two representation that validates, with
+    t of order 24, but preserves no positive-definite Hermitian form.
+
+    With omega = e(1/3) and tau = e(7/8) + e(23/24), a and d are
+    (1 + omega +- tau)/2; s = diag(1, -1), st = [[a, 1], [ad - omega, d]]
+    and t = s^-1 st.  The dimension formulas give lambda+ = lambda- = -1.
+    """
+    def e(x):
+        return cmath.exp(2j * math.pi * x)
+
+    omega, tau = e(1 / 3), e(7 / 8) + e(23 / 24)
+    a, d = (1 + omega + tau) / 2, (1 + omega - tau) / 2
+    s = np.diag([1.0, -1.0]).astype(np.complex128)
+    return ModularRepresentation(s, s @ np.array([[a, 1], [a * d - omega, d]]), "no form")
+
+
+def _is_transitive(*perms):
+    reached, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for perm in perms:
+            if perm[i] not in reached:
+                reached.add(perm[i])
+                stack.append(perm[i])
+    return len(reached) == len(perms[0])
+
+
+def millington(d, seed, odd=False):
+    """s = P_x and st = P_y for a seeded random transitive pair (x, y) of
+    permutations of d points with x^2 = 1 and y^3 = 1.
+
+    Such a pair is a subgroup of index d in PSL2(Z) (Millington, J. London
+    Math. Soc. 1969), and this representation, the permutation action on
+    its cosets, has the subgroup's forms.  Most such subgroups of large
+    index are not congruence subgroups.  x has d mod 2 or d mod 2 + 2
+    fixed points and y d mod 3 or d mod 3 + 3.  With odd, d must be even
+    and x has no fixed point; each 2-cycle of x takes the signs a and -a,
+    so s^2 = -1, and each 3-cycle of y takes signs with product -1 and
+    each fixed point of y the sign -1, so (st)^3 = -1 as well.  Then -I is
+    not in the subgroup, and its cusps are regular or irregular as the
+    entries of their t cycles multiply to +1 or -1.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        fixed2 = 0 if odd else int(rng.choice([f for f in (d % 2, d % 2 + 2) if f <= d]))
+        fixed3 = int(rng.choice([f for f in (d % 3, d % 3 + 3) if f <= d]))
+        x, y = list(range(d)), list(range(d))
+        p, q = rng.permutation(d).tolist(), rng.permutation(d).tolist()
+        for i in range(fixed2, d, 2):
+            x[p[i]], x[p[i + 1]] = p[i + 1], p[i]
+        for i in range(fixed3, d, 3):
+            y[q[i]], y[q[i + 1]], y[q[i + 2]] = q[i + 1], q[i + 2], q[i]
+        if _is_transitive(x, y):
+            break
+    x_signs, y_signs = np.ones(d), np.ones(d)
+    if odd:
+        a = rng.choice([-1.0, 1.0], d // 2)
+        x_signs[p[0::2]], x_signs[p[1::2]] = a, -a
+        y_signs[q[:fixed3]] = -1
+        for i in range(fixed3, d, 3):
+            first, second = rng.choice([-1.0, 1.0], 2)
+            y_signs[q[i:i + 3]] = first, second, -first * second
+    s, st = np.zeros((d, d)), np.zeros((d, d))
+    s[x, range(d)] = x_signs
+    st[y, range(d)] = y_signs
+    # s is a signed permutation, so its inverse is its transpose.
+    return ModularRepresentation(s, s.T @ st, f"mill({d}, {seed}{', odd' if odd else ''})")
+
+
+def subgroup_oracle(rep, k):
+    """(dim M_k, dim S_k) of a millington representation, from the genus
+    formulas of Diamond-Shurman, sections 3.5 and 3.6; None at weight one,
+    where they give only dim M_1 - dim S_1 (subgroup_eisenstein_one).
+
+    g = 1 + d/12 - e2/4 - e3/3 - einf/2, with e2 and e3 the fixed points
+    of x and y, read off s and st, and einf the cycles of t, each a cusp:
+    regular or irregular as its entries multiply to +1 or -1.
+    """
+    d = rep.degree
+    s, t = rep.s_image.real, rep.t_image.real
+    x, y = (np.argmax(abs(m), axis=0) for m in (s, s @ t))
+    e2, e3 = int(np.sum(x == np.arange(d))), int(np.sum(y == np.arange(d)))
+    regular, irregular = _cusps(t)
+    g = 1 + Fraction(d, 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(regular + irregular, 2)
+    assert g.denominator == 1 and g >= 0, g
+    g = int(g)
+    odd = (s @ s)[0, 0] < 0
+    if k < 0 or k % 2 != odd:
+        return 0, 0
+    if k == 0:
+        return 1, 0
+    if k == 1:
+        return None
+    if not odd:
+        cusps = regular + irregular
+        if k == 2:
+            return g + cusps - 1, g
+        m = (k - 1) * (g - 1) + k // 4 * e2 + k // 3 * e3 + k // 2 * cusps
+        return m, m - cusps
+    assert regular % 2 == 0
+    base = (k - 1) * (g - 1) + k // 3 * e3 + (k - 1) // 2 * irregular
+    return base + k * regular // 2, base + (k - 2) * regular // 2
+
+
+def subgroup_eisenstein_one(rep):
+    """dim M_1 - dim S_1 of an odd millington representation: half its
+    regular cusps (Diamond-Shurman, section 3.6)."""
+    regular, _ = _cusps(rep.t_image.real)
+    return regular // 2
+
+
+def _cusps(t):
+    """Numbers of cycles of the signed permutation t whose entries multiply
+    to +1 and to -1."""
+    image = np.argmax(abs(t), axis=0)
+    seen, counts = set(), [0, 0]
+    for start in range(len(t)):
+        if start in seen:
+            continue
+        sign, j = 1.0, start
+        while j not in seen:
+            seen.add(j)
+            sign *= t[image[j], j]
+            j = image[j]
+        counts[int(sign < 0)] += 1
+    return tuple(counts)
+
+
 def separate_dual(rep):
     """Analysis of a copy of rep whose dual is analysed on its own, from
     the contragredient's images, as for a representation that differs from

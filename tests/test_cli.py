@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import NON_FINITE_FILES, complex_repfile, conjugate
+from helpers import NON_FINITE_FILES, complex_repfile, conjugate, no_invariant_form
 from vvmf import cli, modrep
 from vvmf.cli import main
 from vvmf.modrep import build_p1_permutation, find_t_order
@@ -362,3 +362,10 @@ def test_failed_duality_check_lists_its_counterexamples(monkeypatch, capsys):
     assert main(["duality", "catalog:rho0", "--json"]) == 2
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["counterexamples"] for c in checks] == [[[1, 4]], [3, 5]]
+
+
+def test_dims_of_a_negative_dimension_exits_2(tmp_path, capsys):
+    path = write(tmp_path, complex_repfile(no_invariant_form()))
+    assert main(["validate", path]) == 0
+    assert main(["dims", path, "--from", "0", "--to", "4"]) == 2
+    assert "SnapFailure" in capsys.readouterr().err

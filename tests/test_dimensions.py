@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from helpers import (
     dim_via_exponent_shift,
     enumerate_closure,
     gamma1,
+    no_invariant_form,
     noisy_p1_two,
     numerators,
     orbit_commutant,
@@ -36,7 +38,7 @@ from vvmf.dimensions import (
     dim_table,
 )
 from vvmf.invariants import part_invariants
-from vvmf.linalg import Settings, snap_integer
+from vvmf.linalg import Settings, SnapFailure, snap_integer
 from vvmf.modrep import (
     ModularRepresentation,
     TOrderNotFound,
@@ -547,6 +549,22 @@ def test_analysis_derives_each_t_spectrum_once(monkeypatch, n, twist, spectra, s
     assert eigvals_calls == []
 
 
+@pytest.mark.parametrize("n, twist, walks", [
+    # p1(16)*k^3 is odd, so it is its own odd part: the commutant reads
+    # the walk its spectrum took, and only the dual's t is walked again.
+    (16, 3, 2),
+    # No odd part, so no commutant: the representation and its dual.
+    (12, 2, 2),
+    # Its own contragredient, whose analysis it shares.
+    (30, 0, 1),
+])
+def test_analysis_walks_each_monomial_t_once(monkeypatch, n, twist, walks):
+    rep = tensor_kappa(build_p1_permutation(n), twist)
+    calls = counting(monkeypatch, modrep, "_cycle_walk")
+    whole_analysis(rep)
+    assert len(calls) == walks
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_p1_permutation(30),
     lambda: tensor_kappa(build_p1_permutation(16), 3),
@@ -594,9 +612,9 @@ def test_analysis_builds_each_row_once(monkeypatch, build):
     built, asked = [], set()
 
     class CountedResult(DimResult):
-        def __post_init__(self):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             built.append(self)
-            super().__post_init__()
 
     dim = Analysis.dim
 
@@ -786,3 +804,18 @@ def test_loose_tolerance_certifies_twisted_permutations(n, j, eps, dual):
     assert modrep.find_t_order(rep, loose) == np.lcm(n, 12 // np.gcd(j, 12))
     assert dim_table(rep, -2, 30, loose) == dim_table(rep, -2, 30)
     assert duality_report(rep, settings=loose).ok
+
+
+@pytest.mark.parametrize("dim, message", [
+    (dim_holomorphic, "holomorphic dimension -1 < 0 by the rule even-k>0, with lambda+ = -1"),
+    (dim_cusp, "cusp dimension -1 < 0 by the rule cusp-weight-2, with lambda- = -1"),
+], ids=["M", "S"])
+def test_negative_dimension_is_refused_by_name(dim, message):
+    # The relations and the t order hold, but no positive-definite form is
+    # preserved, and the formulas give -1 at weight two.  The refusal must
+    # be an exception that python -O keeps, not an assert.
+    rep = no_invariant_form()
+    assert validate(rep).t_order == 24
+    with pytest.raises(SnapFailure, match=re.escape(f"weight 2 gives the {message}")):
+        dim(rep, 2)
+    assert dim(rep, 4).value == 0

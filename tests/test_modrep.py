@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -25,11 +26,10 @@ from vvmf.modrep import (
     ModularRepresentation,
     RelationViolation,
     TOrderNotFound,
+    _cycle,
     _cycle_basis,
-    _cycle_residual,
+    _cycle_misses,
     _cycle_walk,
-    _monomial_cycles,
-    _power_is_identity,
     _prime_factors,
     _root_of_unity,
     _t_spectrum,
@@ -142,10 +142,30 @@ def test_irrational_t_phase_fails_without_looping():
         find_t_order(rep)
     assert exc.value.check == "denominator"
     # Under a cap no loop could walk, the first convergent within
-    # tolerance is found and its power refused.
-    with pytest.raises(TOrderNotFound) as exc:
-        find_t_order(rep, Settings(order_cap=10 ** 12))
-    assert exc.value.check == "power"
+    # tolerance is 321025249/775023510, and with the exponent reduced
+    # exactly its power is within tolerance of 1: at this tolerance the
+    # float phase cannot be told from that fraction.  The dense route's
+    # matrix power drifts by 9.8e-8 and refuses it (see below).
+    n = 775023510
+    assert _t_spectrum(rep, Settings(order_cap=10 ** 12)) == (n, (321025249,))
+    residual = max(_cycle_misses(rep._t_walk[3], n))
+    assert 8.9e-10 < residual < 9e-10
+
+
+def test_signed_permutation_of_large_order_certifies():
+    # A -1 fixed point beside cycles of length 211, 223 and 227 of 1s: t
+    # has order 2 * 211 * 223 * 227 = 21362062.  Python's complex power
+    # misses (-1)^21362062 = 1 by 5.9e-9, so the exponent must be reduced
+    # exactly.
+    lengths = [1, 211, 223, 227]
+    t = np.zeros((sum(lengths), sum(lengths)))
+    start = 0
+    for length in lengths:
+        for i in range(length):
+            t[start + (i + 1) % length, start + i] = 1
+        start += length
+    t[0, 0] = -1
+    assert find_t_order(t_only(t)) == 21362062
 
 
 def test_non_unit_t_eigenvalue():
@@ -244,14 +264,14 @@ def test_overflowing_power_fails_without_a_warning():
 
 def test_monomial_t_is_read_from_its_zero_pattern():
     # Exactly one entry != 0 in each row and column, with no tolerance.
-    assert _monomial_cycles(build_p1_permutation(7).t_image) is not None
-    assert _monomial_cycles(np.diag([1.0, 1e-300])) is not None
-    assert _monomial_cycles(np.array([[1.0, 1e-300], [0.0, 1.0]])) is None
-    assert _monomial_cycles(np.array([[1.0, 1.0], [0.0, 0.0]])) is None
-    assert _monomial_cycles(np.zeros((0, 0))) is None
-    # The cycles of p1(7)'s t, as (length, product): the fixed point
-    # (1 : 0) and a 7-cycle.
-    assert sorted(_monomial_cycles(build_p1_permutation(7).t_image)) == [(1, 1), (7, 1)]
+    assert _cycle_walk(build_p1_permutation(7).t_image) is not None
+    assert _cycle_walk(np.diag([1.0, 1e-300])) is not None
+    assert _cycle_walk(np.array([[1.0, 1e-300], [0.0, 1.0]])) is None
+    assert _cycle_walk(np.array([[1.0, 1.0], [0.0, 0.0]])) is None
+    assert _cycle_walk(np.zeros((0, 0))) is None
+    # The cycles of p1(7)'s t, as (length, |product|, arg product / 2 pi as
+    # a ratio): the fixed point (1 : 0) and a 7-cycle.
+    assert sorted(_cycle_walk(build_p1_permutation(7).t_image)[3]) == [(1, 1, 0, 1), (7, 1, 0, 1)]
 
 
 def test_cycle_residual_is_the_matrix_residual():
@@ -269,15 +289,15 @@ def test_cycle_residual_is_the_matrix_residual():
     # per eigenvalue.
     identities = []
     for t in (weighted, unitary):
-        routes = (_monomial_cycles(t), [(1, complex(lam)) for lam in np.linalg.eigvals(t)])
+        routes = (_cycle_walk(t)[3], [_cycle(1, complex(lam)) for lam in np.linalg.eigvals(t)])
         for n in (6, 12, 24, 36):
             primes = sorted(_prime_factors(n))
             expected = max_abs(np.linalg.matrix_power(t, n) - np.eye(6))
             flags = [is_identity(np.linalg.matrix_power(t, n // p)) for p in primes]
             for cycles in routes:
-                assert _cycle_residual(cycles, n) == pytest.approx(expected, rel=1e-12,
-                                                                   abs=1e-12), n
-                assert [_power_is_identity(cycles, n // p, Settings().eps)
+                assert max(_cycle_misses(cycles, n)) == pytest.approx(expected, rel=1e-12,
+                                                                      abs=1e-12), n
+                assert [max(_cycle_misses(cycles, n // p)) <= Settings().eps
                         for p in primes] == flags, n
             identities += flags
     # t^12 is the identity for the unitary t, at n = 24 and at n = 36.
@@ -372,9 +392,28 @@ def test_monomial_route_matches_the_dense_route(terms, random, q, seed, eps):
     random.shuffle(order)
     rep = relabel(rep, order, [random.randrange(q) / q for _ in order])
     dense = conjugate(rep, seed, condition=1.0)
-    assert _monomial_cycles(rep.t_image) is not None
-    assert _monomial_cycles(dense.t_image) is None
-    assert _t_spectrum(rep, Settings(eps=eps)) == _t_spectrum(dense, Settings(eps=eps))
+    assert rep._t_walk is not None
+    assert dense._t_walk is None
+    # Under eps 1e-12 the rounding of entries such as e(11/12), multiplied
+    # by t orders of a few thousand, can leave t^n off the identity by more
+    # than eps on both routes (2.4e-12 and 1.1e-12 at order 4620); both
+    # must then refuse it by the same check.  Under eps 1e-9 both certify.
+    monomial = spectrum_or_check(rep, Settings(eps=eps))
+    assert monomial == spectrum_or_check(dense, Settings(eps=eps))
+    assert isinstance(monomial, tuple) or (eps == 1e-12 and monomial == "power")
+
+
+def test_rounding_of_the_entries_fails_alike_on_both_routes():
+    # e(11/12) is inexact in floats, and t^4620 multiplies its rounding:
+    # t^4620 misses the identity by 2.4e-12 on the cycles and by 1.5e-12
+    # as a matrix power of a unitary conjugate, so both routes refuse it
+    # under eps 1e-12 and certify it under eps 1e-9.
+    rep = p1_sum(5, 7)
+    rep = direct_sum(rep, tensor_kappa(build_p1_permutation(11), 11))
+    dense = conjugate(rep, 0, condition=1.0)
+    for eps, outcome in ((1e-12, "power"), (1e-9, 4620)):
+        found = [spectrum_or_check(r, Settings(eps=eps)) for r in (rep, dense)]
+        assert [x if isinstance(x, str) else x[0] for x in found] == [outcome, outcome]
 
 
 def spectrum_or_check(rep, settings):
@@ -384,22 +423,35 @@ def spectrum_or_check(rep, settings):
         return failure.check
 
 
-@pytest.mark.parametrize("build, settings, outcome", [
-    (lambda: t_only([[1, 0], [0, 1.001]]), Settings(), "modulus"),
-    (lambda: t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]), Settings(), "denominator"),
+@pytest.mark.parametrize("build, settings, outcome, dense", [
+    (lambda: t_only([[1, 0], [0, 1.001]]), Settings(), "modulus", "modulus"),
+    (lambda: t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]), Settings(), "denominator",
+     "denominator"),
+    # The cycle power, its exponent reduced exactly, certifies the first
+    # convergent within tolerance, 321025249/775023510 (residual 8.9e-10);
+    # the matrix power of the dense route drifts by 9.8e-8 and refuses it.
     (lambda: t_only([[cmath.exp(2j * cmath.pi * 2 ** 0.5)]]), Settings(order_cap=10 ** 12),
-     "power"),
+     (775023510, (321025249,)), "t^775023510 differs from the identity by 9.760e-08"),
     # Once a failure of the divisor check; both routes now reduce 2772 to 693.
-    (spurious_multiple, Settings(eps=9e-4), (693, (63, 77, 99, 173))),
-    (noisy_p1_two, Settings(eps=1e-9), "modulus"),
+    (spurious_multiple, Settings(eps=9e-4), (693, (63, 77, 99, 173)),
+     (693, (63, 77, 99, 173))),
+    (noisy_p1_two, Settings(eps=1e-9), "modulus", "modulus"),
 ], ids=["diag(1, 1.001)", "e(sqrt2)", "e(sqrt2)-wide-cap", "173/693", "noisy-p1(2)"])
-def test_failing_monomial_t_fails_alike_on_the_dense_route(monkeypatch, build, settings, outcome):
-    # outcome is the check that fails, or the spectrum both routes certify.
+def test_failing_monomial_t_fails_alike_on_the_dense_route(monkeypatch, build, settings, outcome,
+                                                           dense):
+    # outcome is the check that fails on the monomial route, or the
+    # spectrum it certifies; dense is the same on the dense route, or the
+    # start of a power failure's message.
     rep = build()
-    assert _monomial_cycles(rep.t_image) is not None
-    monomial = spectrum_or_check(rep, settings)
-    monkeypatch.setattr(modrep, "_monomial_cycles", lambda t: None)
-    assert monomial == spectrum_or_check(build(), settings) == outcome
+    assert rep._t_walk is not None
+    assert spectrum_or_check(rep, settings) == outcome
+    monkeypatch.setattr(modrep, "_cycle_walk", lambda t: None)
+    if isinstance(dense, str) and dense.startswith("t^"):
+        with pytest.raises(TOrderNotFound, match=re.escape(dense)) as failure:
+            _t_spectrum(build(), settings)
+        assert failure.value.check == "power"
+    else:
+        assert spectrum_or_check(build(), settings) == dense
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["p1(25)*k^5", "~p1(25)*k^5"])
