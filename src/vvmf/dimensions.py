@@ -128,7 +128,14 @@ class Analysis:
         """
         row = self._rows.get((w, cusp))
         if row is None:
-            row = self._rows[w, cusp] = self._row(w, cusp)
+            row = self._row(w, cusp)
+            if row.value < 0:  # Possible only with no invariant positive-definite form.
+                inv = self.invariants(w % 2 == 1)
+                lam = f"lambda- = {inv.lambda_minus}" if cusp else f"lambda+ = {inv.lambda_plus}"
+                raise SnapFailure(f"{self.rep.name}: weight {w} gives the "
+                                  f"{'cusp' if cusp else 'holomorphic'} dimension {row.value} < 0 "
+                                  f"by the rule {row.rule}, with {lam}")
+            self._rows[w, cusp] = row
         return row
 
     def _row(self, w: int, cusp: bool) -> DimResult:
@@ -140,14 +147,6 @@ class Analysis:
             return DimResult(0, EXACT, "negative-weight")
         inv = self.invariants(odd)
         lam = inv.lambda_minus if cusp else inv.lambda_plus
-        kind, name = ("cusp", "lambda-") if cusp else ("holomorphic", "lambda+")
-
-        def formula(value: int, rule: str) -> DimResult:
-            if value < 0:  # Possible only for an image with no invariant positive-definite form.
-                raise SnapFailure(f"{self.rep.name}: weight {w} gives the {kind} dimension "
-                                  f"{value} < 0 by the rule {rule}, with {name} = {lam}")
-            return DimResult(value, EXACT, rule)
-
         if k == 0 and odd:
             if self.weight1_exact:
                 return DimResult(max(0, lam), EXACT, "odd-weight-1-irreducible")
@@ -157,13 +156,13 @@ class Analysis:
         if k == 0:
             return DimResult(inv.h0, EXACT, "weight-0-h0")
         if odd:
-            return formula(lam + inv.gamma(k), "odd-cusp-k>0" if cusp else "odd-k>0")
+            return DimResult(lam + inv.gamma(k), EXACT, "odd-cusp-k>0" if cusp else "odd-k>0")
         if not cusp:
-            return formula(lam + inv.gamma(k), "even-k>0")
+            return DimResult(lam + inv.gamma(k), EXACT, "even-k>0")
         if k == 1:
             # The invariant vectors add to the weight-two cusp forms.
-            return formula(lam + inv.gamma(1) + inv.h0, "cusp-weight-2")
-        return formula(lam + inv.gamma(k), "even-cusp-k>1")
+            return DimResult(lam + inv.gamma(1) + inv.h0, EXACT, "cusp-weight-2")
+        return DimResult(lam + inv.gamma(k), EXACT, "even-cusp-k>1")
 
     def generator_numerator(self, cusp: bool) -> tuple[int, ...]:
         """Coefficients 0..12 of (1-z^4)(1-z^6) times the dimension series.

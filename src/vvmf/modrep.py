@@ -175,14 +175,15 @@ def _prime_factors(n: int) -> set[int]:
     return primes
 
 
-# The cycles of t as (L, |c|, p, q): L-th roots of c, arg c / 2 pi = p/q
-# exactly, for a cycle of length L whose entries multiply to c.  A monomial t
-# has one per cycle of its permutation, any other t one per eigenvalue.
-_Cycles = list[tuple[int, float, int, int]]
+# The cycles of t as (L, |c|, y, p, q): L-th roots of c, y = arg c / 2 pi =
+# p/q exactly, for a cycle of length L whose entries multiply to c.  A monomial
+# t has one per cycle of its permutation, any other t one per eigenvalue.
+_Cycles = list[tuple[int, float, float, int, int]]
 
 
-def _cycle(length: int, c: complex) -> tuple[int, float, int, int]:
-    return length, abs(c), *(cmath.phase(c) / (2 * math.pi)).as_integer_ratio()
+def _cycle(length: int, c: complex) -> tuple[int, float, float, int, int]:
+    y = cmath.phase(c) / (2 * math.pi)
+    return length, abs(c), y, *y.as_integer_ratio()
 
 
 def _cycle_walk(t: Matrix) -> tuple | None:
@@ -218,24 +219,21 @@ def _cycle_walk(t: Matrix) -> tuple | None:
 
 
 def _cycle_numerators(cycles: _Cycles, n: int) -> list[int]:
-    """Numerators of the phases (p/q + k)/L, k = 0..L-1, of each cycle, over n."""
-    return [(k * (n // length) + round(n * (p / q) / length)) % n
-            for length, _, p, q in cycles for k in range(length)]
+    """Numerators of the phases (y + k)/L, k = 0..L-1, of each cycle, over n."""
+    return [(k * (n // length) + round(n * y / length)) % n
+            for length, _, y, _, _ in cycles for k in range(length)]
 
 
 def _cycle_misses(cycles: _Cycles, m: int) -> list[float]:
-    """|c^(m/L) - 1| for each cycle: |t^m - 1| on it, or inf where t^m overflows
-    or moves its basis vectors, L not dividing m.
-
-    c^(m/L) is |c|^(m/L) e((m/L) p/q), the exponent reduced mod q exactly,
-    so the error of the phase does not grow with m.
+    """|c^(m/L) - 1| for each cycle, L dividing m, or inf where it overflows:
+    |t^m - 1| on the cycle.  c^(m/L) is |c|^(m/L) e((m/L) p/q), the exponent
+    reduced mod q exactly, so the error of the phase does not grow with m.
     """
     misses = []
-    for length, modulus, p, q in cycles:
-        k, rest = divmod(m, length)
+    for length, modulus, _, p, q in cycles:
+        k = m // length
         try:
-            misses.append(math.inf if rest else
-                          abs(modulus ** k * cmath.exp(2j * math.pi * (k * p % q / q)) - 1))
+            misses.append(abs(modulus ** k * cmath.exp(2j * math.pi * (k * p % q / q)) - 1))
         except OverflowError:
             misses.append(math.inf)
     return misses
@@ -269,9 +267,8 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
     # A real t with a real spectrum gives float eigenvalues; complex() reads both.
     cycles = walk[3] if walk else [_cycle(1, complex(lam)) for lam in np.linalg.eigvals(t)]
     snapped, candidates = [], []
-    for length, modulus, p, q in cycles:
+    for length, modulus, y, _, _ in cycles:
         modulus **= 1 / length
-        y = p / q
         if not abs(modulus - 1.0) <= eps:
             raise TOrderNotFound(
                 "modulus", f"t eigenvalue {cmath.rect(modulus, 2 * math.pi * y / length):.6g} "
@@ -289,9 +286,8 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
     while True:
         denominators = {b * cycle[0] for cycle, (_, b) in zip(cycles, snapped)}
         n = math.lcm(*denominators)
-        misses = _cycle_misses(cycles, n)
         if walk:
-            residual = max(misses)
+            residual = max(_cycle_misses(cycles, n))
         else:
             # A t^n that overflows leaves an inf or NaN residual, which fails the check.
             with np.errstate(all="ignore"):
@@ -301,7 +297,7 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
         # A phase whose denominator exceeds about eps^(-1/2) can have an
         # earlier convergent within eps: move each cycle that t^n leaves
         # off 1 on to its next convergent, and certify again.
-        missing = [i for i, miss in enumerate(misses) if not miss <= eps]
+        missing = [i for i, miss in enumerate(_cycle_misses(cycles, n)) if not miss <= eps]
         moved = [next(candidates[i], None) for i in missing]
         if not missing or None in moved:
             what = (f"differs from the identity by {residual:.3e}, beyond"
@@ -309,10 +305,12 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
             raise TOrderNotFound("power", f"t^{n} {what} the tolerance {eps:.1e}")
         for i, pair in zip(missing, moved):
             snapped[i] = pair
-    # t^n = 1 makes t diagonalisable, so t^(n/p) is the identity exactly
-    # when every eigenvalue is an (n/p)-th root of 1: read off the cycles.
+    # t^n = 1 makes t diagonalisable, so t^(n/p) is the identity exactly when
+    # every eigenvalue is an (n/p)-th root of 1: on each cycle, when L divides
+    # n/p and c^(n/p/L) = 1.
     for p in sorted(set().union(*map(_prime_factors, denominators))):
-        while n % p == 0 and max(_cycle_misses(cycles, n // p)) <= eps:
+        while (n % p == 0 and all(n // p % cycle[0] == 0 for cycle in cycles)
+               and max(_cycle_misses(cycles, n // p)) <= eps):
             n //= p
     numerators = sorted(_cycle_numerators(cycles, n))
     # Python floats, since a numpy integer array of n above 2^63 holds objects.

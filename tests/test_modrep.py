@@ -269,9 +269,10 @@ def test_monomial_t_is_read_from_its_zero_pattern():
     assert _cycle_walk(np.array([[1.0, 1e-300], [0.0, 1.0]])) is None
     assert _cycle_walk(np.array([[1.0, 1.0], [0.0, 0.0]])) is None
     assert _cycle_walk(np.zeros((0, 0))) is None
-    # The cycles of p1(7)'s t, as (length, |product|, arg product / 2 pi as
-    # a ratio): the fixed point (1 : 0) and a 7-cycle.
-    assert sorted(_cycle_walk(build_p1_permutation(7).t_image)[3]) == [(1, 1, 0, 1), (7, 1, 0, 1)]
+    # The cycles of p1(7)'s t, as (length, |product|, arg product / 2 pi,
+    # and that as a ratio): the fixed point (1 : 0) and a 7-cycle.
+    assert sorted(_cycle_walk(build_p1_permutation(7).t_image)[3]) == [(1, 1, 0, 0, 1),
+                                                                       (7, 1, 0, 0, 1)]
 
 
 def test_cycle_residual_is_the_matrix_residual():
