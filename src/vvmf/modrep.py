@@ -192,7 +192,7 @@ def _cycle_walk(t: Matrix) -> tuple | None:
     t is monomial when each row and each column holds exactly one entry
     != 0, with no tolerance; an empty t is not.  order lists every index
     cycle by cycle, cycle k begins at starts[k], t sends e_order[p] to
-    entries[p] times the next e_j of its cycle, and cycles holds its _Cycles.
+    entries[p] times the next e_j of its cycle, and cycles lists its _Cycles.
     """
     # With d entries != 0 in all, a row or column holds exactly one of them
     # as soon as every row and every column holds one.
