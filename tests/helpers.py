@@ -219,6 +219,8 @@ def millington(d, seed, odd=False):
     not in the subgroup, and its cusps are regular or irregular as the
     entries of their t cycles multiply to +1 or -1.
     """
+    if odd and d % 2:
+        raise ValueError(f"an odd input needs an even degree, got {d}")
     rng = np.random.default_rng(seed)
     while True:
         fixed2 = 0 if odd else int(rng.choice([f for f in (d % 2, d % 2 + 2) if f <= d]))
@@ -248,8 +250,9 @@ def millington(d, seed, odd=False):
 
 def subgroup_oracle(rep, k):
     """(dim M_k, dim S_k) of a millington representation, from the genus
-    formulas of Diamond-Shurman, sections 3.5 and 3.6; None at weight one,
-    where they give only dim M_1 - dim S_1 (subgroup_eisenstein_one).
+    formulas of Diamond-Shurman, sections 3.5 and 3.6; None at weight one
+    of an odd one, where they give only dim M_1 - dim S_1
+    (subgroup_eisenstein_one).
 
     g = 1 + d/12 - e2/4 - e3/3 - einf/2, with e2 and e3 the fixed points
     of x and y, read off s and st, and einf the cycles of t, each a cusp:
