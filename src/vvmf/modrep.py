@@ -175,15 +175,14 @@ def _prime_factors(n: int) -> set[int]:
     return primes
 
 
-# The cycles of t as (L, |c|, y, p, q): L-th roots of c, y = arg c / 2 pi =
-# p/q exactly, for a cycle of length L whose entries multiply to c.  A monomial
-# t has one per cycle of its permutation, any other t one per eigenvalue.
-_Cycles = list[tuple[int, float, float, int, int]]
+# The cycles of t as (L, |c|, p, q): L-th roots of c, with arg c / 2 pi = p/q
+# exactly, for a cycle of length L whose entries multiply to c.  A monomial t
+# has one per cycle of its permutation, any other t one per eigenvalue.
+_Cycles = list[tuple[int, float, int, int]]
 
 
-def _cycle(length: int, c: complex) -> tuple[int, float, float, int, int]:
-    y = cmath.phase(c) / (2 * math.pi)
-    return length, abs(c), y, *y.as_integer_ratio()
+def _cycle(length: int, c: complex) -> tuple[int, float, int, int]:
+    return length, abs(c), *(cmath.phase(c) / (2 * math.pi)).as_integer_ratio()
 
 
 def _cycle_walk(t: Matrix) -> tuple | None:
@@ -219,24 +218,29 @@ def _cycle_walk(t: Matrix) -> tuple | None:
 
 
 def _cycle_numerators(cycles: _Cycles, n: int) -> list[int]:
-    """Numerators of the phases (y + k)/L, k = 0..L-1, of each cycle, over n."""
-    return [(k * (n // length) + round(n * y / length)) % n
-            for length, _, y, _, _ in cycles for k in range(length)]
+    """Numerators of the phases (p/q + k)/L, k = 0..L-1, of each cycle, over n."""
+    return [(k * (n // length) + round(n * (p / q) / length)) % n
+            for length, _, p, q in cycles for k in range(length)]
 
 
 def _cycle_misses(cycles: _Cycles, m: int) -> list[float]:
-    """|c^(m/L) - 1| for each cycle, L dividing m, or inf where it overflows:
-    |t^m - 1| on the cycle.  c^(m/L) is |c|^(m/L) e((m/L) p/q), the exponent
-    reduced mod q exactly, so the error of the phase does not grow with m.
+    """|c^(m/L) - 1| for each cycle, L dividing m, or inf where it overflows: |t^m - 1| on
+    the cycle.  c^(m/L) is |c|^(m/L) e((m/L) p/q) with the exponent reduced mod q exactly:
+    the power adds no rounding of its own, but m/L multiplies that of p/q and of |c|.
     """
     misses = []
-    for length, modulus, _, p, q in cycles:
+    for length, modulus, p, q in cycles:
         k = m // length
         try:
             misses.append(abs(modulus ** k * cmath.exp(2j * math.pi * (k * p % q / q)) - 1))
         except OverflowError:
             misses.append(math.inf)
     return misses
+
+
+def _power_is_identity(cycles: _Cycles, m: int, eps: float) -> bool:
+    """Whether t^m is the identity within eps: every L divides m and c^(m/L) is 1."""
+    return all(m % cycle[0] == 0 for cycle in cycles) and max(_cycle_misses(cycles, m)) <= eps
 
 
 def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tuple[int, ...]]:
@@ -267,8 +271,8 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
     # A real t with a real spectrum gives float eigenvalues; complex() reads both.
     cycles = walk[3] if walk else [_cycle(1, complex(lam)) for lam in np.linalg.eigvals(t)]
     snapped, candidates = [], []
-    for length, modulus, y, _, _ in cycles:
-        modulus **= 1 / length
+    for length, modulus, p, q in cycles:
+        y, modulus = p / q, modulus ** (1 / length)
         if not abs(modulus - 1.0) <= eps:
             raise TOrderNotFound(
                 "modulus", f"t eigenvalue {cmath.rect(modulus, 2 * math.pi * y / length):.6g} "
@@ -287,7 +291,7 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
         denominators = {b * cycle[0] for cycle, (_, b) in zip(cycles, snapped)}
         n = math.lcm(*denominators)
         if walk:
-            residual = max(_cycle_misses(cycles, n))
+            residual = max(misses := _cycle_misses(cycles, n))
         else:
             # A t^n that overflows leaves an inf or NaN residual, which fails the check.
             with np.errstate(all="ignore"):
@@ -297,7 +301,8 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
         # A phase whose denominator exceeds about eps^(-1/2) can have an
         # earlier convergent within eps: move each cycle that t^n leaves
         # off 1 on to its next convergent, and certify again.
-        missing = [i for i, miss in enumerate(_cycle_misses(cycles, n)) if not miss <= eps]
+        missing = [i for i, miss in enumerate(misses if walk else _cycle_misses(cycles, n))
+                   if not miss <= eps]
         moved = [next(candidates[i], None) for i in missing]
         if not missing or None in moved:
             what = (f"differs from the identity by {residual:.3e}, beyond"
@@ -306,11 +311,9 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
         for i, pair in zip(missing, moved):
             snapped[i] = pair
     # t^n = 1 makes t diagonalisable, so t^(n/p) is the identity exactly when
-    # every eigenvalue is an (n/p)-th root of 1: on each cycle, when L divides
-    # n/p and c^(n/p/L) = 1.
+    # every eigenvalue is an (n/p)-th root of 1, as the cycles tell.
     for p in sorted(set().union(*map(_prime_factors, denominators))):
-        while (n % p == 0 and all(n // p % cycle[0] == 0 for cycle in cycles)
-               and max(_cycle_misses(cycles, n // p)) <= eps):
+        while n % p == 0 and _power_is_identity(cycles, n // p, eps):
             n //= p
     numerators = sorted(_cycle_numerators(cycles, n))
     # Python floats, since a numpy integer array of n above 2^63 holds objects.
@@ -318,8 +321,7 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
     gap = abs(complex(np.sum(roots)) - complex(np.trace(t)))
     if not gap <= eps * rep.degree:
         raise SnapFailure(f"t eigenphases miss the trace of t by {gap:.3e}")
-    spectrum = rep.spectra[settings] = (n, tuple(numerators))
-    return spectrum
+    return rep.spectra.setdefault(settings, (n, tuple(numerators)))
 
 
 def find_t_order(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> int:
