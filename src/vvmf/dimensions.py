@@ -20,7 +20,6 @@ import numpy as np
 from .invariants import PartInvariants, part_invariants
 from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure
 from .modrep import (
-    ASSERTED_REDUCIBLE,
     ModularRepresentation,
     commutant_dimension,
     contragredient,
@@ -50,17 +49,11 @@ class DimResult:
 
 
 def certify_irreducible(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> bool:
-    """True when the representation is irreducible.
-
-    Degree at most one settles it, and so does a direct sum, which is
-    reducible by construction; otherwise the commutant of the image
-    decides: by Schur's lemma it is one-dimensional exactly for an
-    irreducible representation.
+    """True when the commutant of the image is one-dimensional, which by
+    Schur's lemma is irreducibility.  Every input takes this test: a sum of
+    two nonzero parts has a commutant of dimension at least 2, a degree-one
+    input one of dimension 1, and the zero space one of dimension 0.
     """
-    if rep.degree <= 1:
-        return True
-    if rep.irreducible_assertion == ASSERTED_REDUCIBLE:
-        return False
     return commutant_dimension(rep, settings) == 1
 
 

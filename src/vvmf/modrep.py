@@ -34,10 +34,7 @@ from .linalg import (
     nullspace,
 )
 
-ASSERTED_REDUCIBLE = "asserted-reducible"
 UNKNOWN = "unknown"
-
-_ASSERTIONS = (ASSERTED_REDUCIBLE, UNKNOWN)
 
 
 def _root_of_unity(p: int, q: int) -> complex:
@@ -82,7 +79,11 @@ class ProjectorDefect(ValueError):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ModularRepresentation:
-    """Images of the two generators, immutable after construction."""
+    """Images of the two generators, immutable after construction.
+
+    Everything, irreducibility included, is computed from the images alone;
+    irreducible_assertion takes only UNKNOWN, for callers that pass it back.
+    """
 
     s_image: Matrix
     t_image: Matrix
@@ -100,8 +101,9 @@ class ModularRepresentation:
         t = as_matrix(self.t_image)
         if s.shape != t.shape:
             raise ValueError(f"generator images differ in shape: {s.shape} vs {t.shape}")
-        if self.irreducible_assertion not in _ASSERTIONS:
-            raise ValueError(f"unknown irreducibility assertion {self.irreducible_assertion!r}")
+        if self.irreducible_assertion != UNKNOWN:
+            raise ValueError(f"the irreducibility tag {self.irreducible_assertion!r} is no "
+                             "longer taken: irreducibility is certified from the images")
         s.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "s_image", s)
@@ -417,14 +419,13 @@ def parity_split(rep: ModularRepresentation,
     return ParityDecomposition(parts[0], parts[1], bases[0], bases[1])
 
 
-def _cycle_basis(walk: tuple, n: int, numerators: tuple[int, ...]) -> Matrix:
+def _cycle_basis(walk: tuple, n: int) -> Matrix:
     """Unit eigenvectors of a monomial t, as columns ordered by their numerators.
 
     A cycle j_0 -> ... -> j_(L-1) whose entries have the partial products
     pi_m (pi_0 = 1) gives, for each of its L numerators a, the eigenvector
     sum_m pi_m e(-a m/n) e_(j_m) / |pi|; distinct cycles have disjoint
-    supports, so each phase block is orthonormal.  Numerators that miss
-    the certified ones raise SnapFailure.
+    supports, so each phase block is orthonormal.  _t_spectrum reads the same numerators.
     """
     order, starts, entries, cycles = walk
     d = len(order)
@@ -435,8 +436,6 @@ def _cycle_basis(walk: tuple, n: int, numerators: tuple[int, ...]) -> Matrix:
     partial /= np.repeat(np.sqrt(np.add.reduceat(abs(partial) ** 2, starts)), lengths)
     walked = _cycle_numerators(cycles, n)
     columns = np.argsort(walked, kind="stable")
-    if [walked[c] for c in columns] != list(numerators):
-        raise SnapFailure("the phases of the cycles of t miss its certified eigenphases")
     # Column q in walk order is the eigenvector of phase walked[q] on q's
     # cycle; the cycle of p begins at first[p], so e_order[p] is e_(j_m) for m = p - first[p].
     row, col = np.nonzero(first[:, None] == first[None, :])
@@ -480,7 +479,7 @@ def commutant_dimension(rep: ModularRepresentation,
                               f"the eigenphase multiplicities are {sizes}")
         basis = np.hstack(spaces)
     else:
-        basis = _cycle_basis(walk, n, numerators)
+        basis = _cycle_basis(walk, n)
     s_basis = rep.s_image @ basis
     s = np.linalg.solve(basis, s_basis)
     s_inv = np.linalg.solve(s_basis, basis)
@@ -499,13 +498,7 @@ def direct_sum(a: ModularRepresentation, b: ModularRepresentation) -> ModularRep
     s[da:, da:] = b.s_image
     t[:da, :da] = a.t_image
     t[da:, da:] = b.t_image
-    if da == 0:
-        assertion = b.irreducible_assertion
-    elif db == 0:
-        assertion = a.irreducible_assertion
-    else:
-        assertion = ASSERTED_REDUCIBLE
-    return ModularRepresentation(s, t, f"{a.name}+{b.name}", assertion)
+    return ModularRepresentation(s, t, f"{a.name}+{b.name}")
 
 
 def tensor_kappa(rep: ModularRepresentation, j: int) -> ModularRepresentation:
@@ -514,8 +507,7 @@ def tensor_kappa(rep: ModularRepresentation, j: int) -> ModularRepresentation:
     if j == 0:
         return rep
     s, t = _KAPPA_POWERS[j]
-    return ModularRepresentation(s * rep.s_image, t * rep.t_image, f"{rep.name}*k^{j}",
-                                 rep.irreducible_assertion)
+    return ModularRepresentation(s * rep.s_image, t * rep.t_image, f"{rep.name}*k^{j}")
 
 
 def contragredient(rep: ModularRepresentation) -> ModularRepresentation:
@@ -526,7 +518,7 @@ def contragredient(rep: ModularRepresentation) -> ModularRepresentation:
     """
     s_inv = np.linalg.matrix_power(rep.s_image, 3)
     t_inv = rep.s_image @ rep.t_image @ rep.s_image @ rep.t_image @ s_inv
-    return ModularRepresentation(s_inv.T, t_inv.T, f"~{rep.name}", rep.irreducible_assertion)
+    return ModularRepresentation(s_inv.T, t_inv.T, f"~{rep.name}")
 
 
 def build_rho0() -> ModularRepresentation:

@@ -29,7 +29,8 @@ class GeneratorProfile:
     degree: int
 
     def __post_init__(self):
-        assert self.kind in (HOLOMORPHIC, CUSP)
+        if self.kind not in (HOLOMORPHIC, CUSP):
+            raise ValueError(f"kind must be {HOLOMORPHIC!r} or {CUSP!r}, got {self.kind!r}")
         for w, c in self.counts.items():
             if not (0 <= w <= 12 and c >= 0):
                 raise ValueError(f"generator count {c} at weight {w} is out of range")

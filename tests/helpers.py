@@ -1,6 +1,7 @@
 """Independent dimension routes the tests compare the library against."""
 
 import cmath
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
@@ -142,13 +143,16 @@ def steinberg(p):
 
 
 def _right_action(points, n, name):
-    """SL2(Z) permuting the row vectors points of (Z/n)^2 from the right."""
+    """SL2(Z) permuting points from the right: each point is a tuple of
+    row vectors of (Z/n)^2, flattened, and g acts on every row."""
     index = {p: i for i, p in enumerate(points)}
 
     def image(g):
         m = np.zeros((len(points), len(points)))
-        for i, (c, d) in enumerate(points):
-            m[index[(c * g[0][0] + d * g[1][0]) % n, (c * g[0][1] + d * g[1][1]) % n], i] = 1
+        for i, p in enumerate(points):
+            q = tuple(x for c, d in zip(p[0::2], p[1::2])
+                      for x in ((c * g[0][0] + d * g[1][0]) % n, (c * g[0][1] + d * g[1][1]) % n))
+            m[index[q], i] = 1
         return m
 
     return ModularRepresentation(image(((0, -1), (1, 0))), image(((1, 1), (0, 1))), name)
@@ -174,6 +178,46 @@ def gamma1(n):
     """
     return _right_action([(c, d) for c in range(n) for d in range(n)
                           if math.gcd(c, d, n) == 1], n, f"G1({n})")
+
+
+def sl2_regular(n):
+    """SL2(Z) permuting the matrices (a, b; c, d) of SL2(Z/n), flattened to
+    (a, b, c, d), by right multiplication.
+
+    The stabiliser of the identity is Gamma(n), the kernel of reduction
+    mod n, so this is the permutation representation on the cosets of
+    Gamma(n), of degree |SL2(Z/n)|, and its forms of weight k are those of
+    Gamma(n).  It is the regular representation of SL2(Z/n): each
+    irreducible one is a summand as often as its degree.
+    """
+    return _right_action([m for m in itertools.product(range(n), repeat=4)
+                          if (m[0] * m[3] - m[1] * m[2]) % n == 1], n, f"SL2(Z/{n})")
+
+
+def gamma_oracle(n, k):
+    """(dim M_k, dim S_k) of Gamma(n), n >= 3, from the genus formulas of
+    Diamond-Shurman, sections 3.5 and 3.6; None at weight one, where they
+    give only dim M_1 - dim S_1 = eps_inf / 2.
+
+    -I is not in Gamma(n), which has index mu = |SL2(Z/n)| / 2 in PSL2(Z),
+    no elliptic points and eps_inf = mu / n cusps, all of them regular, so
+    g = 1 + mu / 12 - eps_inf / 2 and every weight k >= 2, odd or even,
+    has dim M_k = (k - 1)(g - 1) + k eps_inf / 2.
+    """
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    mu = Fraction(n ** 3, 2) * math.prod(1 - Fraction(1, p * p) for p in primes)
+    eps_inf = mu / n
+    g = 1 + mu / 12 - eps_inf / 2
+    if k < 0:
+        return 0, 0
+    if k == 0:
+        return 1, 0
+    if k == 1:
+        return None
+    m = (k - 1) * (g - 1) + k * eps_inf / 2
+    s = g if k == 2 else m - eps_inf
+    assert m.denominator == s.denominator == 1, (n, k)
+    return int(m), int(s)
 
 
 def no_invariant_form():

@@ -146,6 +146,8 @@ def test_certify_irreducible(std2):
     assert certify_irreducible(std2)
     assert not certify_irreducible(build_p1_permutation(2))
     assert not certify_irreducible(direct_sum(build_kappa_power(1), build_kappa_power(3)))
+    # The zero space, the odd part of rho0, has a zero commutant.
+    assert not certify_irreducible(parity_split(build_rho0()).odd_part)
     p16k3 = tensor_kappa(build_p1_permutation(16), 3)
     assert commutant_dimension(p16k3) == 6
     assert not certify_irreducible(p16k3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -202,6 +202,9 @@ def test_floor_trace_integer_shift():
 phases = st.integers(1, 5000).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: F(p, q)))
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("056afffd2eefdfaf393d49c4ba83262dfb0885b7ff0d9252"
+          "7fdf0d5c34f95db74e6ea69078b17bb9356f4b45e35d328a", 16))
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.lists(phases, max_size=24).map(sorted), st.integers(-40, 40), st.integers(2, 5000))
 def test_integer_floor_traces_match_fractions(phase_list, offset, bad_denominator):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from vvmf.linalg import (
@@ -116,6 +116,9 @@ def test_nullspace_empty_shapes():
     assert abs(abs(wide[2, 0]) - 1) <= 1e-12
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("22a6181a89320320d032bfffdecc4688313f464d7ba81a5b"
+          "8d0b045721a831490d8e7464601c7929a64582c2210032be", 16))
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8),
        st.sampled_from([np.float64, np.complex128]), st.sampled_from(["rank", "zero", "noise"]),

@@ -18,9 +18,8 @@ from helpers import (
     p1_sum,
     vector_permutation,
 )
-from vvmf.linalg import Settings, SnapFailure, is_identity, max_abs
+from vvmf.linalg import Settings, is_identity, max_abs
 from vvmf.modrep import (
-    ASSERTED_REDUCIBLE,
     UNKNOWN,
     _KAPPA_POWERS,
     ModularRepresentation,
@@ -37,6 +36,7 @@ from vvmf.modrep import (
     build_kappa_power,
     build_p1_permutation,
     build_rho0,
+    commutant_dimension,
     contragredient,
     direct_sum,
     find_t_order,
@@ -58,6 +58,10 @@ def test_construction_checks():
         ModularRepresentation([[1]], [[1]], irreducible_assertion="maybe")
     with pytest.raises(ValueError):
         ModularRepresentation([[1]], [[1]], irreducible_assertion="asserted-irreducible")
+    # The retired tag is refused: irreducibility comes from the images alone.
+    with pytest.raises(ValueError, match="no longer taken"):
+        ModularRepresentation([[1]], [[1]], "x", "asserted-reducible")
+    assert ModularRepresentation([[1]], [[1]], "x", UNKNOWN).irreducible_assertion == UNKNOWN
 
 
 def test_images_are_read_only():
@@ -324,7 +328,7 @@ def assert_cycle_basis(rep):
     basis of t vectors with the eigenvalue e(a/n) of its numerator a."""
     eps = Settings().eps
     n, numerators = _t_spectrum(rep, Settings())
-    basis = _cycle_basis(_cycle_walk(rep.t_image), n, numerators)
+    basis = _cycle_basis(_cycle_walk(rep.t_image), n)
     assert basis.shape == (rep.degree, rep.degree)
     start = 0
     for a, size in Counter(numerators).items():
@@ -354,14 +358,6 @@ def test_cycle_basis_normalises_entries_off_the_unit_circle(n, j):
     rep = diagonal_conjugate(tensor_kappa(build_p1_permutation(n), j))
     assert not np.allclose(abs(rep.t_image[rep.t_image != 0]), 1)
     assert_cycle_basis(rep)
-
-
-def test_cycle_basis_refuses_numerators_its_cycles_do_not_give():
-    rep = tensor_kappa(build_p1_permutation(7), 1)
-    n, numerators = _t_spectrum(rep, Settings())
-    walk = _cycle_walk(rep.t_image)
-    with pytest.raises(SnapFailure, match="miss its certified eigenphases"):
-        _cycle_basis(walk, n, tuple(sorted((a + 1) % n for a in numerators)))
 
 
 def relabel(rep, order, phases):
@@ -484,6 +480,9 @@ def test_large_eigenphase_denominators_certify():
 CAP = 10 ** 6
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("3a4bb370e1397652d63848acfaac0d5b949750d4c8420eed"
+          "65718e774d102607b86e82195c98db098bcb7c8132206280", 16))
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.integers(2, CAP).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
 def test_rational_phase_certifies_its_denominator(phase):
@@ -550,9 +549,9 @@ def test_parity_split_pure_even():
     assert split.even_part.degree == 1
     assert split.odd_part.degree == 0
     assert np.allclose(split.even_part.t_image, [[1]])
-    # A part that fills the whole space keeps the assertion of its source.
+    # A part that fills the whole space is its source.
     pair = direct_sum(build_rho0(), build_rho0())
-    assert parity_split(pair).even_part.irreducible_assertion == ASSERTED_REDUCIBLE
+    assert parity_split(pair).even_part is pair
 
 
 def test_parity_split_pure_odd():
@@ -567,7 +566,6 @@ def test_parity_split_mixed():
     split = parity_split(rep)
     assert split.even_part.degree == 1
     assert split.odd_part.degree == 1
-    assert split.even_part.irreducible_assertion == UNKNOWN
     # The restricted matrices must reproduce the action on the column spans.
     for basis, part in ((split.even_basis, split.even_part),
                         (split.odd_basis, split.odd_part)):
@@ -595,7 +593,8 @@ def test_direct_sum():
     two = direct_sum(build_rho0(), build_rho0())
     assert two.degree == 2
     assert np.array_equal(two.t_image, np.eye(2))
-    assert two.irreducible_assertion == ASSERTED_REDUCIBLE
+    # Its commutant, not a tag, shows it reducible: all of the 2 x 2 matrices.
+    assert commutant_dimension(two) == 4
     mixed = direct_sum(build_kappa_power(1), build_kappa_power(2))
     assert mixed.degree == 2
     assert mixed.s_image[0, 0] == -1j and mixed.s_image[1, 1] == -1
@@ -681,8 +680,11 @@ def test_kappa_table(j):
         assert t == (1, 1j, -1, -1j)[j // 3]
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("c3ceef118563f0c6d2fdd1d2045a06e8c7d06c8d7258b99c"
+          "3c456dc0234e8ef3e33556e8b0f1ba126e188b776859642b", 16))
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 def test_root_of_unity_matches_exp(p, q):
     z = _root_of_unity(p, q)
     assert abs(z - cmath.exp(2j * math.pi * (p % q) / q)) <= 1e-15

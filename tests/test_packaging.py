@@ -1,5 +1,6 @@
 """The test extra of pyproject.toml declares every package the test suites import,
-and the package exports exactly the public names listed here."""
+the package exports exactly the public names listed here, and it checks
+nothing with a bare assert."""
 
 import ast
 import importlib
@@ -67,3 +68,13 @@ def test_public_names_are_pinned():
     assert public == PUBLIC_NAMES
     for name, module in exported.items():
         assert getattr(vvmf, name) is getattr(importlib.import_module(f"vvmf.{module}"), name)
+
+
+def test_library_has_no_assert_statement():
+    # python -O strips assert statements, so every check raises a named error.
+    modules = sorted((ROOT / "src" / "vvmf").glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -18,7 +18,7 @@ weights sum to twelve times the sum of the T eigenphases.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -75,6 +75,9 @@ def profile(rep, kind):
         return None
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("44478c751d660da821eb8748279de6b3e5b950b3f08d4c57"
+          "2eb6979f9328710c2e6b82c66b7fec761460a7ef45f1e68a", 16))
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(st.lists(terms, min_size=2, max_size=3))
 def test_direct_sums_add(term_list):
@@ -110,6 +113,9 @@ def assert_same_outputs(rep, conj):
     assert checks[0] == checks[1]
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("ff829199f5fe2d439f8c4e25aa16850ae6a0c7d5ac9938da"
+          "8a65ce6fccf0e5f1456914fabdf863f1545acc47c0fbbabe", 16))
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.lists(terms, min_size=1, max_size=2), st.integers(0, 2**16))
 def test_conjugation_changes_nothing(term_list, seed):
@@ -147,6 +153,9 @@ def rows(a):
     return [a.dim(w, cusp) for w in WEIGHTS for cusp in (False, True)]
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("9d277f5a8d7dd648db5ba3a58d6cd40faa3d891f40dd0c99"
+          "6a0c69121c2ea178426739aba87c0ea3cc922ebfd3477dbc", 16))
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(st.lists(st.sampled_from(list(SELF_DUAL_ATOMS)), min_size=1, max_size=3), st.randoms())
 def test_permuted_self_dual_sums_share_their_dual(names, random):
@@ -188,6 +197,9 @@ def relabel(plain, seed):
                                  "relabelled")
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("6e15cfe40621de120ddb84f87b36c5ec63e35628de4d300b"
+          "233f3ec3398311086660e6418e014ae204f81c1d9e021f33", 16))
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.lists(terms, min_size=1, max_size=3), st.integers(0, 2**16))
 def test_orbit_count_survives_a_monomial_relabelling(term_list, seed):
@@ -197,6 +209,9 @@ def test_orbit_count_survives_a_monomial_relabelling(term_list, seed):
     assert commutant_dimension(rep) == commutant_dimension(plain)
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("e8c823cc19acabbcff250ce02231c84e0671e995db81f703"
+          "665370d56fd64a028a19271e9235938454566f4dfcf755cf", 16))
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.lists(terms, min_size=1, max_size=3), st.integers(0, 2**16))
 def test_orbit_h0_survives_a_monomial_relabelling(term_list, seed):

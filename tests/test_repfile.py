@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import NON_FINITE_FILES, complex_repfile
@@ -171,6 +171,9 @@ loader_settings = settings(derandomize=True, database=None, max_examples=30, dea
                            suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("b8122080e522ebe2ade3b597945406d5e13efa07fa50ccab"
+          "b5d56901980402f7bf64e052962ded9521285dad2cc04e19", 16))
 @loader_settings
 @given(images)
 def test_finite_matrices_load_bit_for_bit(tmp_path, rows):
@@ -181,6 +184,9 @@ def test_finite_matrices_load_bit_for_bit(tmp_path, rows):
     assert back.t_image.tobytes() == rep.t_image.tobytes()
 
 
+# The seed derandomize=True drew from this body, fixed so that edits keep the draws.
+@seed(int("34a22ca0cdafe3a6c8b77e47f64ecd5bb2424067c7d45b91"
+          "cb927b8700b666296985d0baf7e0739d99f1966666962a24", 16))
 @loader_settings
 @given(images, st.data())
 def test_one_bad_number_is_named(tmp_path, rows, data):

@@ -142,6 +142,12 @@ def test_profile_validation():
         generator_profile(build_rho0(), "meromorphic")
 
 
+def test_profile_refuses_an_unknown_kind():
+    # A ValueError, not an assert, so that python -O keeps the check.
+    with pytest.raises(ValueError, match="'bogus'"):
+        GeneratorProfile("bogus", {}, 0)
+
+
 def test_weight_one_indeterminate():
     with pytest.raises(Weight1Indeterminate):
         generator_profile(resolve("kappa^1+kappa^11"))
