@@ -69,6 +69,7 @@ class Analysis:
         self.rep = rep
         self.settings = settings
         self.split = parity_split(rep, settings)
+        self._degrees = (self.split.even_part.degree, self.split.odd_part.degree)
         self._invariants: dict[bool, PartInvariants] = {}
         self._numerators: dict[bool, tuple[int, ...]] = {}
         self._rows: dict[tuple[int, bool], DimResult] = {}
@@ -133,12 +134,12 @@ class Analysis:
 
     def _row(self, w: int, cusp: bool) -> DimResult:
         odd = w % 2 == 1
-        if (self.split.odd_part if odd else self.split.even_part).degree == 0:
+        if not self._degrees[odd]:
             return DimResult(0, EXACT, "parity-zero")
         k = w // 2
         if k < 0:
             return DimResult(0, EXACT, "negative-weight")
-        inv = self.invariants(odd)
+        inv = self._invariants.get(odd) or self.invariants(odd)
         lam = inv.lambda_minus if cusp else inv.lambda_plus
         if k == 0 and odd:
             if self.weight1_exact:

@@ -94,16 +94,26 @@ class PartInvariants:
     the exact trace of the partner's log t, and the part's own is d/12
     more.  lambda+ and lambda- are the sums of floor(x) and of ceil(x) - 1
     over the part's own log eigenvalues x.  h0, the dimension of the
-    invariant vectors, is None for an odd part.
+    invariant vectors, is None for an odd part.  _spectrum is the part's
+    own t order n and eigenphase numerators over n, from which phases is
+    built on demand.
     """
 
     parity: int
     sig: Signature
-    phases: tuple[Fraction, ...]
     lambda_plus: int
     lambda_minus: int
     h0: int | None
     gamma_base: tuple[int, int, int, int, int, int]
+    _spectrum: tuple[int, tuple[int, ...]]
+
+    @property
+    def phases(self) -> tuple[Fraction, ...]:
+        # The partner's phases, m/n - 1/12 mod 1 for an odd part, in 12n-ths.
+        n, numerators = self._spectrum
+        shift = n if self.parity == -1 else 0
+        return tuple(Fraction(x, 12 * n) for x in sorted((12 * m - shift) % (12 * n)
+                                                         for m in numerators))
 
     def gamma(self, k: int) -> int:
         """Degree-six quasi-period: gamma(k + 6) = gamma(k) + d."""
@@ -129,11 +139,8 @@ def part_invariants(split: ParityDecomposition, odd: bool,
     h0 = None if odd else _h0(part, u, sig.alpha, settings)
     d, a, b1, b2 = sig.d, sig.alpha, sig.beta1, sig.beta2
     lambda_plus, lambda_minus = _lambdas(n, numerators, sig.trace_lambda + Fraction(odd * d, 12))
-    # The partner's phases, m/n - 1/12 mod 1 for an odd part, in 12n-ths.
-    phases = tuple(Fraction(x, 12 * n) for x in sorted((12 * m - odd * n) % (12 * n)
-                                                       for m in numerators))
-    return PartInvariants(-1 if odd else 1, sig, phases, lambda_plus, lambda_minus, h0,
-                          (0, a + b1 + b2 - d, b2, a, b1 + b2, a + b2))
+    return PartInvariants(-1 if odd else 1, sig, lambda_plus, lambda_minus, h0,
+                          (0, a + b1 + b2 - d, b2, a, b1 + b2, a + b2), (n, numerators))
 
 
 def _lambdas(n: int, numerators: tuple[int, ...], log_trace: Fraction) -> tuple[int, int]:

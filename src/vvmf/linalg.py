@@ -55,14 +55,18 @@ def as_matrix(entries) -> Matrix:
     """Copy nested lists or an array to an owned square matrix.
 
     The copy is float64 when every imaginary part is exactly zero and
-    complex128 otherwise.
+    complex128 otherwise; a real array is copied once, in C order.
     """
-    a = np.array(entries, dtype=np.complex128)
+    real = isinstance(entries, np.ndarray) and entries.dtype.kind in "biuf"
+    if real:
+        a = np.array(entries, dtype=np.float64, order="C")
+    else:
+        a = np.array(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return a if a.imag.any() else a.real.copy()
+    return a if real or a.imag.any() else a.real.copy()
 
 
 def max_abs(a: Matrix) -> float:

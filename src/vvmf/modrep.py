@@ -91,8 +91,9 @@ class ModularRepresentation:
     irreducible_assertion: str = UNKNOWN
     # Derived data, which lives and dies with the representation and is not
     # part of its value: the Analysis (dimensions.Analysis.of) and the
-    # certified t spectrum, each per Settings, and the walk of t (_cycle_walk),
-    # whatever the settings.
+    # certified t spectrum, each per Settings; whatever the settings, each
+    # image parsed once as a factor of products (_factor) and the walk of a
+    # monomial t (_cycle_walk).
     analyses: dict = field(default_factory=dict, init=False, repr=False)
     spectra: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -114,8 +115,16 @@ class ModularRepresentation:
         return self.s_image.shape[0]
 
     @cached_property
+    def _s(self) -> _Monomial | Matrix:
+        return _factor(self.s_image)
+
+    @cached_property
+    def _t(self) -> _Monomial | Matrix:
+        return _factor(self.t_image)
+
+    @cached_property
     def _t_walk(self) -> tuple | None:
-        return _cycle_walk(self.t_image)
+        return _cycle_walk(self._t) if isinstance(self._t, _Monomial) else None
 
     def __repr__(self):
         return f"<ModularRepresentation {self.name!r} degree={self.degree}>"
@@ -187,21 +196,71 @@ def _cycle(length: int, c: complex) -> tuple[int, float, int, int]:
     return length, abs(c), *(cmath.phase(c) / (2 * math.pi)).as_integer_ratio()
 
 
-def _cycle_walk(t: Matrix) -> tuple | None:
-    """(order, starts, entries, cycles) of a monomial t, or None when t is not monomial.
+class _Monomial:
+    """A matrix with exactly one entry != 0 in each row and column: column k
+    holds values[k] at row rows[k].  image is the dense matrix it was read
+    from, if any.
 
-    t is monomial when each row and each column holds exactly one entry
-    != 0, with no tolerance; an empty t is not.  order lists every index
-    cycle by cycle, cycle k begins at starts[k], t sends e_order[p] to
-    entries[p] times the next e_j of its cycle, and cycles lists its _Cycles.
+    The product of two real ones is composed in O(d): each of its entries
+    has exactly one nonzero term, so the composition holds the very bytes
+    of the dense product.  Any other product is the dense one, since an
+    elementwise complex product can round differently from it.
+    """
+
+    # ndarray @ _Monomial defers to __rmatmul__ instead of reading the object as an array.
+    __array_ufunc__ = None
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, image: Matrix | None = None):
+        self.rows, self.values, self.image = rows, values, image
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    def __matmul__(self, other):
+        if isinstance(other, _Monomial) and self.dtype == other.dtype == np.float64:
+            return _Monomial(self.rows[other.rows], self.values[other.rows] * other.values)
+        return self.dense() @ other
+
+    def __rmatmul__(self, other):
+        return other @ self.dense()
+
+    def dense(self) -> Matrix:
+        if self.image is not None:
+            return self.image
+        d = len(self.rows)
+        a = np.zeros((d, d))
+        a[self.rows, np.arange(d)] = self.values
+        return a
+
+
+def _factor(a: Matrix) -> _Monomial | Matrix:
+    """a as a factor of products: a _Monomial when each row and each column
+    of a holds exactly one entry != 0, with no tolerance, and a otherwise.
+    An empty matrix is not monomial.
     """
     # With d entries != 0 in all, a row or column holds exactly one of them
     # as soon as every row and every column holds one.
-    nonzero = t != 0
-    if (not t.size or np.count_nonzero(nonzero) != len(t)
+    nonzero = a != 0
+    if (not a.size or np.count_nonzero(nonzero) != len(a)
             or not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all())):
-        return None
-    image = nonzero.argmax(axis=0).tolist()
+        return a
+    rows = nonzero.argmax(axis=0)
+    return _Monomial(rows, a[rows, np.arange(len(a))], a)
+
+
+def _dense(a: _Monomial | Matrix) -> Matrix:
+    return a.dense() if isinstance(a, _Monomial) else a
+
+
+def _cycle_walk(t: _Monomial) -> tuple:
+    """(order, starts, entries, cycles) of a monomial t.
+
+    order lists every index cycle by cycle, cycle k begins at starts[k],
+    t sends e_order[p] to entries[p] times the next e_j of its cycle, and
+    cycles lists its _Cycles.
+    """
+    image = t.rows.tolist()
     order, starts = [], []
     seen = [False] * len(image)
     for start in range(len(image)):
@@ -213,7 +272,7 @@ def _cycle_walk(t: Matrix) -> tuple | None:
             seen[j] = True
             order.append(j)
             j = image[j]
-    entries = t[[image[j] for j in order], order]
+    entries = t.values[order]
     products = np.multiply.reduceat(entries, starts).tolist()
     lengths = np.diff(starts + [len(order)]).tolist()
     return order, starts, entries, [_cycle(length, c) for length, c in zip(lengths, products)]
@@ -338,16 +397,16 @@ def find_t_order(rep: ModularRepresentation, settings: Settings = DEFAULT_SETTIN
 def validate(rep: ModularRepresentation,
              settings: Settings = DEFAULT_SETTINGS) -> ValidationReport:
     """Check the defining relations and the finite order of the t image."""
-    s, t = rep.s_image, rep.t_image
+    s, t = rep._s, rep._t
     eye = np.eye(rep.degree)
-    # Products that overflow leave a NaN residual, which fails the gate.
+    # Products that overflow leave a residual that is not finite, which fails the gate.
     with np.errstate(all="ignore"):
         s2 = s @ s
         st = s @ t
         residuals = {
-            "s^4 = 1": max_abs(s2 @ s2 - eye),
-            "(st)^3 = s^2": max_abs(st @ st @ st - s2),
-            "s^2 central": max_abs(s2 @ t - t @ s2),
+            "s^4 = 1": max_abs(_dense(s2 @ s2) - eye),
+            "(st)^3 = s^2": max_abs(_dense(st @ st @ st) - _dense(s2)),
+            "s^2 central": max_abs(_dense(s2 @ t) - _dense(t @ s2)),
         }
     for relation, residual in residuals.items():
         if not residual <= settings.eps:
@@ -370,8 +429,8 @@ def st_inverse_image(rep: ModularRepresentation) -> Matrix:
     The relations give t s t s t = s, hence s t^-1 = (t s)^2, so no power
     of t (and no t order) is needed.
     """
-    ts = rep.t_image @ rep.s_image
-    return ts @ ts
+    ts = rep._t @ rep._s
+    return _dense(ts @ ts)
 
 
 def _restrict(g: Matrix, basis: Matrix, eps: float) -> Matrix:
@@ -395,7 +454,7 @@ def parity_split(rep: ModularRepresentation,
     """
     d = rep.degree
     eye = np.eye(d)
-    s2 = rep.s_image @ rep.s_image
+    s2 = _dense(rep._s @ rep._s)
     sign = _parity_of_square(s2, settings)
     if sign:
         empty = ModularRepresentation(np.zeros((0, 0)), np.zeros((0, 0)),
@@ -516,9 +575,10 @@ def contragredient(rep: ModularRepresentation) -> ModularRepresentation:
     The relations give s^-1 = s^3 and t^-1 = s t s t s^-1, so the
     inverses need no t order.
     """
-    s_inv = np.linalg.matrix_power(rep.s_image, 3)
-    t_inv = rep.s_image @ rep.t_image @ rep.s_image @ rep.t_image @ s_inv
-    return ModularRepresentation(s_inv.T, t_inv.T, f"~{rep.name}")
+    s, t = rep._s, rep._t
+    s_inv = s @ s @ s
+    t_inv = s @ t @ s @ t @ s_inv
+    return ModularRepresentation(_dense(s_inv).T, _dense(t_inv).T, f"~{rep.name}")
 
 
 def build_rho0() -> ModularRepresentation:

@@ -648,6 +648,39 @@ def test_real_representation_runs_real_lapack(monkeypatch):
     assert (len(certified), eigvals_calls, svd_calls) == (2, ["float64"] * 2, ["float64"] * 2)
 
 
+class CountingProducts(np.ndarray):
+    """An array that counts the matrix products taken of it, or of any
+    array computed from it, in CountingProducts.products."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingProducts.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountingProducts) else x for x in inputs]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(CountingProducts) if isinstance(result, np.ndarray) else result
+
+
+def test_permutation_analysis_forms_one_dense_product(monkeypatch):
+    # Of the 17 products one analysis takes of the images, 16 compose the
+    # index maps of real permutation matrices; only the h0 product,
+    # (u - 1)(s + 1), is dense.
+    monkeypatch.setattr(CountingProducts, "products", 0)
+    rep = p1_sum(25, 27, 28)
+    for image in ("s_image", "t_image"):
+        object.__setattr__(rep, image, getattr(rep, image).view(CountingProducts))
+    whole_analysis(rep)
+    assert CountingProducts.products == 1
+    # A dense conjugate takes them all densely: s^3 and t^-1 take six.
+    dense = conjugate(p1_sum(25, 27, 28), 0, condition=1.0)
+    for image in ("s_image", "t_image"):
+        object.__setattr__(dense, image, getattr(dense, image).view(CountingProducts))
+    CountingProducts.products = 0
+    contragredient(dense)
+    assert CountingProducts.products == 6
+
+
 SELF_DUAL = {
     "rho0": build_rho0,
     **{f"p1({n})": lambda n=n: build_p1_permutation(n) for n in range(2, 8)},

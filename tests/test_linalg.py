@@ -49,6 +49,23 @@ def test_as_matrix_shapes():
         as_matrix([[np.inf, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("entries", [
+    np.array([[-0.0, 1.5], [2.0, -3.0]]),
+    np.array([[-0.0, 1.5], [2.0, -3.0]]).T,
+    np.array([[1, -2], [3, 2**60 + 1]]),
+    np.array([[True, False], [False, True]]),
+    np.array([[0.1, -0.0], [1e-300, 2.0]], dtype=np.float32),
+], ids=["float64", "transposed", "int64", "bool", "float32"])
+def test_real_array_is_copied_as_through_complex(entries):
+    # One float64 copy holds what the complex copy's real part held: the
+    # values, -0.0 and C order.
+    expected = np.array(entries, dtype=np.complex128).real.copy()
+    m = as_matrix(entries)
+    assert m.dtype == np.float64 and m.flags.c_contiguous and m.flags.owndata
+    assert m.tobytes() == expected.tobytes()
+    assert m is not entries and not np.shares_memory(m, entries)
+
+
 def test_is_identity():
     assert is_identity(np.eye(3, dtype=complex))
     bumped = np.eye(3, dtype=complex)

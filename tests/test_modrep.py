@@ -28,7 +28,8 @@ from vvmf.modrep import (
     _cycle,
     _cycle_basis,
     _cycle_misses,
-    _cycle_walk,
+    _factor,
+    _Monomial,
     _power_is_identity,
     _prime_factors,
     _root_of_unity,
@@ -100,6 +101,53 @@ def test_overflowing_products_fail_the_relations():
         validate(ModularRepresentation(m, m))
     assert exc.value.relation == "s^4 = 1"
     assert math.isnan(exc.value.residual)
+
+
+def test_overflowing_monomial_products_fail_the_relations():
+    # s^2 overflows to inf on the diagonal.  Composed, s^4 is inf there;
+    # the dense product takes 0 * inf = NaN off it.  Either residual fails.
+    m = [[0, 1e300], [1e300, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RelationViolation) as exc:
+            validate(ModularRepresentation(m, m))
+    assert exc.value.relation == "s^4 = 1"
+    assert exc.value.residual == math.inf
+    with np.errstate(all="ignore"):
+        s2 = np.array(m) @ np.array(m)
+        assert math.isnan(max_abs(s2 @ s2 - np.eye(2)))
+
+
+def random_monomial(rng, d):
+    """A real d x d matrix with one entry != 0 per row and column, at random."""
+    a = np.zeros((d, d))
+    a[rng.permutation(d), np.arange(d)] = rng.choice([-1.0, 1.0], d) * rng.lognormal(0, 2, d)
+    return a
+
+
+# A fixed seed, so that an edit of the body does not redraw the inputs.
+@seed(0)
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(1, 130), st.integers(0, 2**32 - 1))
+def test_composed_products_are_the_dense_products(d, seed):
+    # Monomial x monomial composes the index maps; a product with a dense
+    # matrix, on either side, is the dense product.  Either way the bytes
+    # are those of a @ b, including products of products.
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_monomial(rng, d) for _ in range(3))
+    dense = rng.standard_normal((d, d))
+    dense[rng.random((d, d)) < 0.3] = 0.0
+    fa, fb, fc = map(_factor, (a, b, c))
+    assert isinstance(fa @ fb, _Monomial)
+    assert (fa @ fb).dense().tobytes() == (a @ b).tobytes()
+    assert (fa @ fb @ fc).dense().tobytes() == (a @ b @ c).tobytes()
+    assert (fa @ dense).tobytes() == (a @ dense).tobytes()
+    assert (dense @ fa).tobytes() == (dense @ a).tobytes()
+    assert ((fa @ fb) @ dense).tobytes() == ((a @ b) @ dense).tobytes()
+    assert (dense @ (fa @ fb)).tobytes() == (dense @ (a @ b)).tobytes()
+    # Complex monomials take the dense product of their images.
+    z = a * 1j
+    assert (_factor(z) @ fb).tobytes() == (z @ b).tobytes()
 
 
 def test_t_order_cap():
@@ -269,14 +317,14 @@ def test_overflowing_power_fails_without_a_warning():
 
 def test_monomial_t_is_read_from_its_zero_pattern():
     # Exactly one entry != 0 in each row and column, with no tolerance.
-    assert _cycle_walk(build_p1_permutation(7).t_image) is not None
-    assert _cycle_walk(np.diag([1.0, 1e-300])) is not None
-    assert _cycle_walk(np.array([[1.0, 1e-300], [0.0, 1.0]])) is None
-    assert _cycle_walk(np.array([[1.0, 1.0], [0.0, 0.0]])) is None
-    assert _cycle_walk(np.zeros((0, 0))) is None
+    assert build_p1_permutation(7)._t_walk is not None
+    assert t_only(np.diag([1.0, 1e-300]))._t_walk is not None
+    assert t_only(np.array([[1.0, 1e-300], [0.0, 1.0]]))._t_walk is None
+    assert t_only(np.array([[1.0, 1.0], [0.0, 0.0]]))._t_walk is None
+    assert t_only(np.zeros((0, 0)))._t_walk is None
     # The cycles of p1(7)'s t, as (length, |product|, and arg product / 2 pi
     # as a ratio): the fixed point (1 : 0) and a 7-cycle.
-    assert sorted(_cycle_walk(build_p1_permutation(7).t_image)[3]) == [(1, 1, 0, 1), (7, 1, 0, 1)]
+    assert sorted(build_p1_permutation(7)._t_walk[3]) == [(1, 1, 0, 1), (7, 1, 0, 1)]
 
 
 def test_cycle_residual_is_the_matrix_residual():
@@ -294,7 +342,7 @@ def test_cycle_residual_is_the_matrix_residual():
     # per eigenvalue.
     identities = []
     for t in (weighted, unitary):
-        routes = (_cycle_walk(t)[3], [_cycle(1, complex(lam)) for lam in np.linalg.eigvals(t)])
+        routes = (t_only(t)._t_walk[3], [_cycle(1, complex(lam)) for lam in np.linalg.eigvals(t)])
         for n in (6, 12, 24, 36):
             primes = sorted(_prime_factors(n))
             expected = max_abs(np.linalg.matrix_power(t, n) - np.eye(6))
@@ -328,7 +376,7 @@ def assert_cycle_basis(rep):
     basis of t vectors with the eigenvalue e(a/n) of its numerator a."""
     eps = Settings().eps
     n, numerators = _t_spectrum(rep, Settings())
-    basis = _cycle_basis(_cycle_walk(rep.t_image), n)
+    basis = _cycle_basis(rep._t_walk, n)
     assert basis.shape == (rep.degree, rep.degree)
     start = 0
     for a, size in Counter(numerators).items():
