@@ -22,7 +22,6 @@ from .modrep import (
     ModularRepresentation,
     ParityDecomposition,
     _t_spectrum,
-    st_inverse_image,
 )
 
 _SQRT3 = math.sqrt(3.0)
@@ -34,7 +33,8 @@ class Signature:
 
     alpha counts the eigenvalue -1 of the s image; beta1 and beta2 count
     the primitive cube roots of unity (positive imaginary part first)
-    of the s t^-1 image.
+    of the s t^-1 image.  On an even representation s t^-1 is conjugate
+    to (st)^-1, so they are read off the trace of st.
     """
 
     d: int
@@ -72,12 +72,16 @@ def t_eigenphases(rep: ModularRepresentation,
     return tuple(Fraction(a, n) for a in numerators)
 
 
-def _signature_from_traces(d: int, tr_s: complex, tr_u: complex,
+def _signature_from_traces(d: int, tr_s: complex, tr_st: complex,
                            settings: Settings) -> Signature:
-    """Signature of a purely even representation of degree d from tr s and tr s t^-1."""
+    """Signature of a purely even representation of degree d from tr s and tr st.
+
+    There s^2 = 1, so s t^-1 = s (st)^-1 s^-1 has trace conj(tr st): the
+    eigenvalues of st are cube roots of unity.
+    """
     alpha = snap_integer((d - tr_s.real) / 2, settings)
-    beta_sum = snap_integer(2 * (d - tr_u.real) / 3, settings)
-    beta_diff = snap_integer(2 * tr_u.imag / _SQRT3, settings)
+    beta_sum = snap_integer(2 * (d - tr_st.real) / 3, settings)
+    beta_diff = snap_integer(-2 * tr_st.imag / _SQRT3, settings)
     if (beta_sum + beta_diff) % 2:
         raise SnapFailure(f"cube root multiplicities {beta_sum}, {beta_diff} have mixed parity")
     return Signature(d, alpha, (beta_sum + beta_diff) // 2, (beta_sum - beta_diff) // 2)
@@ -128,15 +132,16 @@ def part_invariants(split: ParityDecomposition, odd: bool,
     """
     part = split.odd_part if odd else split.even_part
     n, numerators = _t_spectrum(part, settings)
-    u = st_inverse_image(part)
-    tr_s, tr_u = complex(np.trace(part.s_image)), complex(np.trace(u))
+    s, t = part.s_image, part.t_image
+    # tr st is the sum of s_ij t_ji, which needs no product.
+    tr_s, tr_st = complex(np.trace(s)), complex(np.einsum("ij,ji->", s, t))
     if odd:
-        # The even partner's s, u = (t s)^2 and t are the part's times
-        # kappa^-1(s), (kappa^-1(s) kappa^-1(t))^2 and e(-1/12); only traces are read.
+        # The even partner's s, st and t are the part's times kappa^-1(s),
+        # kappa^-1(s) kappa^-1(t) = e(1/6) and e(-1/12); only traces are read.
         ks, kt = _KAPPA_POWERS[11]
-        tr_s, tr_u = ks * tr_s, (ks * kt) ** 2 * tr_u
-    sig = _signature_from_traces(part.degree, tr_s, tr_u, settings)
-    h0 = None if odd else _h0(part, u, sig.alpha, settings)
+        tr_s, tr_st = ks * tr_s, ks * kt * tr_st
+    sig = _signature_from_traces(part.degree, tr_s, tr_st, settings)
+    h0 = None if odd else _h0(part, sig.alpha, settings)
     d, a, b1, b2 = sig.d, sig.alpha, sig.beta1, sig.beta2
     lambda_plus, lambda_minus = _lambdas(n, numerators, sig.trace_lambda + Fraction(odd * d, 12))
     return PartInvariants(-1 if odd else 1, sig, lambda_plus, lambda_minus, h0,
@@ -159,16 +164,16 @@ def _lambdas(n: int, numerators: tuple[int, ...], log_trace: Fraction) -> tuple[
     return int(lambda_plus), int(lambda_plus) - numerators.count(0)
 
 
-def _h0(rep: ModularRepresentation, u: np.ndarray, alpha: int, settings: Settings) -> int:
-    """Dimension of the vectors fixed by s and t, for an even rep with u = s t^-1.
+def _h0(rep: ModularRepresentation, alpha: int, settings: Settings) -> int:
+    """Dimension of the vectors fixed by s and t, for an even rep.
 
-    A vector fixed by s and u is fixed by t = u^-1 s.  Since s^2 = 1,
-    s + 1 kills exactly the alpha-dimensional -1 eigenspace of s and
-    maps onto its fixed space, so (u - 1)(s + 1) has nullity alpha + h0.
+    Since s^2 = 1, s + 1 kills exactly the alpha-dimensional -1
+    eigenspace of s and maps onto its fixed space, so (t - 1)(s + 1) has
+    nullity alpha + h0.
     """
     eye = np.eye(rep.degree)
-    h0 = nullity((u - eye) @ (rep.s_image + eye), settings) - alpha
+    h0 = nullity((rep.t_image - eye) @ (rep.s_image + eye), settings) - alpha
     if h0 < 0:
-        raise SnapFailure(f"h0 comes out as {h0}: (u - 1)(s + 1) has a smaller null space "
+        raise SnapFailure(f"h0 comes out as {h0}: (t - 1)(s + 1) has a smaller null space "
                           f"than the {alpha}-dimensional -1 eigenspace of s")
     return h0

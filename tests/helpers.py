@@ -3,14 +3,14 @@
 import cmath
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
 
-from vvmf.dimensions import Analysis, Weight1Indeterminate
+from vvmf.dimensions import EXACT, Analysis, Weight1Indeterminate, dim_table
 from vvmf.invariants import Signature, part_invariants
-from vvmf.linalg import DEFAULT_SETTINGS, SnapFailure, nullity
+from vvmf.linalg import DEFAULT_SETTINGS, SnapFailure, max_abs, nullity
 from vvmf.modrep import (
     ModularRepresentation,
     build_p1_permutation,
@@ -18,6 +18,7 @@ from vvmf.modrep import (
     direct_sum,
     parity_split,
     tensor_kappa,
+    validate,
 )
 
 
@@ -67,6 +68,21 @@ def partner_invariants(part):
     assert not split.odd_part.degree, f"{part.name} has a partner that is not purely even"
     inv = part_invariants(split, False)
     return inv.sig, inv.phases
+
+
+def u_signature(rep, tol=1e-6):
+    """Signature of a purely even representation from the eigenvalues of
+    s and of u = s t^-1 = (ts)^2: alpha counts the -1 of s, beta1 and
+    beta2 the e(1/3) and e(2/3) of u.  Each eigenvalue must lie within
+    tol of a square root of 1 for s and a cube root of 1 for u."""
+    ts = rep.t_image @ rep.s_image
+    counts = []
+    for g, order in ((rep.s_image, 2), (ts @ ts, 3)):
+        eigenvalues = np.linalg.eigvals(g)
+        roots = np.round(order * np.angle(eigenvalues) / (2 * np.pi)).astype(int) % order
+        assert max_abs(eigenvalues - np.exp(2j * np.pi * roots / order)) <= tol, rep.name
+        counts.append(Counter(roots.tolist()))
+    return Signature(rep.degree, counts[0][1], counts[1][1], counts[1][2])
 
 
 def stacked_h0(rep, settings=DEFAULT_SETTINGS):
@@ -222,19 +238,118 @@ def gamma_oracle(n, k):
 
 def no_invariant_form():
     """An even irreducible degree-two representation that validates, with
-    t of order 24, but preserves no positive-definite Hermitian form.
-
-    With omega = e(1/3) and tau = e(7/8) + e(23/24), a and d are
-    (1 + omega +- tau)/2; s = diag(1, -1), st = [[a, 1], [ad - omega, d]]
-    and t = s^-1 st.  The dimension formulas give lambda+ = lambda- = -1.
+    t of order 24, but preserves no positive-definite Hermitian form: the
+    mason representation with R of eigenvalues 1 and e(1/3) and t of
+    eigenvalues e(7/8) and e(23/24).  The dimension formulas give
+    lambda+ = lambda- = -1.
     """
-    def e(x):
-        return cmath.exp(2j * math.pi * x)
+    return mason(False, (Fraction(0), Fraction(1, 3)), Fraction(7, 8))[0]
 
-    omega, tau = e(1 / 3), e(7 / 8) + e(23 / 24)
-    a, d = (1 + omega + tau) / 2, (1 + omega - tau) / 2
-    s = np.diag([1.0, -1.0]).astype(np.complex128)
-    return ModularRepresentation(s, s @ np.array([[a, 1], [a * d - omega, d]]), "no form")
+
+def _e(x):
+    return cmath.exp(2j * math.pi * x)
+
+
+def mason(odd, r_phases, r1):
+    """Mason's irreducible two-dimensional representation with R = st of
+    eigenvalues e(x), x in r_phases, and t of eigenvalues e(r1), e(r2).
+
+    s = diag(i, -i) for odd, diag(1, -1) otherwise.  The two phases of R
+    are distinct, and e(x)^3 = s^2, so R^3 = s^2.  det t = det R / det s
+    fixes r2 in [0, 1) as an exact Fraction.  R = [[a, 1], [ad - det R, d]]
+    and t = s^-1 R, with a + d = tr R and tr t = e(r1) + e(r2).  Returns
+    (rep, r2), or None when r2 = r1 (t need not be diagonalisable) or
+    the entry ad - det R vanishes (the rep is reducible).
+    """
+    s1, s_phase = (1j, Fraction(0)) if odd else (1, Fraction(1, 2))
+    r2 = (sum(r_phases) - s_phase - r1) % 1
+    if r2 == r1:
+        return None
+    tr_r, tr_t = sum(_e(x) for x in r_phases), _e(r1) + _e(r2)
+    a, d = (tr_r + s1 * tr_t) / 2, (tr_r - s1 * tr_t) / 2
+    c = a * d - _e(sum(r_phases))
+    if abs(c) < 1e-6:
+        return None
+    s = np.diag([s1, -s1]).astype(np.complex128)
+    t = np.diag([1 / s1, -1 / s1]) @ np.array([[a, 1], [c, d]])
+    name = f"mason({'odd' if odd else 'even'}; {', '.join(map(str, r_phases))}; {r1}, {r2})"
+    return ModularRepresentation(s, t, name), r2
+
+
+def has_invariant_form(rep, tol=1e-9):
+    """Whether a mason representation preserves a positive-definite form.
+
+    s is diagonal with distinct eigenvalues, so such a form is diagonal,
+    H = diag(1, h); the (1, 1) entry of t^H H t = H fixes
+    h = (1 - |t11|^2) / |t21|^2, which must be positive and solve the rest.
+    """
+    t = rep.t_image
+    h = (1 - abs(t[0, 0]) ** 2) / abs(t[1, 0]) ** 2
+    form = np.diag([1, h])
+    return h > 0 and max_abs(t.conj().T @ form @ t - form) <= tol * max(1, h)
+
+
+def level_one_dim(k):
+    """dim M_k(SL2(Z))."""
+    if k < 0 or k % 2:
+        return 0
+    return k // 12 + (k % 12 != 2)
+
+
+def mason_oracle(r1, r2, k):
+    """dim M_k of an irreducible two-dimensional unitarizable rep whose t
+    has eigenvalues e(r1), e(r2), 0 <= r1, r2 < 1: its forms are free over
+    C[E4, E6] on one of weight k0 = 6(r1 + r2) - 1 and its modular
+    derivative (Mason, Ramanujan J. 17, 2008; Marks-Mason 2010)."""
+    k0 = 6 * (r1 + r2) - 1
+    assert k0.denominator == 1, k0
+    return level_one_dim(k - k0) + level_one_dim(k - k0 - 2)
+
+
+def mason_sweep(trials, seed=0, weights=range(-4, 25)):
+    """Tables of seeded mason representations of both parities against
+    mason_oracle at the given weights.
+
+    Each trial draws the parity (alternating), two phases of R and r1
+    with denominator up to 60.  Returns the counts of "valid" inputs (the
+    builder gave one and validate passes), "unitarizable" ones and
+    "matching" ones, the unitarizable inputs whose every dimension is
+    exact and equals the oracle, of which "matching with M_1 > 0" have
+    forms of weight one, and the (name, got, expected) of those that do
+    not match.
+    """
+    rng = np.random.default_rng(seed)
+    counts, mismatches = Counter(), []
+    for trial in range(trials):
+        odd = bool(trial % 2)
+        picks = rng.choice(3, 2, replace=False)
+        r_phases = tuple(Fraction(int(j), 3) + (Fraction(1, 6) if odd else 0) for j in picks)
+        q = int(rng.integers(1, 61))
+        r1 = Fraction(int(rng.integers(q)), q)
+        built = mason(odd, r_phases, r1)
+        if built is None:
+            continue
+        rep, r2 = built
+        try:
+            validate(rep)
+        except ValueError:
+            continue
+        counts["valid"] += 1
+        if not has_invariant_form(rep):
+            continue
+        counts["unitarizable"] += 1
+        expected = [mason_oracle(r1, r2, k) for k in weights]
+        try:
+            got = [m.value if m.status == EXACT else f"{m.value}+"
+                   for _, m, _ in dim_table(rep, weights[0], weights[-1])]
+        except ValueError as err:
+            got = f"{type(err).__name__}: {err}"
+        if got == expected:
+            counts["matching"] += 1
+            counts["matching with M_1 > 0"] += bool(expected[weights.index(1)])
+        else:
+            mismatches.append((rep.name, got, expected))
+    return counts, mismatches
 
 
 def _is_transitive(*perms):

@@ -16,6 +16,7 @@ from helpers import (
     dim_via_exponent_shift,
     enumerate_closure,
     gamma1,
+    mason_sweep,
     no_invariant_form,
     noisy_p1_two,
     numerators,
@@ -663,9 +664,9 @@ class CountingProducts(np.ndarray):
 
 
 def test_permutation_analysis_forms_one_dense_product(monkeypatch):
-    # Of the 17 products one analysis takes of the images, 16 compose the
+    # Of the 13 products one analysis takes of the images, 12 compose the
     # index maps of real permutation matrices; only the h0 product,
-    # (u - 1)(s + 1), is dense.
+    # (t - 1)(s + 1), is dense.
     monkeypatch.setattr(CountingProducts, "products", 0)
     rep = p1_sum(25, 27, 28)
     for image in ("s_image", "t_image"):
@@ -679,6 +680,22 @@ def test_permutation_analysis_forms_one_dense_product(monkeypatch):
     CountingProducts.products = 0
     contragredient(dense)
     assert CountingProducts.products == 6
+
+
+@pytest.mark.parametrize("build, products", [
+    (lambda: tensor_kappa(build_p1_permutation(30), 2), 8),
+    (lambda: tensor_kappa(build_p1_permutation(16), 3), 13),
+], ids=["p1(30)*k^2", "p1(16)*k^3"])
+def test_signatures_form_no_product(monkeypatch, build, products):
+    # Complex images keep dense products.  A signature reads tr s and
+    # tr st, the sum of s_ij t_ji, so it forms none; forming
+    # s t^-1 = (ts)^2 per part and checking s^2 central took four more.
+    monkeypatch.setattr(CountingProducts, "products", 0)
+    rep = build()
+    for image in ("s_image", "t_image"):
+        object.__setattr__(rep, image, getattr(rep, image).view(CountingProducts))
+    whole_analysis(rep)
+    assert CountingProducts.products == products
 
 
 SELF_DUAL = {
@@ -854,3 +871,14 @@ def test_negative_dimension_is_refused_by_name(dim, message):
     with pytest.raises(SnapFailure, match=re.escape(f"weight 2 gives the {message}")):
         dim(rep, 2)
     assert dim(rep, 4).value == 0
+
+
+def test_mason_family_matches_its_oracle():
+    # Mason's irreducible two-dimensional representations are dense and
+    # complex, and most have an infinite image.  Every unitarizable one,
+    # of either parity, must give the oracle's exact table at weights
+    # -4..24; some have forms of weight one.  CI runs 3000 trials.
+    counts, mismatches = mason_sweep(300)
+    assert mismatches == []
+    assert counts["matching"] == counts["unitarizable"] >= 150
+    assert counts["matching with M_1 > 0"] > 0

@@ -11,11 +11,13 @@ from helpers import (
     fraction_lambdas,
     fraction_offset,
     gamma_sequence_check,
+    millington,
     p1_sum,
     partner_invariants,
     signature_of_twist,
     stacked_h0,
     steinberg,
+    u_signature,
 )
 from vvmf.catalog import catalog_names, resolve
 from vvmf.invariants import Signature, _lambdas, part_invariants, t_eigenphases
@@ -307,7 +309,7 @@ H0_REPS = [(name, lambda name=name: resolve(name)) for name in catalog_names() +
 
 @pytest.mark.parametrize("build", [b for _, b in H0_REPS], ids=[name for name, _ in H0_REPS])
 def test_h0_matches_the_stacked_null_space(build):
-    # h0 is read off (u - 1)(s + 1) less alpha; the reference stacks
+    # h0 is read off (t - 1)(s + 1) less alpha; the reference stacks
     # s - 1 on t - 1.  Both must agree on the input and on seeded
     # conjugates of condition 1, 10 and 100.
     rep = build()
@@ -461,3 +463,32 @@ def test_odd_part_invariants_build_no_representation(monkeypatch, expr):
     monkeypatch.setattr(ModularRepresentation, "__post_init__", counting_post_init)
     part_invariants(split, True)
     assert built == []
+
+
+# Both parities: catalog names, sums and twists, dense conjugates, St(p)
+# and signed-permutation inputs with and without an odd part.
+U_ROUTE = (
+    [(name, lambda name=name: resolve(name)) for name in catalog_names() + [
+        "rho0+kappa^2", "kappa^1+kappa^2", "kappa^1+kappa^11", "p1(5)+p1(7)*k^1"]]
+    + [(f"p1({n})*k^{j}", lambda n=n, j=j: tensor_kappa(build_p1_permutation(n), j))
+       for n in (2, 5, 8, 12, 16, 30) for j in range(12)]
+    + [(f"p1({n})*k^{j} conj {c:g}",
+        lambda n=n, j=j, c=c: conjugate(tensor_kappa(build_p1_permutation(n), j), n, c))
+       for n, j in [(3, 0), (4, 1), (5, 2), (6, 3), (7, 4), (8, 5)] for c in (1.0, 10.0, 100.0)]
+    + [(f"St({p})*k^{j}", lambda p=p, j=j: tensor_kappa(steinberg(p), j))
+       for p in (3, 5, 7, 11) for j in (0, 1, 3, 4)]
+    + [(f"mill({d}, {seed}, {odd})", lambda d=d, seed=seed, odd=odd: millington(d, seed, odd))
+       for d, seed, odd in [(12, 0, False), (20, 1, True), (30, 2, False), (48, 3, True)]]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in U_ROUTE], ids=[name for name, _ in U_ROUTE])
+def test_signature_matches_the_eigenvalues_of_u(build):
+    # The library reads beta1 and beta2 off tr st; the reference counts the
+    # cube roots of unity among the eigenvalues of u = s t^-1 = (ts)^2, of
+    # the part itself or, for an odd part, of its even partner.
+    split = parity_split(build())
+    for odd, part in ((False, split.even_part), (True, split.odd_part)):
+        if part.degree:
+            partner = tensor_kappa(part, -1) if odd else part
+            assert part_invariants(split, odd).sig == u_signature(partner)

@@ -14,6 +14,7 @@ from helpers import (
     conjugate,
     diagonal_conjugate,
     enumerate_closure,
+    millington,
     noisy_p1_two,
     p1_sum,
     vector_permutation,
@@ -42,7 +43,6 @@ from vvmf.modrep import (
     direct_sum,
     find_t_order,
     parity_split,
-    st_inverse_image,
     tensor_kappa,
     validate,
 )
@@ -92,6 +92,33 @@ def test_validate_relation_violation():
         validate(rep)
     assert exc.value.relation == "(st)^3 = s^2"
     assert exc.value.residual > 1e-9
+
+
+# Dense conjugates of p1(N)*k^j, condition 1 to 1e3, and signed permutations.
+NEAR_RELATIONS = (
+    [(f"p1({n})*k^{j} conj {c:g}",
+      lambda n=n, j=j, c=c, seed=seed: conjugate(tensor_kappa(build_p1_permutation(n), j),
+                                                 10 * n + seed, c))
+     for n in (2, 3, 5, 7, 8, 12) for j in range(12)
+     for seed, c in enumerate((1.0, 10.0, 100.0, 1000.0))]
+    + [(f"mill({d}, {seed}, {odd})", lambda d=d, seed=seed, odd=odd: millington(d, seed, odd))
+       for d, seed, odd in [(12, 0, False), (20, 1, True), (30, 2, False), (48, 3, True)]]
+)
+
+
+def test_s_squared_central_follows_from_the_two_relations():
+    # s^2 = (st)^3 commutes with st and with s, hence with t = s^-1 st, so
+    # validate checks only s^4 = 1 and (st)^3 = s^2.  In floating point the
+    # residual of s^2 t = t s^2 stays within twice the larger of theirs,
+    # and no tolerance from 1e-12 to 1e-6 fails it alone.
+    for name, build in NEAR_RELATIONS:
+        rep = build()
+        s, t = rep.s_image, rep.t_image
+        s2, st = s @ s, s @ t
+        checked = max(max_abs(s2 @ s2 - np.eye(rep.degree)), max_abs(st @ st @ st - s2))
+        central = max_abs(s2 @ t - t @ s2)
+        assert central <= 2 * checked, name
+        assert not max(checked, 1e-12) < min(central, 1e-6), name
 
 
 def test_overflowing_products_fail_the_relations():
@@ -631,10 +658,9 @@ def test_parity_split_preserves_traces(expr, catalog_reps):
     ):
         total = complex(np.trace(even_m)) + complex(np.trace(odd_m))
         assert abs(complex(np.trace(image)) - total) <= 1e-9
-    u = st_inverse_image(rep)
-    u_parts = complex(np.trace(st_inverse_image(split.even_part))) if split.even_part.degree else 0
-    u_parts += complex(np.trace(st_inverse_image(split.odd_part))) if split.odd_part.degree else 0
-    assert abs(complex(np.trace(u)) - u_parts) <= 1e-9
+    st_parts = sum(complex(np.trace(part.s_image @ part.t_image))
+                   for part in (split.even_part, split.odd_part))
+    assert abs(complex(np.trace(rep.s_image @ rep.t_image)) - st_parts) <= 1e-9
 
 
 def test_direct_sum():
@@ -769,9 +795,9 @@ def test_p1_modulus_bounds():
         build_p1_permutation(31)
 
 
-def test_st_inverse_has_order_three_on_even_rep():
-    u = st_inverse_image(build_p1_permutation(2))
-    assert is_identity(np.linalg.matrix_power(u, 3))
+def test_st_has_order_three_on_even_rep():
+    rep = build_p1_permutation(2)
+    assert is_identity(np.linalg.matrix_power(rep.s_image @ rep.t_image, 3))
 
 
 def test_catalog_reps_validate(catalog_reps):
