@@ -29,10 +29,7 @@ from .modrep import (
 EXACT = "exact"
 LOWER_BOUND = "lower-bound"
 
-# Generator weights lie in 0..12; the product with (1-z^4)(1-z^6) is read
-# up to weight 22 so that the ten coefficients above 12 can be checked.
 TOP_GENERATOR_WEIGHT = 12
-_PRODUCT_WEIGHTS = 23
 
 
 class Weight1Indeterminate(ValueError):
@@ -163,26 +160,23 @@ class Analysis:
 
         The holomorphic and cusp modules are free over the ring of the
         weight 4 and weight 6 Eisenstein series, with generators in
-        weights 0..12, so these are the generator counts by weight and
-        every higher coefficient vanishes; one that does not raises
-        SnapFailure.  Weight-one lower bounds raise Weight1Indeterminate.
+        weights 0..12, so these are the generator counts by weight.  No
+        row above 12 is read: a higher coefficient takes only rows of
+        weight 3 or more, each lambda + gamma(w // 2), and vanishes since
+        gamma(k) - gamma(k-2) - gamma(k-3) + gamma(k-5) = 0.  Weight-one
+        lower bounds raise Weight1Indeterminate.
         """
         numerator = self._numerators.get(cusp)
         if numerator is None:
-            rows = [self.dim(w, cusp) for w in range(_PRODUCT_WEIGHTS)]
+            rows = [self.dim(w, cusp) for w in range(TOP_GENERATOR_WEIGHT + 1)]
             if rows[1].status != EXACT:
                 raise Weight1Indeterminate(
                     f"{self.rep.name}: odd part is not certified irreducible, weight-one "
                     "dimensions are only lower bounds")
             dims = [0] * 10 + [r.value for r in rows]
-            coeffs = [dims[w + 10] - dims[w + 6] - dims[w + 4] + dims[w]
-                      for w in range(_PRODUCT_WEIGHTS)]
-            tail = coeffs[TOP_GENERATOR_WEIGHT + 1:]
-            if any(tail):
-                raise SnapFailure(
-                    f"{self.rep.name}: dimensions are not those of a free module, "
-                    f"(1-z^4)(1-z^6) leaves {tail} at weights 13..22")
-            numerator = self._numerators[cusp] = tuple(coeffs[:TOP_GENERATOR_WEIGHT + 1])
+            numerator = self._numerators[cusp] = tuple(
+                dims[w + 10] - dims[w + 6] - dims[w + 4] + dims[w]
+                for w in range(TOP_GENERATOR_WEIGHT + 1))
         return numerator
 
 

@@ -306,20 +306,15 @@ def mason_oracle(r1, r2, k):
     return level_one_dim(k - k0) + level_one_dim(k - k0 - 2)
 
 
-def mason_sweep(trials, seed=0, weights=range(-4, 25)):
-    """Tables of seeded mason representations of both parities against
-    mason_oracle at the given weights.
+def mason_inputs(trials, seed=0):
+    """The seeded mason representations of mason_sweep that validate, as
+    (rep, r1, r2, unitarizable).
 
     Each trial draws the parity (alternating), two phases of R and r1
-    with denominator up to 60.  Returns the counts of "valid" inputs (the
-    builder gave one and validate passes), "unitarizable" ones and
-    "matching" ones, the unitarizable inputs whose every dimension is
-    exact and equals the oracle, of which "matching with M_1 > 0" have
-    forms of weight one, and the (name, got, expected) of those that do
-    not match.
+    with denominator up to 60; a trial whose draw builds no
+    representation, or one that fails validate, yields nothing.
     """
     rng = np.random.default_rng(seed)
-    counts, mismatches = Counter(), []
     for trial in range(trials):
         odd = bool(trial % 2)
         picks = rng.choice(3, 2, replace=False)
@@ -334,8 +329,23 @@ def mason_sweep(trials, seed=0, weights=range(-4, 25)):
             validate(rep)
         except ValueError:
             continue
+        yield rep, r1, r2, has_invariant_form(rep)
+
+
+def mason_sweep(trials, seed=0, weights=range(-4, 25)):
+    """Tables of seeded mason representations of both parities against
+    mason_oracle at the given weights.
+
+    Returns the counts of "valid" inputs (mason_inputs), "unitarizable"
+    ones and "matching" ones, the unitarizable inputs whose every
+    dimension is exact and equals the oracle, of which "matching with
+    M_1 > 0" have forms of weight one, and the (name, got, expected) of
+    those that do not match.
+    """
+    counts, mismatches = Counter(), []
+    for rep, r1, r2, unitarizable in mason_inputs(trials, seed):
         counts["valid"] += 1
-        if not has_invariant_form(rep):
+        if not unitarizable:
             continue
         counts["unitarizable"] += 1
         expected = [mason_oracle(r1, r2, k) for k in weights]
@@ -589,6 +599,27 @@ def orbit_h0(rep, tol=1e-9):
     return _trivial_holonomy_orbits(rep.degree, [
         (x, image[x], a[x]) for image, a in _monomial_moves(rep, tol)
         for x in range(rep.degree)], tol)
+
+
+def product_coefficients(table):
+    """Coefficients of (1-z^4)(1-z^6) times the holomorphic and the cusp
+    dimension series of a dim_table, as two dicts {w: c_w}.
+
+    c_w = D_w - D_(w-4) - D_(w-6) + D_(w-10), with D = 0 below weight 0,
+    at each weight w of the table whose row w - 10 it holds or that is
+    negative.  The modules are free over C[E4, E6] on generators of
+    weights 0..12, so c_w vanishes above 12, and the c_w at 0..12 count
+    the generators, d of them in all.  That sum is
+    D_9 + D_10 + D_11 + D_12 - D_3 - D_4 - D_5 - D_6, free of weight one.
+    """
+    low = table[0][0]
+    products = []
+    for kind in (1, 2):
+        dims = {row[0]: row[kind].value for row in table}
+        products.append({w: dims[w] - dims.get(w - 4, 0) - dims.get(w - 6, 0)
+                         + dims.get(w - 10, 0)
+                         for w in dims if low <= max(w - 10, 0)})
+    return tuple(products)
 
 
 def gamma_sequence_check(inv, kmax):

@@ -16,16 +16,20 @@ from helpers import (
     dim_via_exponent_shift,
     enumerate_closure,
     gamma1,
+    mason_inputs,
     mason_sweep,
+    millington,
     no_invariant_form,
     noisy_p1_two,
     numerators,
     orbit_commutant,
     orbit_h0,
     p1_sum,
+    product_coefficients,
     steinberg,
     vector_permutation,
 )
+from test_golden_cli import SUMS
 from vvmf.catalog import catalog_names, resolve
 from vvmf.dimensions import (
     EXACT,
@@ -38,7 +42,7 @@ from vvmf.dimensions import (
     dim_holomorphic,
     dim_table,
 )
-from vvmf.invariants import part_invariants
+from vvmf.invariants import PartInvariants, part_invariants
 from vvmf.linalg import Settings, SnapFailure, snap_integer
 from vvmf.modrep import (
     ModularRepresentation,
@@ -304,6 +308,23 @@ def test_gamma1_dimensions(n):
 def test_orbit_counts_on_gamma1(n):
     rep = gamma1(n)
     assert orbit_commutant(rep) == commutant_dimension(rep)
+    assert orbit_h0(rep) == library_h0(rep) == 1
+
+
+@pytest.mark.parametrize("n, dim", [(11, 20), (12, 20), (13, 24), (14, 24), (15, 32), (16, 28)])
+def test_orbit_commutant_of_gamma1_sums_over_its_parts(n, dim):
+    # -1 acts on the parts by different scalars, so no constituent is
+    # shared and the commutant is the sum of the parts' commutants, which
+    # are far cheaper than the whole one at these degrees.
+    rep = gamma1(n)
+    split = parity_split(rep)
+    parts = [commutant_dimension(part) for part in (split.even_part, split.odd_part)]
+    assert orbit_commutant(rep) == sum(parts) == dim
+
+
+@pytest.mark.parametrize("n", [*range(11, 17), 19, 23])
+def test_orbit_h0_on_larger_gamma1(n):
+    rep = gamma1(n)
     assert orbit_h0(rep) == library_h0(rep) == 1
 
 
@@ -882,3 +903,60 @@ def test_mason_family_matches_its_oracle():
     assert mismatches == []
     assert counts["matching"] == counts["unitarizable"] >= 150
     assert counts["matching with M_1 > 0"] > 0
+
+
+FREE_MODULE_GROUPS = {
+    "catalog": lambda: [resolve(name) for name in catalog_names()],
+    "golden-sums": lambda: [resolve(name) for name in SUMS],
+    "p1-twists": lambda: [tensor_kappa(build_p1_permutation(n), j)
+                          for n in range(2, 31) for j in range(12)],
+    "steinberg-twists": lambda: [tensor_kappa(steinberg(p), j)
+                                 for p in (3, 5, 7, 11) for j in (0, 1, 3, 4)],
+    "gamma1": lambda: [gamma1(n) for n in range(5, 13)],
+    "millington": lambda: [millington(d, seed, odd) for d, seed, odd in
+                           [(12, 0, False), (20, 1, True), (30, 2, False), (48, 3, True)]],
+    "mason": lambda: [rep for rep, _, _, unitarizable in mason_inputs(300) if unitarizable],
+}
+
+
+@pytest.mark.parametrize("group", FREE_MODULE_GROUPS)
+def test_dimensions_are_those_of_a_free_module(group):
+    # The library reads the generator counts off rows 0..12 alone; the
+    # rows above must make (1-z^4)(1-z^6) times each series vanish there,
+    # and the counts must add up to the degree.
+    reps = FREE_MODULE_GROUPS[group]()
+    assert reps
+    for rep in reps:
+        expected = numerators(Analysis.of(rep))
+        for kind, coeffs in enumerate(product_coefficients(dim_table(rep, 0, 60))):
+            assert [w for w in range(13, 61) if coeffs[w]] == [], (rep.name, kind)
+            counts = tuple(coeffs[w] for w in range(13))
+            assert sum(counts) == rep.degree, (rep.name, kind)
+            if expected is not None:
+                assert counts == expected[kind], (rep.name, kind)
+
+
+def test_free_module_oracle_sees_a_broken_quasi_period(monkeypatch):
+    # gamma(k + 6) = gamma(k) + d + 1 breaks freeness above weight 12 and
+    # the count of generators, and the oracle must say so for both kinds.
+    monkeypatch.setattr(PartInvariants, "gamma", lambda self, k: (
+        self.gamma_base[k % 6] + (self.sig.d + 1) * (k // 6)))
+    rep = build_p1_permutation(7)
+    for coeffs in product_coefficients(dim_table(rep, 0, 60)):
+        assert any(coeffs[w] for w in range(13, 61))
+        assert sum(coeffs[w] for w in range(13)) != rep.degree
+
+
+def test_generator_numerator_reads_rows_0_to_12(monkeypatch):
+    # The coefficients above weight 12 vanish identically, so the
+    # numerator builds no row above 12.
+    weights = []
+    row = Analysis._row
+
+    def counting(self, w, cusp):
+        weights.append(w)
+        return row(self, w, cusp)
+
+    monkeypatch.setattr(Analysis, "_row", counting)
+    Analysis.of(build_p1_permutation(7)).generator_numerator(False)
+    assert weights == list(range(13))
