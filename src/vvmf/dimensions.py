@@ -59,7 +59,8 @@ class Analysis:
 
     Analysis.of memoises it on the representation, keyed by the settings:
     calls with equal settings share it, calls with other settings get
-    their own, and it is freed together with the representation.
+    their own, and it is freed together with the representation.  It
+    keeps no dimension row: each is read off the part invariants per call.
     """
 
     def __init__(self, rep: ModularRepresentation, settings: Settings):
@@ -69,7 +70,6 @@ class Analysis:
         self._degrees = (self.split.even_part.degree, self.split.odd_part.degree)
         self._invariants: dict[bool, PartInvariants] = {}
         self._numerators: dict[bool, tuple[int, ...]] = {}
-        self._rows: dict[tuple[int, bool], DimResult] = {}
 
     @classmethod
     def of(cls, rep: ModularRepresentation, settings: Settings = DEFAULT_SETTINGS) -> Analysis:
@@ -97,7 +97,7 @@ class Analysis:
         When the contragredient's images equal this representation's entry
         for entry, as for a permutation representation, its analysis would
         repeat this one on the same numbers.  It then shares this Analysis's
-        split, part invariants, rows and generator numerators; only its rep,
+        split, part invariants and generator numerators; only its rep,
         and so its name, is its own.  Images equal only up to rounding get
         their own analysis.
         """
@@ -112,24 +112,21 @@ class Analysis:
         return dual
 
     def dim(self, w: int, cusp: bool = False) -> DimResult:
-        """Dimension of the holomorphic (or cusp) forms of integer weight w.
-
-        Each row is built once and kept: the table, the generator
-        numerators and the duality sums read the same rows.
-        """
-        row = self._rows.get((w, cusp))
-        if row is None:
-            row = self._row(w, cusp)
-            if row.value < 0:  # Possible only with no invariant positive-definite form.
-                inv = self.invariants(w % 2 == 1)
-                lam = f"lambda- = {inv.lambda_minus}" if cusp else f"lambda+ = {inv.lambda_plus}"
-                raise SnapFailure(f"{self.rep.name}: weight {w} gives the "
-                                  f"{'cusp' if cusp else 'holomorphic'} dimension {row.value} < 0 "
-                                  f"by the rule {row.rule}, with {lam}")
-            self._rows[w, cusp] = row
+        """Dimension of the holomorphic (or cusp) forms of integer weight w."""
+        row = self._row(w, cusp)
+        if row.value < 0:  # Possible only with no invariant positive-definite form.
+            inv = self.invariants(w % 2 == 1)
+            lam = f"lambda- = {inv.lambda_minus}" if cusp else f"lambda+ = {inv.lambda_plus}"
+            raise SnapFailure(f"{self.rep.name}: weight {w} gives the "
+                              f"{'cusp' if cusp else 'holomorphic'} dimension {row.value} < 0 "
+                              f"by the rule {row.rule}, with {lam}")
         return row
 
     def _row(self, w: int, cusp: bool) -> DimResult:
+        """Row w from its parity part's invariants.  Weight one on an
+        irreducible odd part sigma assumes that M_1(sigma) or S_1(sigma*) is
+        0: the formulas fix only M_1(sigma) - S_1(sigma*) = lambda+, so
+        max(0, lambda+) is then exact.  S_1 assumes the same of sigma*."""
         odd = w % 2 == 1
         if not self._degrees[odd]:
             return DimResult(0, EXACT, "parity-zero")

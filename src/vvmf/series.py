@@ -97,7 +97,7 @@ def duality_report(rep: ModularRepresentation, n_max: int = 3,
     weights where every status is exact.  The generator mirror needs
     exact weight-one data and is skipped, not failed, without it.
     The sweep runs over n = 1..n_max, so n_max must be at least 1.
-    A dual with rep's own images reads rep's own rows (Analysis.dual),
+    A dual with rep's own images shares rep's analysis (Analysis.dual),
     which is the same computation on the same numbers.
     """
     if n_max < 1:

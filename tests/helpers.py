@@ -196,6 +196,28 @@ def gamma1(n):
                           if math.gcd(c, d, n) == 1], n, f"G1({n})")
 
 
+def plane(n):
+    """SL2(Z) permuting all of (Z/n)^2 from the right, zero included.
+
+    The vectors of exact order d form one orbit, a copy of gamma1(d), so
+    this is the direct sum of gamma1(d) over the divisors d of n.
+    """
+    return _right_action([(c, d) for c in range(n) for d in range(n)], n, f"plane({n})")
+
+
+def hyp(n):
+    """The Weil representation of the hyperbolic plane (Z/n)^2, q(x, y) = xy/n.
+
+    T = diag(e(xy/n)) and S = (e(-(xv + uy)/n)) / n over (x, y), (u, v): the
+    form has signature 0, so S takes no eighth root of unity.  Dense and
+    complex, and isomorphic to plane(n).
+    """
+    points = [(x, y) for x in range(n) for y in range(n)]
+    t = np.diag([_e(x * y / n) for x, y in points])
+    s = np.array([[_e(-(x * v + u * y) / n) for u, v in points] for x, y in points]) / n
+    return ModularRepresentation(s, t, f"hyp({n})")
+
+
 def sl2_regular(n):
     """SL2(Z) permuting the matrices (a, b; c, d) of SL2(Z/n), flattened to
     (a, b, c, d), by right multiplication.

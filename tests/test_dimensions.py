@@ -1,6 +1,8 @@
+import functools
 import gc
 import math
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from helpers import (
     dim_via_exponent_shift,
     enumerate_closure,
     gamma1,
+    hyp,
     mason_inputs,
     mason_sweep,
     millington,
@@ -25,6 +28,7 @@ from helpers import (
     orbit_commutant,
     orbit_h0,
     p1_sum,
+    plane,
     product_coefficients,
     steinberg,
     vector_permutation,
@@ -328,6 +332,20 @@ def test_orbit_h0_on_larger_gamma1(n):
     assert orbit_h0(rep) == library_h0(rep) == 1
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_weil_representation_of_the_hyperbolic_plane(n):
+    # hyp(n) is dense and complex, plane(n) a permutation representation
+    # isomorphic to it, and plane(n) splits into one gamma1(d) per divisor
+    # d of n: one invariant vector for each, and the forms of Gamma1(d)
+    # summed over d at every weight from 2 on.
+    table = dim_table(hyp(n), -2, 30)
+    assert table == dim_table(plane(n), -2, 30)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    assert table[2][:2] == (0, DimResult(len(divisors), EXACT, "weight-0-h0"))
+    orbits = functools.reduce(direct_sum, map(gamma1, divisors))
+    assert table[4:] == dim_table(orbits, 2, 30)
+
+
 def test_weight_one_exact_beyond_group_enumeration():
     # St(29)*k^1 is odd and irreducible; its image has 12 * |PSL2(F_29)|
     # = 146160 elements, far too many to enumerate.
@@ -623,35 +641,20 @@ def test_commutant_is_the_null_space_of_one_square_matrix(monkeypatch, build, si
     assert shapes == [(size, size)]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_p1_permutation(30),
-    lambda: tensor_kappa(build_p1_permutation(30), 2),
-    lambda: tensor_kappa(build_p1_permutation(16), 3),
-    lambda: direct_sum(build_p1_permutation(5), tensor_kappa(build_p1_permutation(7), 1)),
-], ids=["p1(30)", "p1(30)*k^2", "p1(16)*k^3", "p1(5)+p1(7)*k^1"])
-def test_analysis_builds_each_row_once(monkeypatch, build):
-    # The table, the generator numerators and the duality sums ask for
-    # many rows twice; each (images, weight, kind) is built once, so a
-    # dual with the representation's own images builds none of its own.
-    built, asked = [], set()
-
-    class CountedResult(DimResult):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    dim = Analysis.dim
-
-    def asking(self, w, cusp=False):
-        # Adding 0.0 turns -0.0 into 0.0, which compares equal to it.
-        images = tuple((m + 0.0).tobytes() for m in (self.rep.s_image, self.rep.t_image))
-        asked.add((images, w, cusp))
-        return dim(self, w, cusp)
-
-    monkeypatch.setattr(vvmf.dimensions, "DimResult", CountedResult)
-    monkeypatch.setattr(Analysis, "dim", asking)
-    whole_analysis(build())
-    assert len(built) == len(asked)
+def test_a_table_leaves_no_rows_on_the_representation():
+    # Each row is read off the part invariants on every call, so a long
+    # table is freed with the table: the representation keeps only its
+    # analysis, whose size does not grow with the weights asked.
+    rep = build_p1_permutation(7)
+    tracemalloc.start()
+    try:
+        table = dim_table(rep, 0, 20000)
+        del table
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
 
 
 def test_real_representation_runs_real_lapack(monkeypatch):
