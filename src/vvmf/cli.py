@@ -109,8 +109,8 @@ def _cmd_info(args, settings):
     rep, report = _load_source(args.source, settings)
     a = Analysis.of(rep, settings)
     doc = {"rep": rep.name, "degree": rep.degree, "t_order": report.t_order}
-    for key, part in (("even", a.split.even_part), ("odd", a.split.odd_part)):
-        doc[key] = _part_info(part, a.invariants(key == "odd")) if part.degree else None
+    for key, part, inv in zip(("even", "odd"), (a.split.even_part, a.split.odd_part), a.invariants):
+        doc[key] = _part_info(part, inv) if inv else None
     return doc, [f"rep {doc['rep']}: degree {doc['degree']}, t order {doc['t_order']}",
                  *_invariant_lines("even part", doc["even"]),
                  *_invariant_lines("odd part", doc["odd"])]

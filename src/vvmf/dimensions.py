@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .invariants import PartInvariants, part_invariants
+from .invariants import part_invariants
 from .linalg import DEFAULT_SETTINGS, Settings, SnapFailure
 from .modrep import (
     ModularRepresentation,
@@ -60,15 +60,16 @@ class Analysis:
     Analysis.of memoises it on the representation, keyed by the settings:
     calls with equal settings share it, calls with other settings get
     their own, and it is freed together with the representation.  It
-    keeps no dimension row: each is read off the part invariants per call.
+    builds both part invariants with its split, (even, odd) with None for
+    an empty part, and keeps no dimension row: each is read off per call.
     """
 
     def __init__(self, rep: ModularRepresentation, settings: Settings):
         self.rep = rep
         self.settings = settings
-        self.split = parity_split(rep, settings)
-        self._degrees = (self.split.even_part.degree, self.split.odd_part.degree)
-        self._invariants: dict[bool, PartInvariants] = {}
+        self.split = split = parity_split(rep, settings)
+        self.invariants = tuple(part_invariants(split, odd, settings) if part.degree else None
+                                for odd, part in ((False, split.even_part), (True, split.odd_part)))
         self._numerators: dict[bool, tuple[int, ...]] = {}
 
     @classmethod
@@ -77,13 +78,6 @@ class Analysis:
         if analysis is None:
             analysis = rep.analyses[settings] = cls(rep, settings)
         return analysis
-
-    def invariants(self, odd: bool) -> PartInvariants:
-        """Invariants of the odd or the even part, computed on first use."""
-        inv = self._invariants.get(odd)
-        if inv is None:
-            inv = self._invariants[odd] = part_invariants(self.split, odd, self.settings)
-        return inv
 
     @cached_property
     def weight1_exact(self) -> bool:
@@ -115,7 +109,7 @@ class Analysis:
         """Dimension of the holomorphic (or cusp) forms of integer weight w."""
         row = self._row(w, cusp)
         if row.value < 0:  # Possible only with no invariant positive-definite form.
-            inv = self.invariants(w % 2 == 1)
+            inv = self.invariants[w % 2]
             lam = f"lambda- = {inv.lambda_minus}" if cusp else f"lambda+ = {inv.lambda_plus}"
             raise SnapFailure(f"{self.rep.name}: weight {w} gives the "
                               f"{'cusp' if cusp else 'holomorphic'} dimension {row.value} < 0 "
@@ -128,12 +122,12 @@ class Analysis:
         0: the formulas fix only M_1(sigma) - S_1(sigma*) = lambda+, so
         max(0, lambda+) is then exact.  S_1 assumes the same of sigma*."""
         odd = w % 2 == 1
-        if not self._degrees[odd]:
+        inv = self.invariants[odd]
+        if inv is None:
             return DimResult(0, EXACT, "parity-zero")
         k = w // 2
         if k < 0:
             return DimResult(0, EXACT, "negative-weight")
-        inv = self._invariants.get(odd) or self.invariants(odd)
         lam = inv.lambda_minus if cusp else inv.lambda_plus
         if k == 0 and odd:
             if self.weight1_exact:

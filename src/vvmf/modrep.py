@@ -139,7 +139,7 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ParityDecomposition:
-    """Splitting into the +1 and -1 eigenspaces of the central involution.
+    """The subrepresentations on the +1 and -1 eigenspaces of s^2, without their bases.
 
     The split is the proof of each part's parity: s^2 acts as +1 on
     even_part and as -1 on odd_part, so nothing that reads a part from
@@ -148,13 +148,11 @@ class ParityDecomposition:
 
     even_part: ModularRepresentation
     odd_part: ModularRepresentation
-    even_basis: Matrix
-    odd_basis: Matrix
 
 
-def _convergents(x: float, order_cap: int, eps: float) -> Iterator[tuple[int, int]]:
-    """Continued-fraction convergents p/q within eps of x with q up to the
-    order cap, as (p mod q, q), from the first such one on.
+def _convergents(x: float, order_cap: int, eps: float) -> Iterator[int]:
+    """Denominators q of the continued-fraction convergents p/q within eps
+    of x with q up to the order cap, from the first such one on.
 
     The expansion of the float x is finite and its denominators grow at
     least like the Fibonacci numbers, so this takes a few dozen steps
@@ -170,7 +168,7 @@ def _convergents(x: float, order_cap: int, eps: float) -> Iterator[tuple[int, in
         if q1 > order_cap:
             return
         if abs(x - p1 / q1) <= eps:
-            yield p1 % q1, q1
+            yield q1
 
 
 def _prime_factors(n: int) -> set[int]:
@@ -339,17 +337,17 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
                 "modulus", f"t eigenvalue {cmath.rect(modulus, 2 * math.pi * y / length):.6g} "
                 f"has |lambda| - 1 = {modulus - 1.0:.3e}, beyond the tolerance {eps:.1e}")
         convergents = _convergents(y, settings.order_cap // length, length * eps)
-        pair = next(convergents, None)
-        if pair is None:
+        b = next(convergents, None)
+        if b is None:
             what = (f"t eigenphase {y % 1:.12g} has no denominator up to" if length == 1 else
                     f"t cycle of length {length} has eigenphases (y + k)/{length} with "
                     f"y = {y % 1:.12g}, which need a denominator above")
             raise TOrderNotFound("denominator", f"{what} the order cap {settings.order_cap} "
                                  f"within {eps:.1e}")
-        snapped.append(pair)
+        snapped.append(b)
         candidates.append(convergents)
     while True:
-        denominators = {b * cycle[0] for cycle, (_, b) in zip(cycles, snapped)}
+        denominators = {b * cycle[0] for cycle, b in zip(cycles, snapped)}
         n = math.lcm(*denominators)
         if walk:
             residual = max(misses := _cycle_misses(cycles, n))
@@ -369,8 +367,8 @@ def _t_spectrum(rep: ModularRepresentation, settings: Settings) -> tuple[int, tu
             what = (f"differs from the identity by {residual:.3e}, beyond"
                     if math.isfinite(residual) else "overflows, so it is not the identity within")
             raise TOrderNotFound("power", f"t^{n} {what} the tolerance {eps:.1e}")
-        for i, pair in zip(missing, moved):
-            snapped[i] = pair
+        for i, b in zip(missing, moved):
+            snapped[i] = b
     # t^n = 1 makes t diagonalisable, so t^(n/p) is the identity exactly when
     # every eigenvalue is an (n/p)-th root of 1, as the cycles tell.
     for p in sorted(set().union(*map(_prime_factors, denominators))):
@@ -435,24 +433,19 @@ def parity_split(rep: ModularRepresentation,
     """Split into purely even and purely odd subrepresentations.
 
     s^2 is central, so its eigenspaces for +1 and -1 carry
-    subrepresentations; their orthonormal bases are the null spaces of
-    s^2 - 1 and s^2 + 1.  A representation of one parity is that part
-    itself, with the identity as its basis, and the other part is empty.
-    This is where an analysis decides parity, from the one s^2 it forms.
+    subrepresentations: each part is the restriction to an orthonormal
+    basis of the null space of s^2 - 1 or s^2 + 1.  A representation of
+    one parity is that part itself, and the other part is empty.  This is
+    where an analysis decides parity, from the one s^2 it forms.
     """
-    d = rep.degree
-    eye = np.eye(d)
     s2 = _dense(rep._s @ rep._s)
     sign = _parity_of_square(s2, settings)
     if sign:
         empty = ModularRepresentation(np.zeros((0, 0)), np.zeros((0, 0)),
                                       f"{rep.name}[{'odd' if sign == 1 else 'even'}]")
-        no_basis = np.zeros((d, 0))
-        if sign == 1:
-            return ParityDecomposition(rep, empty, eye, no_basis)
-        return ParityDecomposition(empty, rep, no_basis, eye)
+        return ParityDecomposition(rep, empty) if sign == 1 else ParityDecomposition(empty, rep)
+    eye = np.eye(rep.degree)
     parts = []
-    bases = []
     for sign, tag in ((1, "even"), (-1, "odd")):
         basis = nullspace(s2 - sign * eye, settings)
         s_part = _restrict(rep.s_image, basis, settings.eps)
@@ -460,10 +453,9 @@ def parity_split(rep: ModularRepresentation,
         if basis.shape[1] and not is_identity(sign * (s_part @ s_part), settings):
             raise ProjectorDefect(f"{tag} part does not have parity {sign:+d}")
         parts.append(ModularRepresentation(s_part, t_part, f"{rep.name}[{tag}]"))
-        bases.append(basis)
-    if parts[0].degree + parts[1].degree != d:
+    if parts[0].degree + parts[1].degree != rep.degree:
         raise ProjectorDefect("parity eigenspace dimensions do not add up to the degree")
-    return ParityDecomposition(parts[0], parts[1], bases[0], bases[1])
+    return ParityDecomposition(*parts)
 
 
 def _cycle_basis(walk: tuple, n: int) -> Matrix:

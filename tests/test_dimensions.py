@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import math
@@ -50,6 +51,7 @@ from vvmf.invariants import PartInvariants, part_invariants
 from vvmf.linalg import Settings, SnapFailure, snap_integer
 from vvmf.modrep import (
     ModularRepresentation,
+    ParityDecomposition,
     TOrderNotFound,
     _t_spectrum,
     build_kappa_power,
@@ -240,7 +242,7 @@ def test_orbit_count_needs_a_monomial_representation():
 def library_h0(rep):
     """h0 of the even part of rep, or 0 when it has none."""
     a = Analysis.of(rep)
-    return a.invariants(False).h0 if a.split.even_part.degree else 0
+    return a.invariants[False].h0 if a.split.even_part.degree else 0
 
 
 @pytest.mark.parametrize("expr, h0", [
@@ -756,7 +758,7 @@ def test_dual_with_the_same_images_shares_the_analysis(monkeypatch, name):
     fresh = Analysis.of(ModularRepresentation(d.rep.s_image, d.rep.t_image, d.rep.name))
     for odd in (False, True):
         if (fresh.split.odd_part if odd else fresh.split.even_part).degree:
-            assert d.invariants(odd) == fresh.invariants(odd)
+            assert d.invariants[odd] == fresh.invariants[odd]
     for w in range(-2, 61):
         for cusp in (False, True):
             assert d.dim(w, cusp) == fresh.dim(w, cusp), (w, cusp)
@@ -800,8 +802,7 @@ def test_pure_parity_representation_is_its_own_part(monkeypatch):
     split = parity_split(even)
     assert split.even_part is even
     assert split.odd_part.degree == 0
-    assert np.array_equal(split.even_basis, np.eye(even.degree))
-    assert split.odd_basis.shape == (even.degree, 0)
+    assert [f.name for f in dataclasses.fields(ParityDecomposition)] == ["even_part", "odd_part"]
     odd = tensor_kappa(even, 1)
     split = parity_split(odd)
     assert split.odd_part is odd
@@ -814,6 +815,18 @@ def test_pure_parity_representation_is_its_own_part(monkeypatch):
     assert split.even_part.name == "p1(5)+p1(7)*k^1[even]"
     assert split.odd_part.name == "p1(5)+p1(7)*k^1[odd]"
     assert len(svd_calls) == 2
+
+
+@pytest.mark.parametrize("expr, parts", [
+    ("p1(7)", (True, False)), ("p1(7)*k^1", (False, True)), ("p1(5)+p1(7)*k^1", (True, True))])
+def test_analysis_holds_both_part_invariants(expr, parts):
+    rep = resolve(expr)
+    invariants = Analysis.of(rep).invariants
+    assert tuple(inv is not None for inv in invariants) == parts
+    split = parity_split(rep)
+    for odd, inv in enumerate(invariants):
+        if inv is not None:
+            assert inv == part_invariants(split, bool(odd))
 
 
 def test_failing_t_spectrum_is_not_cached(monkeypatch):

@@ -19,7 +19,7 @@ from helpers import (
     p1_sum,
     vector_permutation,
 )
-from vvmf.linalg import Settings, is_identity, max_abs
+from vvmf.linalg import Settings, is_identity, max_abs, nullspace
 from vvmf.modrep import (
     UNKNOWN,
     _KAPPA_POWERS,
@@ -641,9 +641,11 @@ def test_parity_split_mixed():
     split = parity_split(rep)
     assert split.even_part.degree == 1
     assert split.odd_part.degree == 1
-    # The restricted matrices must reproduce the action on the column spans.
-    for basis, part in ((split.even_basis, split.even_part),
-                        (split.odd_basis, split.odd_part)):
+    # The restricted matrices must reproduce the action on the column spans
+    # of the null spaces of s^2 - 1 and s^2 + 1, in the bases the split takes.
+    s2 = rep.s_image @ rep.s_image
+    for sign, part in ((1, split.even_part), (-1, split.odd_part)):
+        basis = nullspace(s2 - sign * np.eye(rep.degree))
         for g, g_part in ((rep.s_image, part.s_image), (rep.t_image, part.t_image)):
             assert max_abs(g @ basis - basis @ g_part) <= 1e-9
 

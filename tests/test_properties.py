@@ -63,7 +63,7 @@ def part_values(rep, odd):
     part = a.split.odd_part if odd else a.split.even_part
     if part.degree == 0:
         return 0, 0, 0, (0,) * 19
-    inv = a.invariants(odd)
+    inv = a.invariants[odd]
     return (inv.lambda_plus, inv.lambda_minus, inv.h0 or 0,
             tuple(inv.gamma(k) for k in range(-6, 13)))
 
